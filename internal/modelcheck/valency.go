@@ -179,9 +179,14 @@ func AnalyzeValency(f Factory, limit int) (*ValencyReport, error) {
 // explored configuration with a fresh inner scheduler, so a stateful
 // adversary must be constructed inside wrap (not closed over): every
 // configuration then replays its prefix under identical fault
-// decisions, which keeps the execution tree well-defined. A nil wrap
-// degenerates to AnalyzeValency — the full-persistence baseline, since
-// without fault directives a crash-recovery pause keeps all state.
+// decisions, which keeps the execution tree well-defined. The returned
+// scheduler must pass every Next view to the inner scheduler unchanged
+// and return its answer unchanged: the engine reads a node's children
+// off the enabled set at which the inner replay stops, so a wrap that
+// filters or overrides Next detaches the replayed prefix from the tree.
+// Faults are the adversary's only lever. A nil wrap degenerates to
+// AnalyzeValency — the full-persistence baseline, since without fault
+// directives a crash-recovery pause keeps all state.
 //
 // The report reads as usual, but over the faulty tree: Agreement is
 // false exactly when some schedule prefix plus the adversary's

@@ -3,17 +3,16 @@ package sim
 // arena.go provides RunArena, the replay-buffer half of the model
 // checker's reduction layer (ROADMAP "order-of-magnitude state-space
 // engine"): a DFS over an execution tree replays one short run per
-// node, and before the arena every replay paid for fresh process
-// slots, a pair of channels per process, an enabled-set slice per
-// scheduling round and a fresh Result. With an arena those live across
-// runs and the steady-state replay allocates only what the run's
-// programs and objects allocate themselves.
+// node, and without the arena every replay pays for a fresh process
+// table, scheduling-round buffers and a fresh Result. With an arena
+// those live across runs and the steady-state replay allocates only
+// what the run's programs and objects allocate themselves.
 
 // RunArena recycles per-run scratch across consecutive calls to Run.
 // A caller that replays many configurations back-to-back (the model
 // checker's exhaustive engines) stores one arena in every Config it
-// builds; Run then reuses the previous run's process slots, channels,
-// scratch buffers and Result instead of allocating fresh ones.
+// builds; Run then reuses the previous run's process table, scratch
+// buffers and Result instead of allocating fresh ones.
 //
 // Constraints:
 //   - An arena serves one Run at a time. Concurrent Runs need one
@@ -22,14 +21,12 @@ package sim
 //     Enabled and Trace.Events alias arena storage. Callers that keep a
 //     Result across runs must copy what they need first.
 //
-// Reuse is safe because Run never returns with a process goroutine
-// still holding a channel: every return path either observes the
-// goroutine finished or aborts it with a final synchronous handshake,
-// after which the goroutine touches neither its procState nor its
-// channels again.
+// Reuse is safe because Run never returns with a process still holding
+// a worker: every return path either observes the incarnation finished
+// or aborts it, and the worker goes back to the shared pool, not to the
+// arena.
 type RunArena struct {
-	procs   []*procState
-	enabled []int
+	procs   []procState
 	outputs []Value
 	status  []ProcStatus
 	events  []Event
@@ -42,28 +39,20 @@ type RunArena struct {
 func newRuntime(cfg Config, n int) *runtime {
 	a := cfg.Arena
 	if a == nil {
-		rt := &runtime{cfg: cfg, procs: make([]*procState, n)}
-		for i := range rt.procs {
-			rt.procs[i] = &procState{
-				msgCh: make(chan message),
-				resCh: make(chan resume),
-				live:  true,
-			}
-		}
-		return rt
+		return &runtime{cfg: cfg, procs: make([]procState, n), enabledIDs: make([]int, 0, n)}
 	}
-	for len(a.procs) < n {
-		a.procs = append(a.procs, &procState{
-			msgCh: make(chan message),
-			resCh: make(chan resume),
-		})
+	if cap(a.procs) < n {
+		a.procs = make([]procState, n)
 	}
 	rt := &a.rt
-	*rt = runtime{cfg: cfg, procs: a.procs[:n], arena: a}
-	for _, p := range rt.procs {
-		msgCh, resCh := p.msgCh, p.resCh
-		*p = procState{msgCh: msgCh, resCh: resCh, live: true}
+	*rt = runtime{
+		cfg:        cfg,
+		procs:      a.procs[:n],
+		arena:      a,
+		enabledIDs: rt.enabledIDs[:0],
+		crashed:    rt.crashed[:0],
 	}
+	clear(rt.procs)
 	if !cfg.DisableTrace {
 		rt.trace.Events = a.events[:0]
 	}

@@ -3,12 +3,11 @@ package sim
 // Ctx is a process's handle to the simulated world. All interaction with
 // shared state goes through Invoke; BeginOp/EndOp annotate the trace with
 // the intervals of logical (implemented) operations for the linearizability
-// checker.
+// checker. A Ctx is valid only inside the incarnation it was passed to.
 type Ctx struct {
 	id  int
 	inc int
-	msg chan<- message
-	res <-chan resume
+	w   *worker
 }
 
 // ID returns the process id (its index in Config.Programs).
@@ -21,37 +20,28 @@ func (c *Ctx) ID() int { return c.id }
 func (c *Ctx) Incarnation() int { return c.inc }
 
 // Invoke applies one atomic operation to the named shared object and
-// returns its result. The call blocks until the scheduler grants the
-// process a step. If the object hangs the process, Invoke never returns:
-// the process is parked and its goroutine reclaimed.
+// returns its result. The process yields to the runtime and resumes when
+// the scheduler grants it a step. If the object hangs the process, Invoke
+// never returns: the process is parked and its coroutine reclaimed.
 func (c *Ctx) Invoke(object, op string, args ...Value) Value {
-	c.msg <- message{kind: msgInvoke, obj: object, inv: Invocation{Op: op, Args: args}}
-	r := <-c.res
-	if r.abort {
-		panic(abortSignal{})
-	}
-	return r.value
+	w := c.w
+	w.msg = message{kind: msgInvoke, obj: object, inv: Invocation{Op: op, Args: args}}
+	w.park()
+	return w.reply
 }
 
 // BeginOp records the start of a logical operation on an implemented
 // object. It does not consume a scheduler step.
 func (c *Ctx) BeginOp(object, op string, args ...Value) {
-	c.msg <- message{
-		kind:     msgMark,
-		obj:      object,
-		inv:      Invocation{Op: op, Args: args},
-		markKind: EventCall,
-	}
+	w := c.w
+	w.msg = message{kind: msgMark, mark: EventCall, obj: object, inv: Invocation{Op: op, Args: args}}
+	w.park()
 }
 
 // EndOp records the completion of the logical operation last begun with
 // BeginOp, together with its result. It does not consume a scheduler step.
 func (c *Ctx) EndOp(object, op string, out Value) {
-	c.msg <- message{
-		kind:     msgMark,
-		obj:      object,
-		inv:      Invocation{Op: op},
-		markKind: EventReturn,
-		markOut:  out,
-	}
+	w := c.w
+	w.msg = message{kind: msgMark, mark: EventReturn, obj: object, inv: Invocation{Op: op}, out: out}
+	w.park()
 }

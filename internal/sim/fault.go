@@ -38,14 +38,14 @@ type FaultKind int
 const (
 	// FaultCrash crashes a process with a pending invocation: the pending
 	// invocation is wiped (it is never applied; the trace records it in the
-	// EventCrash event), the process goroutine is discarded together with
+	// EventCrash event), the process's incarnation is unwound together with
 	// all program locals, and every Recoverable object is told to drop the
 	// process's volatile state. The process contributes nothing further to
 	// the run until a FaultRestart; if none arrives it ends the run with
 	// StatusCrashed.
 	FaultCrash FaultKind = iota
 	// FaultRestart restarts a crashed process amnesiacally: a fresh
-	// goroutine runs Config.Recovery (if set) and then the process's
+	// incarnation runs Config.Recovery (if set) and then the process's
 	// Program again from the top, under an incremented Ctx.Incarnation.
 	// Nothing of the previous incarnation's volatile state survives; state
 	// intended to survive must live in durable object fields.
@@ -118,10 +118,11 @@ type Recoverable interface {
 }
 
 // RecoveryProc is the per-process recovery step run by a restarted process
-// before its Program re-executes (Config.Recovery). It runs on the
-// restarted process's goroutine under the same lockstep discipline as a
-// Program — every Invoke consumes a scheduler step — and is subject to the
-// same purity contract: it must be a pure function of its invocation
-// results, or VerifyReplay will flag the run. Ctx.Incarnation reports which
-// incarnation is recovering (always >= 1 inside a RecoveryProc).
+// before its Program re-executes (Config.Recovery). It runs at the start
+// of the restarted process's fresh incarnation under the same lockstep
+// discipline as a Program — every Invoke consumes a scheduler step — and
+// is subject to the same purity contract: it must be a pure function of
+// its invocation results, or VerifyReplay will flag the run.
+// Ctx.Incarnation reports which incarnation is recovering (always >= 1
+// inside a RecoveryProc).
 type RecoveryProc func(ctx *Ctx)

@@ -43,13 +43,16 @@ func verifyReplay(cfg Config, res *Result) error {
 // replayProc re-executes one program against its recorded sub-trace.
 func replayProc(cfg Config, res *Result, id int) error {
 	expected := res.Trace.ByProc(id).Events
-	p := &procState{
-		msgCh: make(chan message),
-		resCh: make(chan resume),
-		live:  true,
-	}
-	//detlint:allow nodeterminism sequential playback: this is the only live goroutine and it blocks on resCh between messages, so the exchange is a deterministic handshake
-	go runProgram(id, cfg.Programs[id], p)
+	w := getWorker()
+	// A divergence return leaves the process parked at its last yield;
+	// unwind it before the worker goes back to the pool.
+	defer func() {
+		if w.parked() {
+			w.abort()
+		}
+		putWorker(w)
+	}()
+	w.start(id, 0, cfg.Recovery, cfg.Programs[id])
 
 	next := 0
 	failf := func(format string, args ...any) error {
@@ -61,18 +64,15 @@ func replayProc(cfg Config, res *Result, id int) error {
 	}
 
 	for {
-		m := <-p.msgCh
+		m := &w.msg
 		switch m.kind {
 		case msgInvoke:
-			// The goroutine is parked on resCh; abort it before failing.
 			if next >= len(expected) {
 				if res.Status[id] == StatusStopped {
 					// The run stopped with this invocation pending; the
 					// replay confirmed everything that was recorded.
-					abortReplay(p)
 					return nil
 				}
-				abortReplay(p)
 				return failf("extra invocation %s.%s", m.obj, m.inv.Op)
 			}
 			e := expected[next]
@@ -82,10 +82,9 @@ func replayProc(cfg Config, res *Result, id int) error {
 				// too, then either confirm the process stayed crashed or
 				// re-execute the recorded restart.
 				if e.Object != m.obj || e.Op != m.inv.Op || !reflect.DeepEqual(e.Args, m.inv.Args) {
-					abortReplay(p)
 					return failf("program invoked %s.%s%v, crash wiped a different invocation", m.obj, m.inv.Op, m.inv.Args)
 				}
-				abortReplay(p)
+				w.abort()
 				next++
 				if next >= len(expected) {
 					if res.Status[id] != StatusCrashed {
@@ -102,47 +101,35 @@ func replayProc(cfg Config, res *Result, id int) error {
 				if !ok {
 					return failf("restart event carries incarnation %v, want an int", r.Out)
 				}
-				p.live = true
-				//detlint:allow nodeterminism sequential playback: the restarted goroutine is the only live one and blocks on resCh between messages, same handshake as the initial replay goroutine
-				go runIncarnation(id, inc, cfg.Recovery, cfg.Programs[id], p)
+				w.start(id, inc, cfg.Recovery, cfg.Programs[id])
 				continue
 			}
 			if e.Kind != EventStep {
-				abortReplay(p)
 				return failf("program invoked %s.%s, trace records a %s mark", m.obj, m.inv.Op, e.Kind)
 			}
 			if e.Object != m.obj || e.Op != m.inv.Op || !reflect.DeepEqual(e.Args, m.inv.Args) {
-				abortReplay(p)
 				return failf("program invoked %s.%s%v", m.obj, m.inv.Op, m.inv.Args)
 			}
 			next++
 			if e.Hang {
 				if res.Status[id] != StatusHung {
-					abortReplay(p)
 					return failf("trace records a hang but process status is %v", res.Status[id])
 				}
-				abortReplay(p)
 				return nil
 			}
-			p.resCh <- resume{value: e.Out}
+			w.resume(e.Out)
 		case msgMark:
-			// The goroutine runs on after a mark; drain it to its next
-			// blocking point before failing.
 			if next >= len(expected) {
-				err := failf("extra %s mark on %s.%s", m.markKind, m.obj, m.inv.Op)
-				drain(p)
-				return err
+				return failf("extra %s mark on %s.%s", m.mark, m.obj, m.inv.Op)
 			}
 			e := expected[next]
-			if e.Kind != m.markKind || e.Object != m.obj || e.Op != m.inv.Op ||
-				!reflect.DeepEqual(e.Args, m.inv.Args) || !reflect.DeepEqual(e.Out, m.markOut) {
-				err := failf("program recorded %s mark %s.%s%v -> %v", m.markKind, m.obj, m.inv.Op, m.inv.Args, m.markOut)
-				drain(p)
-				return err
+			if e.Kind != m.mark || e.Object != m.obj || e.Op != m.inv.Op ||
+				!reflect.DeepEqual(e.Args, m.inv.Args) || !reflect.DeepEqual(e.Out, m.out) {
+				return failf("program recorded %s mark %s.%s%v -> %v", m.mark, m.obj, m.inv.Op, m.inv.Args, m.out)
 			}
 			next++
+			w.resume(nil)
 		case msgDone:
-			p.live = false
 			if next < len(expected) {
 				return failf("program finished with %d recorded event(s) left", len(expected)-next)
 			}
@@ -153,32 +140,8 @@ func replayProc(cfg Config, res *Result, id int) error {
 				return failf("program output %v, recorded output %v", m.out, res.Outputs[id])
 			}
 			return nil
-		case msgPanic:
-			p.live = false
-			return failf("program panicked: %v", m.err)
-		}
-	}
-}
-
-// abortReplay unwinds a replayed goroutine that is parked on resCh.
-func abortReplay(p *procState) {
-	if p.live {
-		p.live = false
-		p.resCh <- resume{abort: true}
-	}
-}
-
-// drain runs a replayed goroutine forward past any buffered marks until
-// it blocks on resCh (then aborts it) or exits, so a divergence return
-// does not leak a goroutine stuck on an unread channel.
-func drain(p *procState) {
-	for p.live {
-		m := <-p.msgCh
-		switch m.kind {
-		case msgInvoke:
-			abortReplay(p)
-		case msgDone, msgPanic:
-			p.live = false
+		default: // msgPanic
+			return failf("program panicked: %v", m.out)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"sort"
 )
 
@@ -85,8 +86,8 @@ type Config struct {
 	// second execution — catching programs that are not pure functions
 	// of their invocation results. See verifyReplay in replay.go.
 	VerifyReplay bool
-	// Recovery, when non-nil, runs on a restarted process's fresh
-	// goroutine before its Program re-executes (see FaultRestart in
+	// Recovery, when non-nil, runs in a restarted process's fresh
+	// incarnation before its Program re-executes (see FaultRestart in
 	// fault.go). Incarnation 0 never runs it. It is shared by all
 	// processes and must obey the Program purity contract.
 	Recovery RecoveryProc
@@ -97,9 +98,9 @@ type Config struct {
 	// response histories without recording a full Trace. The callback
 	// must not call back into the run.
 	OnStep func(proc int, out Value, hang bool)
-	// Arena, when non-nil, recycles run scratch (process slots,
-	// channels, result buffers) across consecutive Runs; see RunArena
-	// for the aliasing rules.
+	// Arena, when non-nil, recycles run scratch (the process table,
+	// scheduling-round and result buffers) across consecutive Runs; see
+	// RunArena for the aliasing rules.
 	Arena *RunArena
 }
 
@@ -182,44 +183,12 @@ func (r *Result) AllDone() bool {
 	return true
 }
 
-type msgKind int
-
-const (
-	msgInvoke msgKind = iota
-	msgMark
-	msgDone
-	msgPanic
-)
-
-type message struct {
-	kind msgKind
-	obj  string
-	inv  Invocation
-	// mark fields, for msgMark
-	markKind EventKind
-	markOut  Value
-	// done / panic payload
-	out Value
-	err any
-}
-
-type resume struct {
-	value Value
-	abort bool
-}
-
-// abortSignal is panicked inside Ctx.Invoke to unwind an aborted process.
-type abortSignal struct{}
-
 type procState struct {
-	msgCh       chan message
-	resCh       chan resume
+	w           *worker // the live incarnation's coroutine; nil when none runs
 	status      ProcStatus
-	pending     bool
-	inv         message
+	pending     bool // parked at an invocation, which is in w.msg
 	output      Value
-	live        bool // goroutine still owns the channels
-	incarnation int  // number of crash-restarts applied so far
+	incarnation int // number of crash-restarts applied so far
 }
 
 // Run executes one complete run of the configuration and returns its
@@ -238,7 +207,17 @@ func Run(cfg Config) (*Result, error) {
 		maxSteps = DefaultMaxSteps
 	}
 
+	// Coroutine switches never enter the Go scheduler, so a long run of
+	// them can starve the GC's background mark worker until the next
+	// preemption tick, and the heap overshoots its goal. One yield per
+	// run keeps marking prompt (see DESIGN.md §5.1).
+	goruntime.Gosched()
+
 	rt := newRuntime(cfg, n)
+	// Every return path, and a panic escaping a scheduler or callback,
+	// unwinds the processes still parked so their workers return to the
+	// pool.
+	defer rt.abortAll()
 	if cfg.Choice == nil {
 		// The seeded source is built only when no Choice override is
 		// present: the exhaustive engines always script their choices,
@@ -251,15 +230,10 @@ func Run(cfg Config) (*Result, error) {
 	if fi, ok := sched.(FaultInjector); ok {
 		rt.injector = fi
 	}
-	for i, prog := range cfg.Programs {
-		//detlint:allow nodeterminism lockstep handshake: each goroutine blocks on its private resCh until the scheduler resumes it, so exactly one runs at a time and interleaving is fully schedule-determined
-		go runProgram(i, prog, rt.procs[i])
-	}
 
-	// Settle every process to its first invocation (or completion).
+	// Run every process to its first invocation (or completion).
 	for i := range rt.procs {
-		if err := rt.settle(i); err != nil {
-			rt.abortAll()
+		if err := rt.start(i); err != nil {
 			return nil, err
 		}
 	}
@@ -275,7 +249,6 @@ func Run(cfg Config) (*Result, error) {
 			faults := rt.injector.Faults(View{Step: rt.steps, Enabled: enabled, Crashed: rt.crashedIDs()})
 			if len(faults) > 0 {
 				if err := rt.applyFaults(faults, maxSteps); err != nil {
-					rt.abortAll()
 					return nil, err
 				}
 				continue
@@ -285,7 +258,6 @@ func Run(cfg Config) (*Result, error) {
 			break
 		}
 		if rt.steps >= maxSteps {
-			rt.abortAll()
 			return nil, fmt.Errorf("%w (budget %d)", ErrMaxSteps, maxSteps)
 		}
 		next := sched.Next(View{Step: rt.steps, Enabled: enabled})
@@ -297,11 +269,9 @@ func Run(cfg Config) (*Result, error) {
 			return finish(cfg, rt.result(enabled))
 		}
 		if !contains(enabled, next) {
-			rt.abortAll()
 			return nil, fmt.Errorf("%w: process %d at step %d (enabled: %v)", ErrBadSchedule, next, rt.steps, enabled)
 		}
 		if err := rt.step(next); err != nil {
-			rt.abortAll()
 			return nil, err
 		}
 	}
@@ -329,10 +299,10 @@ func contains(xs []int, x int) bool {
 
 type runtime struct {
 	cfg      Config
-	rng      *rand.Rand // nil when cfg.Choice overrides it
+	rng      *rand.Rand    // nil when cfg.Choice overrides it
 	obs      Observer      // scheduler's event tap, if it implements Observer
 	injector FaultInjector // scheduler's fault channel, if it implements FaultInjector
-	procs    []*procState
+	procs    []procState
 	arena    *RunArena // non-nil when run scratch is recycled
 	env      Env       // per-step Env, rebuilt in place (objects must not retain it)
 	steps    int
@@ -341,41 +311,34 @@ type runtime struct {
 	trace    Trace
 	recNames []string // sorted names of Recoverable objects, built lazily
 	recBuilt bool
+	// Scheduling-round buffers, rewritten every round: the views handed
+	// to the scheduler alias them, and the final round's enabled set
+	// surfaces as Result.Enabled.
+	enabledIDs []int
+	crashed    []int
 }
 
 func (rt *runtime) enabled() []int {
-	if rt.arena == nil {
-		var ids []int
-		for i, p := range rt.procs {
-			if p.pending {
-				ids = append(ids, i)
-			}
-		}
-		return ids
-	}
-	// Arena runs reuse one buffer for every scheduling round; the final
-	// round's contents surface as Result.Enabled, which the arena
-	// contract says the next Run invalidates.
-	ids := rt.arena.enabled[:0]
-	for i, p := range rt.procs {
-		if p.pending {
+	ids := rt.enabledIDs[:0]
+	for i := range rt.procs {
+		if rt.procs[i].pending {
 			ids = append(ids, i)
 		}
 	}
-	rt.arena.enabled = ids
+	rt.enabledIDs = ids
 	return ids
 }
 
 // crashedIDs lists crashed-and-not-restarted processes in id order. Only
-// called when a FaultInjector is present, keeping the common path free of
-// the extra allocation.
+// called when a FaultInjector is present.
 func (rt *runtime) crashedIDs() []int {
-	var ids []int
-	for i, p := range rt.procs {
-		if p.status == StatusCrashed && !p.live {
+	ids := rt.crashed[:0]
+	for i := range rt.procs {
+		if p := &rt.procs[i]; p.status == StatusCrashed && p.w == nil {
 			ids = append(ids, i)
 		}
 	}
+	rt.crashed = ids
 	return ids
 }
 
@@ -408,23 +371,23 @@ func (rt *runtime) applyFaults(faults []Fault, maxSteps int) error {
 }
 
 // crash wipes process id's volatile state: its pending invocation (recorded
-// in the EventCrash event, never applied), its goroutine with all program
+// in the EventCrash event, never applied), its incarnation with all program
 // locals, and its per-process volatile state in every Recoverable object.
 func (rt *runtime) crash(id int) error {
-	p := rt.procs[id]
-	if !p.pending || !p.live {
+	p := &rt.procs[id]
+	if !p.pending || p.w == nil {
 		return fmt.Errorf("%w: crash of process %d with no pending invocation (status %v)", ErrBadFault, id, p.status)
 	}
-	wiped := p.inv
+	obj, inv := p.w.msg.obj, p.w.msg.inv
 	p.pending = false
 	p.status = StatusCrashed
 	rt.abort(p)
 	rt.record(Event{
 		Kind:   EventCrash,
 		Proc:   id,
-		Object: wiped.obj,
-		Op:     wiped.inv.Op,
-		Args:   wiped.inv.Args,
+		Object: obj,
+		Op:     inv.Op,
+		Args:   inv.Args,
 	})
 	for _, name := range rt.recoverables() {
 		rt.cfg.Objects[name].(Recoverable).OnCrash(id)
@@ -432,22 +395,19 @@ func (rt *runtime) crash(id int) error {
 	return nil
 }
 
-// restart brings a crashed process back amnesiacally: a fresh goroutine
+// restart brings a crashed process back amnesiacally: a fresh incarnation
 // runs Config.Recovery (if any) and then the program from the top, under an
-// incremented incarnation. The restart settles like initial startup, so the
-// process is parked at its first new invocation (or already done) before
-// the next scheduling round.
+// incremented incarnation number. The restart settles like initial startup,
+// so the process is parked at its first new invocation (or already done)
+// before the next scheduling round.
 func (rt *runtime) restart(id int) error {
-	p := rt.procs[id]
-	if p.status != StatusCrashed || p.live {
+	p := &rt.procs[id]
+	if p.status != StatusCrashed || p.w != nil {
 		return fmt.Errorf("%w: restart of process %d which is not crashed (status %v)", ErrBadFault, id, p.status)
 	}
 	p.incarnation++
-	p.live = true
 	rt.record(Event{Kind: EventRestart, Proc: id, Out: p.incarnation})
-	//detlint:allow nodeterminism lockstep handshake: the restarted goroutine blocks on its private resCh exactly like initial startup, so interleaving stays schedule-determined
-	go runIncarnation(id, p.incarnation, rt.cfg.Recovery, rt.cfg.Programs[id], p)
-	return rt.settle(id)
+	return rt.start(id)
 }
 
 // recoverables returns the sorted names of Recoverable objects, computed
@@ -468,10 +428,11 @@ func (rt *runtime) recoverables() []string {
 
 // step applies process id's pending invocation as one atomic step.
 func (rt *runtime) step(id int) error {
-	p := rt.procs[id]
-	obj, ok := rt.cfg.Objects[p.inv.obj]
+	p := &rt.procs[id]
+	m := &p.w.msg
+	obj, ok := rt.cfg.Objects[m.obj]
 	if !ok {
-		return fmt.Errorf("%w: %q (process %d)", ErrUnknownObject, p.inv.obj, id)
+		return fmt.Errorf("%w: %q (process %d)", ErrUnknownObject, m.obj, id)
 	}
 	choice := rt.cfg.Choice
 	if choice == nil {
@@ -480,7 +441,7 @@ func (rt *runtime) step(id int) error {
 	// The Env is rebuilt in place instead of allocated per step; Apply
 	// must not retain it (see the Object contract).
 	rt.env = Env{Proc: id, Step: rt.steps, Rand: choice}
-	resp, err := applyObject(obj, &rt.env, p.inv)
+	resp, err := applyObject(obj, &rt.env, m)
 	if err != nil {
 		return err
 	}
@@ -489,9 +450,9 @@ func (rt *runtime) step(id int) error {
 	rt.record(Event{
 		Kind:   EventStep,
 		Proc:   id,
-		Object: p.inv.obj,
-		Op:     p.inv.inv.Op,
-		Args:   p.inv.inv.Args,
+		Object: m.obj,
+		Op:     m.inv.Op,
+		Args:   m.inv.Args,
 		Out:    resp.Value,
 		Hang:   resp.Effect == Hang,
 	})
@@ -503,13 +464,13 @@ func (rt *runtime) step(id int) error {
 		rt.abort(p)
 		return nil
 	}
-	p.resCh <- resume{value: resp.Value}
+	p.w.resume(resp.Value)
 	return rt.settle(id)
 }
 
 // applyObject applies the invocation, converting an object panic into an
 // *ObjectPanicError.
-func applyObject(obj Object, env *Env, m message) (resp Response, err error) {
+func applyObject(obj Object, env *Env, m *message) (resp Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &ObjectPanicError{Object: m.obj, Op: m.inv.Op, Value: r}
@@ -519,35 +480,48 @@ func applyObject(obj Object, env *Env, m message) (resp Response, err error) {
 	return resp, nil
 }
 
-// settle reads messages from process id until it parks at an invocation,
-// finishes, or fails.
+// start runs the process's current incarnation on a pooled worker and
+// settles it.
+func (rt *runtime) start(id int) error {
+	p := &rt.procs[id]
+	p.w = getWorker()
+	p.w.start(id, p.incarnation, rt.cfg.Recovery, rt.cfg.Programs[id])
+	return rt.settle(id)
+}
+
+// settle handles what process id yields until it parks at an invocation,
+// finishes, or fails; a finished or failed incarnation's worker goes back
+// to the pool.
 func (rt *runtime) settle(id int) error {
-	p := rt.procs[id]
+	p := &rt.procs[id]
 	for {
-		m := <-p.msgCh
+		m := &p.w.msg
 		switch m.kind {
 		case msgInvoke:
 			p.pending = true
-			p.inv = m
 			return nil
 		case msgMark:
 			rt.record(Event{
-				Kind:   m.markKind,
+				Kind:   m.mark,
 				Proc:   id,
 				Object: m.obj,
 				Op:     m.inv.Op,
 				Args:   m.inv.Args,
-				Out:    m.markOut,
+				Out:    m.out,
 			})
+			p.w.resume(nil)
 		case msgDone:
 			p.status = StatusDone
 			p.output = m.out
-			p.live = false
+			putWorker(p.w)
+			p.w = nil
 			return nil
-		case msgPanic:
+		default: // msgPanic
+			err := fmt.Errorf("%w: process %d: %v", ErrProgramPanic, id, m.out)
 			p.status = StatusFailed
-			p.live = false
-			return fmt.Errorf("%w: process %d: %v", ErrProgramPanic, id, m.err)
+			putWorker(p.w)
+			p.w = nil
+			return err
 		}
 	}
 }
@@ -564,19 +538,22 @@ func (rt *runtime) record(e Event) {
 	rt.trace.Events = append(rt.trace.Events, e)
 }
 
-// abort terminates a live process goroutine that is blocked waiting for a
-// resume. The goroutine unwinds via abortSignal and exits silently.
+// abort unwinds a parked process's incarnation and returns its worker to
+// the pool.
 func (rt *runtime) abort(p *procState) {
-	if !p.live {
+	if p.w == nil {
 		return
 	}
-	p.live = false
-	p.resCh <- resume{abort: true}
+	w := p.w
+	p.w = nil
+	w.abort()
+	putWorker(w)
 }
 
+// abortAll unwinds every process still parked.
 func (rt *runtime) abortAll() {
-	for _, p := range rt.procs {
-		if p.live && p.pending {
+	for i := range rt.procs {
+		if p := &rt.procs[i]; p.w != nil {
 			p.pending = false
 			rt.abort(p)
 		}
@@ -606,9 +583,9 @@ func (rt *runtime) result(enabledAtStop []int) *Result {
 			Trace:   rt.trace,
 		}
 	}
-	for _, p := range rt.procs {
-		res.Outputs = append(res.Outputs, p.output)
-		res.Status = append(res.Status, p.status)
+	for i := range rt.procs {
+		res.Outputs = append(res.Outputs, rt.procs[i].output)
+		res.Status = append(res.Status, rt.procs[i].status)
 	}
 	if a := rt.arena; a != nil {
 		a.outputs = res.Outputs
@@ -616,34 +593,9 @@ func (rt *runtime) result(enabledAtStop []int) *Result {
 	}
 	if rt.injector != nil {
 		res.Restarts = make([]int, len(rt.procs))
-		for i, p := range rt.procs {
-			res.Restarts[i] = p.incarnation
+		for i := range rt.procs {
+			res.Restarts[i] = rt.procs[i].incarnation
 		}
 	}
 	return res
-}
-
-// runProgram is the per-process goroutine body for incarnation 0.
-func runProgram(id int, prog Program, p *procState) {
-	runIncarnation(id, 0, nil, prog, p)
-}
-
-// runIncarnation is the goroutine body shared by initial startup and
-// crash-restart: incarnations >= 1 run the recovery step first, then the
-// program from the top.
-func runIncarnation(id, inc int, recovery RecoveryProc, prog Program, p *procState) {
-	ctx := &Ctx{id: id, inc: inc, msg: p.msgCh, res: p.resCh}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(abortSignal); ok {
-				return // aborted by the runtime; exit silently
-			}
-			p.msgCh <- message{kind: msgPanic, err: r}
-		}
-	}()
-	if inc > 0 && recovery != nil {
-		recovery(ctx)
-	}
-	out := prog(ctx)
-	p.msgCh <- message{kind: msgDone, out: out}
 }

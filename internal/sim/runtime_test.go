@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	gort "runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -590,48 +589,5 @@ func TestCrashingInnerStopRespected(t *testing.T) {
 	}
 	if res.Steps != 2 {
 		t.Errorf("steps = %d, want 2 (inner Fixed exhausted)", res.Steps)
-	}
-}
-
-// TestNoGoroutineLeaks: runs — including ones with hung and stopped
-// processes — must reclaim every process goroutine via the abort
-// handshake.
-func TestNoGoroutineLeaks(t *testing.T) {
-	before := gort.NumGoroutine()
-	for i := 0; i < 200; i++ {
-		cfg := Config{
-			Objects: map[string]Object{
-				"C": &testCounter{budget: 2},
-				"D": &testCounter{},
-			},
-			Programs: []Program{
-				incThenRead(5), // hangs on C's budget
-				func(ctx *Ctx) Value { return ctx.Invoke("D", "read") },
-				incThenRead(4), // also hangs
-			},
-			Scheduler: NewRandom(int64(i)),
-		}
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("run %d: %v", i, err)
-		}
-	}
-	// Also runs stopped mid-flight by the scheduler.
-	for i := 0; i < 200; i++ {
-		cfg := Config{
-			Objects:   map[string]Object{"C": &testCounter{}},
-			Programs:  []Program{incThenRead(10), incThenRead(10)},
-			Scheduler: NewFixed(0, 1, 0),
-		}
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("stopped run %d: %v", i, err)
-		}
-	}
-	// Give aborted goroutines a beat to unwind.
-	for i := 0; i < 100 && gort.NumGoroutine() > before+5; i++ {
-		gort.Gosched()
-	}
-	after := gort.NumGoroutine()
-	if after > before+5 {
-		t.Errorf("goroutines grew from %d to %d across 400 runs", before, after)
 	}
 }

@@ -12,7 +12,9 @@ const Stop = -1
 // to advance. Schedulers observe only which processes are enabled, never
 // object state or pending operations: the adversary is strong (it controls
 // timing completely) but it is the standard asynchronous adversary, not an
-// omniscient one.
+// omniscient one. A View's slices alias buffers the runtime rewrites every
+// scheduling round, so a scheduler that keeps them past the call must copy
+// them.
 type View struct {
 	// Step is the index of the step about to be scheduled.
 	Step int

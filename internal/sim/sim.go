@@ -2,10 +2,12 @@
 // asynchronous shared-memory model used in the paper: processes execute
 // sequential programs and communicate only by applying atomic operations
 // (steps) to shared objects. Exactly one process advances at a time; which
-// one is chosen by a pluggable Scheduler. Runs are fully deterministic given
-// the scheduler's decisions and the configuration seed, and every atomic
-// step is recorded in a Trace that downstream checkers (task checkers, the
-// linearizability checker, the model checker) consume.
+// one is chosen by a pluggable Scheduler. Each process runs as a coroutine
+// that yields to the runtime at every operation (see worker.go), so a step
+// is a direct switch, not a goroutine handoff. Runs are fully deterministic
+// given the scheduler's decisions and the configuration seed, and every
+// atomic step is recorded in a Trace that downstream checkers (task
+// checkers, the linearizability checker, the model checker) consume.
 //
 // The simulator supports the paper's "hang the system in a manner that
 // cannot be detected" semantics: an object may respond to an illegal or
@@ -34,6 +36,8 @@
 //     loop variables or configuration constants by value is fine.
 //   - The returned Result (including its Trace) is owned by the caller
 //     and safe to read from any goroutine once Run returns.
+//   - The only state concurrent Runs share is the pool of idle process
+//     workers, which is locked internally.
 package sim
 
 import (
