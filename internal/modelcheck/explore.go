@@ -38,8 +38,8 @@ var ErrLimit = errors.New("modelcheck: execution limit exceeded")
 var ErrScriptDivergence = errors.New("modelcheck: replayed choice script diverged from the object's demand")
 
 // Factory produces a fresh configuration (fresh objects, same programs)
-// for every replayed execution. Scheduler and Choice are overridden by the
-// explorer.
+// for every run the explorer starts from the root. Scheduler and Choice
+// are overridden by the explorer.
 type Factory func() sim.Config
 
 // Execution is one complete run discovered by Explore.
@@ -61,7 +61,7 @@ type choiceDemand struct {
 }
 
 // scriptDivergence is panicked by scriptSource when a replayed script
-// value does not fit the demanded range; runScriptedUnder converts it
+// value does not fit the demanded range; decodeRunError converts it
 // into an error wrapping ErrScriptDivergence.
 type scriptDivergence struct {
 	pos, value, n int
@@ -74,7 +74,8 @@ type scriptSource struct {
 }
 
 // reset re-arms the source to replay script from its start, reusing the
-// receiver (the reduction layer replays one source per engine run).
+// receiver (the reduction layer and runDriver each keep one source for
+// all their runs).
 func (s *scriptSource) reset(script []int) {
 	s.script = script
 	s.pos = 0
@@ -109,8 +110,10 @@ func Explore(f Factory, limit int, visit func(e Execution) error) (int, error) {
 	if limit <= 0 {
 		limit = 1 << 20
 	}
+	d := newRunDriver(f, nil)
+	defer d.stop()
 	count := 0
-	err := exploreDFS(f, nil, nil, func(e Execution) error {
+	err := exploreDFS(d, nil, nil, false, func(e Execution) error {
 		// The budget check runs before the count moves, so the returned
 		// count is exactly the number of visit calls — the doc contract
 		// ExploreParallel reproduces through the same errLimitExceeded
@@ -137,29 +140,36 @@ func errLimitExceeded(limit int) error {
 // order — is THE canonical exploration order: Explore and
 // ExploreParallel both derive their visit sequences from this one
 // function, which is what makes their outputs byte-identical.
-func exploreDFS(f Factory, sched, choices []int, emit func(e Execution) error) error {
-	res, err := runScripted(f, sched, choices)
-	if err != nil {
+//
+// d reaches the node as runDriver.reach says: the first child of a
+// parked node carries its parent's run one step further (carry), while
+// later siblings and choice branches start a fresh run of their prefix.
+// A carried run ends at a leaf, a choice demand or an error before the
+// recursion returns, so the next sibling never finds it still parked.
+func exploreDFS(d *runDriver, sched, choices []int, carry bool, emit func(e Execution) error) error {
+	d.reach(sched, choices, carry)
+	if d.err != nil {
 		var demand choiceDemand
-		if asDemand(err, &demand) {
+		if asDemand(d.err, &demand) {
 			for c := 0; c < demand.n; c++ {
-				if err := exploreDFS(f, sched, appendStep(choices, c), emit); err != nil {
+				if err := exploreDFS(d, sched, appendStep(choices, c), false, emit); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		return err
+		return d.err
 	}
-	if len(res.Enabled) == 0 {
+	if !d.parked {
 		return emit(Execution{
 			Schedule: append([]int(nil), sched...),
 			Choices:  append([]int(nil), choices...),
-			Result:   res,
+			Result:   d.res,
 		})
 	}
-	for _, id := range res.Enabled {
-		if err := exploreDFS(f, appendStep(sched, id), choices, emit); err != nil {
+	enabled := d.enabled // the deeper runs park with enabled sets of their own
+	for i, id := range enabled {
+		if err := exploreDFS(d, appendStep(sched, id), choices, i == 0, emit); err != nil {
 			return err
 		}
 	}
@@ -170,32 +180,6 @@ func exploreDFS(f Factory, sched, choices []int, emit func(e Execution) error) e
 // array (siblings share the parent slice, so plain append would race).
 func appendStep(prefix []int, v int) []int {
 	return append(prefix[:len(prefix):len(prefix)], v)
-}
-
-// runScripted replays the configuration under a fixed schedule and choice
-// script, stopping when the schedule is exhausted.
-func runScripted(f Factory, sched, choices []int) (*sim.Result, error) {
-	return runScriptedUnder(f, nil, sched, choices)
-}
-
-// runScriptedUnder is runScripted with an adversary layer interposed:
-// wrap (when non-nil) receives the fixed replay scheduler and returns
-// the scheduler the run actually uses, letting a chaos fault injector
-// ride the scripted schedule. wrap runs once per call, so stateful
-// adversaries start fresh for every replayed prefix.
-func runScriptedUnder(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, sched, choices []int) (*sim.Result, error) {
-	cfg := f()
-	var s sim.Scheduler = &sim.Fixed{Order: sched}
-	if wrap != nil {
-		s = wrap(s)
-	}
-	cfg.Scheduler = s
-	cfg.Choice = &scriptSource{script: choices}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return nil, decodeRunError(err)
-	}
-	return res, nil
 }
 
 // decodeRunError converts the control-signal panics the explorers plant

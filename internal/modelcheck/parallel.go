@@ -5,9 +5,9 @@ package modelcheck
 // per-state pair analysis — across a worker pool while keeping the
 // observable output BYTE-IDENTICAL to its sequential twin:
 //
-//   - workers replay their own Factory() configurations, so simulator
-//     state is never shared between goroutines (see the sim package's
-//     "Concurrency contract");
+//   - workers run their own Factory() configurations, each on a run
+//     driver of its own, so simulator state is never shared between
+//     goroutines (see the sim package's "Concurrency contract");
 //   - results are merged by their position in the canonical depth-first
 //     order (schedule/choice key, state key), never by arrival order;
 //   - visit callbacks run on the calling goroutine, in the canonical
@@ -59,9 +59,10 @@ type fnode struct {
 // splitFrontier expands the execution tree breadth-first — preserving
 // depth-first order by replacing each node with its ordered children in
 // place — until at least target unexpanded subtree roots exist (or the
-// tree is fully enumerated). Each expansion costs one short prefix
-// replay.
+// tree is fully enumerated). Each expansion costs one short prefix run.
 func splitFrontier(f Factory, target int) []fnode {
+	d := newRunDriver(f, nil)
+	defer d.stop()
 	nodes := []fnode{{open: true}}
 	for {
 		open := 0
@@ -79,8 +80,8 @@ func splitFrontier(f Factory, target int) []fnode {
 				next = append(next, n)
 				continue
 			}
-			res, err := runScripted(f, n.sched, n.choices)
-			if err != nil {
+			d.start(n.sched, n.choices)
+			if err := d.err; err != nil {
 				var demand choiceDemand
 				if asDemand(err, &demand) {
 					for c := 0; c < demand.n; c++ {
@@ -91,15 +92,15 @@ func splitFrontier(f Factory, target int) []fnode {
 				next = append(next, fnode{err: err})
 				continue
 			}
-			if len(res.Enabled) == 0 {
+			if !d.parked {
 				next = append(next, fnode{exec: Execution{
 					Schedule: append([]int(nil), n.sched...),
 					Choices:  append([]int(nil), n.choices...),
-					Result:   res,
+					Result:   d.res,
 				}})
 				continue
 			}
-			for _, id := range res.Enabled {
+			for _, id := range d.enabled {
 				next = append(next, fnode{open: true, sched: appendStep(n.sched, id), choices: n.choices})
 			}
 		}
@@ -119,7 +120,7 @@ type rootStream struct {
 // ExploreParallel enumerates exactly the executions of Explore —
 // same visit sequence, same count, same errors — across a pool of
 // workers (<= 0 means GOMAXPROCS). The schedule/choice prefix frontier
-// is partitioned into subtrees; each worker replays its own Factory()
+// is partitioned into subtrees; each worker runs its own Factory()
 // configurations, and the merger emits completed executions in the
 // canonical depth-first order, so visit is called sequentially on the
 // calling goroutine and needs no locking. The execution budget is
@@ -165,6 +166,8 @@ func ExploreParallel(f Factory, limit, workers int, visit func(e Execution) erro
 		//detlint:allow nodeterminism worker pool: subtree roots are claimed via an atomic counter and every execution is delivered through its root's own stream, merged by tree position — arrival order is unobservable
 		go func() {
 			defer wg.Done()
+			d := newRunDriver(f, nil)
+			defer d.stop()
 			for {
 				r := int(nextRoot.Add(1) - 1)
 				if r >= len(openIdx) {
@@ -172,7 +175,7 @@ func ExploreParallel(f Factory, limit, workers int, visit func(e Execution) erro
 				}
 				n := nodes[openIdx[r]]
 				out := streams[r]
-				err := exploreDFS(f, n.sched, n.choices, func(e Execution) error {
+				err := exploreDFS(d, n.sched, n.choices, false, func(e Execution) error {
 					if produced.Add(1) > int64(limit) {
 						limitHit.Store(true)
 						closeAbort()

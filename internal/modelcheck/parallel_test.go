@@ -11,11 +11,13 @@ import (
 	"detobj/internal/wrn"
 )
 
-// renderExec pins down everything Explore exposes about one execution, so
-// two visit sequences can be compared byte for byte.
+// renderExec pins down everything Explore exposes about one execution,
+// the rendered trace included, so two visit sequences can be compared
+// byte for byte.
 func renderExec(e Execution) string {
-	return fmt.Sprintf("sched=%v choices=%v out=%v status=%v steps=%d",
-		e.Schedule, e.Choices, e.Result.Outputs, e.Result.Status, e.Result.Steps)
+	r := e.Result
+	return fmt.Sprintf("sched=%v choices=%v out=%v status=%v enabled=%v steps=%d restarts=%v\n%s",
+		e.Schedule, e.Choices, r.Outputs, r.Status, r.Enabled, r.Steps, r.Restarts, r.Trace)
 }
 
 func collectSeq(t *testing.T, f Factory) []string {

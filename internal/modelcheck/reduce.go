@@ -622,9 +622,8 @@ func AnalyzeValencyReduced(f Factory, r Reduced, limit int) (*ValencyReport, *Sy
 		return nil, &red.rep, err
 	}
 	red.rep.Configs = root.confW
-	// Mirror the unreduced report exactly: an all-nil copy of an empty
-	// disagreeing schedule reads as agreement, just as valencyRec's
-	// append([]int(nil), sched...) does.
+	// A disagreeing root leaf has an empty schedule, which copies to nil
+	// as in valencyAcc.disagreeAt; hasDis carries the verdict.
 	var dis []int
 	if root.hasDis {
 		dis = append([]int(nil), root.disagree...)
@@ -634,7 +633,7 @@ func AnalyzeValencyReduced(f Factory, r Reduced, limit int) (*ValencyReport, *Sy
 		Executions:           root.execW,
 		Bivalent:             root.bivW,
 		Critical:             root.critW,
-		Agreement:            dis == nil,
+		Agreement:            !root.hasDis,
 		Values:               red.closureValues(root.vals),
 		DisagreementSchedule: dis,
 	}

@@ -187,13 +187,6 @@ func TestReducedDedupReachesFixpoint(t *testing.T) {
 // equal, and a disagreeing protocol's canonical-first schedule must
 // replay to a genuinely disagreeing execution.
 func TestReducedOracleValency(t *testing.T) {
-	two := func(build func(map[string]sim.Object, string, sim.Value, sim.Value) []sim.Program) Factory {
-		return func() sim.Config {
-			objects := map[string]sim.Object{}
-			progs := build(objects, "X", 10, 20)
-			return sim.Config{Objects: objects, Programs: progs}
-		}
-	}
 	sym2 := SymmetricClasses(2, []int{0, 1})
 	sym2.Rename = RenameByInputs([]sim.Value{10, 20})
 	naiveSym := SymmetricClasses(3, []int{0, 2})
@@ -208,11 +201,11 @@ func TestReducedOracleValency(t *testing.T) {
 		f    Factory
 		sym  Symmetry
 	}{
-		{"swap", two(consensus.TwoConsFromSwap), sym2},
-		{"wrn2", two(consensus.TwoConsFromWRN2), sym2},
-		{"tas", two(consensus.TwoConsFromTAS), sym2},
-		{"queue", two(consensus.TwoConsFromQueue), sym2},
-		{"fetchadd", two(consensus.TwoConsFromFetchAdd), sym2},
+		{"swap", twoProcs(consensus.TwoConsFromSwap), sym2},
+		{"wrn2", twoProcs(consensus.TwoConsFromWRN2), sym2},
+		{"tas", twoProcs(consensus.TwoConsFromTAS), sym2},
+		{"queue", twoProcs(consensus.TwoConsFromQueue), sym2},
+		{"fetchadd", twoProcs(consensus.TwoConsFromFetchAdd), sym2},
 		{"naive3", func() sim.Config {
 			objects := map[string]sim.Object{}
 			progs := consensus.ThreeFromWRN2Naive(objects, "W", [3]sim.Value{10, 20, 30})
@@ -243,7 +236,7 @@ func TestReducedOracleValency(t *testing.T) {
 					c.name, !noDedup, srep.Configs, srep.Executions, want.Configs, want.Executions)
 			}
 			if !got.Agreement {
-				res, rerr := runScripted(c.f, got.DisagreementSchedule, nil)
+				res, rerr := runFromRoot(c.f, nil, got.DisagreementSchedule, nil)
 				if rerr != nil {
 					t.Fatalf("%s: replaying disagreement %v: %v", c.name, got.DisagreementSchedule, rerr)
 				}
@@ -383,7 +376,7 @@ func TestExploreLimitBoundaryParity(t *testing.T) {
 // must surface as ErrScriptDivergence instead of being silently wrapped
 // modulo the demand.
 func TestScriptDivergenceDetected(t *testing.T) {
-	_, err := runScripted(coinFactory(1, 1), []int{0}, []int{5})
+	_, err := runFromRoot(coinFactory(1, 1), nil, []int{0}, []int{5})
 	if !errors.Is(err, ErrScriptDivergence) {
 		t.Fatalf("err = %v, want ErrScriptDivergence", err)
 	}
@@ -392,7 +385,7 @@ func TestScriptDivergenceDetected(t *testing.T) {
 		t.Errorf("err = %q, want it to contain %q", got, want)
 	}
 	// In-range scripts replay unchanged.
-	if _, err := runScripted(coinFactory(1, 1), []int{0}, []int{1}); err != nil {
+	if _, err := runFromRoot(coinFactory(1, 1), nil, []int{0}, []int{1}); err != nil {
 		t.Errorf("in-range script: %v", err)
 	}
 }

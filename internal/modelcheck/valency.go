@@ -38,11 +38,24 @@ type ValencyReport struct {
 type valencyAcc struct {
 	configs, executions, bivalent, critical int
 	values                                  map[string]bool
-	disagreement                            []int // DFS-first disagreeing schedule, nil if none
+	// disagrees records that some execution disagreed; disagreement is
+	// the DFS-first such schedule, which is nil for the root's empty
+	// schedule, so it cannot double as the flag.
+	disagrees    bool
+	disagreement []int
 }
 
 func newValencyAcc() *valencyAcc {
 	return &valencyAcc{values: make(map[string]bool)}
+}
+
+// disagreeAt records the schedule of a disagreeing execution unless an
+// earlier one is already recorded.
+func (a *valencyAcc) disagreeAt(sched []int) {
+	if !a.disagrees {
+		a.disagrees = true
+		a.disagreement = append([]int(nil), sched...)
+	}
 }
 
 // report renders the accumulator as the public report.
@@ -52,7 +65,7 @@ func (a *valencyAcc) report() *ValencyReport {
 		Executions:           a.executions,
 		Bivalent:             a.bivalent,
 		Critical:             a.critical,
-		Agreement:            a.disagreement == nil,
+		Agreement:            !a.disagrees,
 		DisagreementSchedule: a.disagreement,
 	}
 	for v := range a.values {
@@ -80,47 +93,45 @@ func errNondetValency(err error) error {
 	return fmt.Errorf("modelcheck: valency analysis requires deterministic objects: %w", err)
 }
 
-// valencyHooks are the extension points the parallel and adversarial
-// engines need: gate runs at every configuration (abort checks),
-// counted after every complete execution (budget enforcement), and wrap
-// interposes a scheduler layer — typically a chaos fault injector —
-// around the scripted replay. Any may be nil.
+// valencyHooks are the extension points the parallel engine needs: gate
+// runs at every configuration (abort checks) and counted after every
+// complete execution (budget enforcement). Either may be nil.
 type valencyHooks struct {
 	gate    func() error
 	counted func() error
-	wrap    func(inner sim.Scheduler) sim.Scheduler
 }
 
 // valencyRec returns the set of decision values reachable from the
 // configuration reached by sched, accumulating tree statistics into acc.
 // It is the single recursion both AnalyzeValency and
 // AnalyzeValencyParallel run, so their per-subtree numbers agree by
-// construction.
-func valencyRec(f Factory, sched []int, acc *valencyAcc, hooks valencyHooks) (map[string]bool, error) {
+// construction. d reaches the configuration as in exploreDFS: carried
+// from the parked parent for the first child, fresh for the others.
+func valencyRec(d *runDriver, sched []int, carry bool, acc *valencyAcc, hooks valencyHooks) (map[string]bool, error) {
 	if hooks.gate != nil {
 		if err := hooks.gate(); err != nil {
 			return nil, err
 		}
 	}
-	res, err := runScriptedUnder(f, hooks.wrap, sched, nil)
-	if err != nil {
+	d.reach(sched, nil, carry)
+	if d.err != nil {
 		var demand choiceDemand
-		if asDemand(err, &demand) {
-			return nil, errNondetValency(err)
+		if asDemand(d.err, &demand) {
+			return nil, errNondetValency(d.err)
 		}
-		return nil, err
+		return nil, d.err
 	}
 	acc.configs++
-	if len(res.Enabled) == 0 {
+	if !d.parked {
 		acc.executions++
 		if hooks.counted != nil {
 			if err := hooks.counted(); err != nil {
 				return nil, err
 			}
 		}
-		vals := decisionValues(res)
-		if len(vals) > 1 && acc.disagreement == nil {
-			acc.disagreement = append([]int(nil), sched...)
+		vals := decisionValues(d.res)
+		if len(vals) > 1 {
+			acc.disagreeAt(sched)
 		}
 		for v := range vals {
 			acc.values[v] = true
@@ -129,8 +140,9 @@ func valencyRec(f Factory, sched []int, acc *valencyAcc, hooks valencyHooks) (ma
 	}
 	union := make(map[string]bool)
 	allChildrenUnivalent := true
-	for _, id := range res.Enabled {
-		child, err := valencyRec(f, appendStep(sched, id), acc, hooks)
+	enabled := d.enabled // the deeper runs park with enabled sets of their own
+	for i, id := range enabled {
+		child, err := valencyRec(d, appendStep(sched, id), i == 0, acc, hooks)
 		if err != nil {
 			return nil, err
 		}
@@ -154,36 +166,26 @@ func valencyRec(f Factory, sched []int, acc *valencyAcc, hooks valencyHooks) (ma
 // protocol and reports its valency structure. Decision values are the
 // outputs of processes with StatusDone. limit bounds complete executions.
 func AnalyzeValency(f Factory, limit int) (*ValencyReport, error) {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	acc := newValencyAcc()
-	_, err := valencyRec(f, nil, acc, valencyHooks{counted: func() error {
-		if acc.executions > limit {
-			return errLimitExceeded(limit)
-		}
-		return nil
-	}})
-	if err != nil {
-		return nil, err
-	}
-	return acc.report(), nil
+	return AnalyzeValencyUnder(f, nil, limit)
 }
 
 // AnalyzeValencyUnder is AnalyzeValency with an adversary interposed
 // between the engine's scripted schedules and the simulator: wrap
-// receives the sim.Fixed replay scheduler for one schedule prefix and
-// returns the scheduler the run actually uses — typically a chaos
-// crash-restart adversary delegating Next to the inner replay while
-// injecting sim.Fault directives of its own. wrap is invoked once per
-// explored configuration with a fresh inner scheduler, so a stateful
-// adversary must be constructed inside wrap (not closed over): every
-// configuration then replays its prefix under identical fault
-// decisions, which keeps the execution tree well-defined. The returned
-// scheduler must pass every Next view to the inner scheduler unchanged
-// and return its answer unchanged: the engine reads a node's children
-// off the enabled set at which the inner replay stops, so a wrap that
-// filters or overrides Next detaches the replayed prefix from the tree.
+// receives the sim.Fixed prefix scheduler of one run and returns the
+// scheduler the run actually uses — typically a chaos crash-restart
+// adversary delegating Next to the inner scheduler while injecting
+// sim.Fault directives of its own. wrap is invoked once per fresh run,
+// that is once for the root and once per later sibling; a first child
+// carries its parent's run, adversary included. A stateful adversary
+// must therefore be constructed inside wrap (not closed over) and
+// decide from the history it observes alone: a carried run then
+// reaches every configuration with the adversary state a fresh replay
+// of the same prefix would rebuild, under identical fault decisions,
+// which keeps the execution tree well-defined. The returned scheduler
+// must pass every Next view to the inner scheduler unchanged and return
+// its answer unchanged: the engine reads a node's children off the
+// enabled set at which the inner scheduler parks the run, so a wrap
+// that filters or overrides Next detaches the run from the tree.
 // Faults are the adversary's only lever. A nil wrap degenerates to
 // AnalyzeValency — the full-persistence baseline, since without fault
 // directives a crash-recovery pause keeps all state.
@@ -200,16 +202,15 @@ func AnalyzeValencyUnder(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler
 	if limit <= 0 {
 		limit = 1 << 20
 	}
+	d := newRunDriver(f, wrap)
+	defer d.stop()
 	acc := newValencyAcc()
-	_, err := valencyRec(f, nil, acc, valencyHooks{
-		wrap: wrap,
-		counted: func() error {
-			if acc.executions > limit {
-				return errLimitExceeded(limit)
-			}
-			return nil
-		},
-	})
+	_, err := valencyRec(d, nil, false, acc, valencyHooks{counted: func() error {
+		if acc.executions > limit {
+			return errLimitExceeded(limit)
+		}
+		return nil
+	}})
 	if err != nil {
 		return nil, err
 	}

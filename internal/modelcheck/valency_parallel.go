@@ -33,7 +33,7 @@ type valSub struct {
 // AnalyzeValencyParallel is AnalyzeValency across a worker pool (<= 0
 // workers means GOMAXPROCS): the top of the execution tree is expanded
 // sequentially into per-subtree roots, workers analyze the subtrees —
-// each replaying its own Factory() configurations — and the sub-reports
+// each running its own Factory() configurations — and the sub-reports
 // are merged in depth-first order. Every report field is either a
 // commutative count, a sorted set, or resolved by tree position (the
 // disagreement schedule is the depth-first-earliest one), so the report
@@ -55,12 +55,14 @@ func AnalyzeValencyParallel(f Factory, limit, workers int) (*ValencyReport, erro
 	root := &vnode{open: true}
 	open := []*vnode{root}
 	splitExecs := 0
+	d := newRunDriver(f, nil)
+	defer d.stop()
 	for len(open) > 0 && len(open) < workers*splitFactor {
 		var next []*vnode
 		for _, n := range open {
 			n.open = false
-			res, err := runScripted(f, n.sched, nil)
-			if err != nil {
+			d.start(n.sched, nil)
+			if err := d.err; err != nil {
 				var demand choiceDemand
 				if asDemand(err, &demand) {
 					err = errNondetValency(err)
@@ -68,13 +70,13 @@ func AnalyzeValencyParallel(f Factory, limit, workers int) (*ValencyReport, erro
 				n.err = err
 				continue
 			}
-			if len(res.Enabled) == 0 {
+			if !d.parked {
 				n.leaf = true
-				n.vals = decisionValues(res)
+				n.vals = decisionValues(d.res)
 				splitExecs++
 				continue
 			}
-			for _, id := range res.Enabled {
+			for _, id := range d.enabled {
 				kid := &vnode{sched: appendStep(n.sched, id), open: true}
 				n.kids = append(n.kids, kid)
 				next = append(next, kid)
@@ -82,11 +84,14 @@ func AnalyzeValencyParallel(f Factory, limit, workers int) (*ValencyReport, erro
 		}
 		open = next
 	}
+	d.stop() // end the last parked run before the workers start
 
 	// Phase 2 — workers: one valencyRec per frontier root, with the
 	// shared execution budget. A tripped budget stops every subtree at
 	// its next configuration; errors stay in their slot so the merge
-	// can pick the depth-first-earliest one.
+	// can pick the depth-first-earliest one. Each root gets a driver of
+	// its own, so ForEach keeps ranking panics by root index; at most
+	// one driver per worker is live.
 	subs := make([]valSub, len(open))
 	var (
 		execs   atomic.Int64
@@ -97,8 +102,10 @@ func AnalyzeValencyParallel(f Factory, limit, workers int) (*ValencyReport, erro
 		n.subIdx = i
 	}
 	_ = par.ForEach(len(open), workers, func(i int) error {
+		d := newRunDriver(f, nil)
+		defer d.stop()
 		acc := newValencyAcc()
-		set, err := valencyRec(f, open[i].sched, acc, valencyHooks{
+		set, err := valencyRec(d, open[i].sched, false, acc, valencyHooks{
 			gate: func() error {
 				if tripped.Load() {
 					return errLimitExceeded(limit)
@@ -138,7 +145,8 @@ func AnalyzeValencyParallel(f Factory, limit, workers int) (*ValencyReport, erro
 			for v := range sub.acc.values {
 				acc.values[v] = true
 			}
-			if acc.disagreement == nil && sub.acc.disagreement != nil {
+			if !acc.disagrees && sub.acc.disagrees {
+				acc.disagrees = true
 				acc.disagreement = sub.acc.disagreement
 			}
 			return sub.set, nil
@@ -148,8 +156,8 @@ func AnalyzeValencyParallel(f Factory, limit, workers int) (*ValencyReport, erro
 			if acc.executions > limit {
 				return nil, errLimitExceeded(limit)
 			}
-			if len(n.vals) > 1 && acc.disagreement == nil {
-				acc.disagreement = append([]int(nil), n.sched...)
+			if len(n.vals) > 1 {
+				acc.disagreeAt(n.sched)
 			}
 			for v := range n.vals {
 				acc.values[v] = true

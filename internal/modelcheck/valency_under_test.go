@@ -9,7 +9,7 @@ import (
 )
 
 // restartWrap returns the E20-style adversary layer: a fresh amnesiac
-// CrashRestart per replayed prefix, delegating Next to the engine's
+// CrashRestart per fresh run, delegating Next to the engine's
 // fixed schedule while injecting its own crash and restart faults.
 func restartWrap(victim, crashAt, window int) func(inner sim.Scheduler) sim.Scheduler {
 	return func(inner sim.Scheduler) sim.Scheduler {
