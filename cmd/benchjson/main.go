@@ -30,13 +30,16 @@ import (
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one parsed result line. Metrics holds the columns other
+// than ns/op, B/op and allocs/op, keyed by unit (custom metrics such as
+// BenchmarkSimThroughput's steps/op).
 type Benchmark struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Speedup pairs a /seq sub-benchmark with its /par twin.
@@ -77,10 +80,14 @@ type Report struct {
 	Reductions []Reduction `json:"reductions,omitempty"`
 }
 
-// benchLine matches e.g.
+// benchLine matches a result line's name and iteration count, e.g.
 //
-//	BenchmarkParExploreE1/k=6/seq-8   3  412ms/op … (ns/op, B/op, allocs/op)
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+//	BenchmarkSimThroughput-8   100   1207757 ns/op   4096 steps/op   6392 B/op   16 allocs/op
+//
+// The rest of the line is `value unit` columns, which parseMetrics reads
+// in whatever order they come: custom metrics (b.ReportMetric) sit
+// between ns/op and B/op.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
 	out := flag.String("o", "BENCH_6.json", "output file (- for stdout)")
@@ -146,12 +153,8 @@ func parse(r io.Reader) (*Report, error) {
 		}
 		b := Benchmark{Name: stripProcSuffix(m[1])}
 		b.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
-		b.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			b.BytesPerOp, _ = strconv.ParseInt(m[4], 10, 64)
-		}
-		if m[5] != "" {
-			b.AllocsPerOp, _ = strconv.ParseInt(m[5], 10, 64)
+		if !parseMetrics(&b, m[3]) {
+			continue
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)
 	}
@@ -164,6 +167,37 @@ func parse(r io.Reader) (*Report, error) {
 	rep.Speedups = pairSpeedups(rep.Benchmarks)
 	rep.Reductions = pairReductions(rep.Benchmarks)
 	return rep, nil
+}
+
+// parseMetrics reads the `value unit` columns of a result line into b.
+// It reports false, and the line is skipped, unless every column parses
+// and ns/op is among them.
+func parseMetrics(b *Benchmark, cols string) bool {
+	f := strings.Fields(cols)
+	if len(f) == 0 || len(f)%2 != 0 {
+		return false
+	}
+	hasNs := false
+	for i := 0; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return false
+		}
+		switch unit := f[i+1]; unit {
+		case "ns/op":
+			b.NsPerOp, hasNs = v, true
+		case "B/op":
+			b.BytesPerOp = int64(v)
+		case "allocs/op":
+			b.AllocsPerOp = int64(v)
+		default:
+			if b.Metrics == nil {
+				b.Metrics = make(map[string]float64)
+			}
+			b.Metrics[unit] = v
+		}
+	}
+	return hasNs
 }
 
 // stripProcSuffix removes the trailing -GOMAXPROCS that `go test`

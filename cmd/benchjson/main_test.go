@@ -53,6 +53,46 @@ func TestParsePairsSpeedupsAndReductions(t *testing.T) {
 	}
 }
 
+// TestParseKeepsColumnsAfterCustomMetric: a custom metric between ns/op
+// and B/op (as BenchmarkSimThroughput reports ns/step) must not cost the
+// line its B/op and allocs/op.
+func TestParseKeepsColumnsAfterCustomMetric(t *testing.T) {
+	const line = "BenchmarkSimThroughput-8   \t1000\t   1234567 ns/op\t       301.2 ns/step\t    1234 B/op\t      16 allocs/op\n"
+	rep, err := parse(strings.NewReader(line))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("benchmarks = %d, want 1", len(rep.Benchmarks))
+	}
+	b := rep.Benchmarks[0]
+	if b.Name != "BenchmarkSimThroughput" || b.Iterations != 1000 || b.NsPerOp != 1234567 {
+		t.Errorf("benchmark = %+v", b)
+	}
+	if b.BytesPerOp != 1234 || b.AllocsPerOp != 16 {
+		t.Errorf("B/op, allocs/op = %d, %d, want 1234, 16", b.BytesPerOp, b.AllocsPerOp)
+	}
+	if got := b.Metrics["ns/step"]; got != 301.2 || len(b.Metrics) != 1 {
+		t.Errorf("metrics = %v, want ns/step 301.2", b.Metrics)
+	}
+}
+
+// TestParseSkipsMalformedLines: a line that names a benchmark but has
+// no ns/op column, or a column that is not a number, is not a result.
+func TestParseSkipsMalformedLines(t *testing.T) {
+	const in = "BenchmarkA-8   \t10\t 5 allocs/op\n" +
+		"BenchmarkB-8   \t10\t many ns/op\n" +
+		"BenchmarkC-8   \t10\t 7 ns/op 3\n" +
+		"BenchmarkD-8   \t10\t 9 ns/op\n"
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != "BenchmarkD" || rep.Benchmarks[0].Metrics != nil {
+		t.Errorf("benchmarks = %+v, want only BenchmarkD", rep.Benchmarks)
+	}
+}
+
 func TestParseRejectsEmptyInput(t *testing.T) {
 	if _, err := parse(strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Error("empty input accepted")

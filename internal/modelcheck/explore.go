@@ -74,8 +74,7 @@ type scriptSource struct {
 }
 
 // reset re-arms the source to replay script from its start, reusing the
-// receiver (the reduction layer and runDriver each keep one source for
-// all their runs).
+// receiver (runDriver keeps one source for all its runs).
 func (s *scriptSource) reset(script []int) {
 	s.script = script
 	s.pos = 0

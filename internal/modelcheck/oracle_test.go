@@ -33,6 +33,57 @@ func runFromRoot(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, sched,
 	return res, nil
 }
 
+// signFromRoot is the replay-from-root oracle for the reducer's
+// signature: it runs the (sched, choices) prefix from the root, stops
+// it there under a Fixed with no fallback, and signs the stopped
+// configuration from its Result.Status, the response histories and the
+// objects' state signatures in sorted name order.
+func signFromRoot(f Factory, sched, choices []int) ([]byte, error) {
+	var objects map[string]sim.Object
+	var hist [][]byte
+	res, err := runFromRoot(func() sim.Config {
+		cfg := f()
+		objects = cfg.Objects
+		hist = make([][]byte, len(cfg.Programs))
+		cfg.OnStep = func(proc int, out sim.Value, hang bool) {
+			if hang {
+				hist[proc] = append(hist[proc], 0x00)
+			} else {
+				hist[proc] = sim.AppendValueSig(hist[proc], out)
+			}
+		}
+		return cfg
+	}, nil, sched, choices)
+	if err != nil {
+		return nil, err
+	}
+	var sig []byte
+	for i, st := range res.Status {
+		sig = append(sig, byte(st))
+		sig = sim.AppendIntSig(sig, len(hist[i]))
+		sig = append(sig, hist[i]...)
+	}
+	names := make([]string, 0, len(objects))
+	for name := range objects {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		var os []byte
+		switch obj := objects[name].(type) {
+		case sim.StateSigner:
+			os = obj.AppendStateSig(nil)
+		case interface{ StateKey() string }:
+			os = sim.AppendStringSig(nil, obj.StateKey())
+		default:
+			return nil, fmt.Errorf("object %q has no signature", name)
+		}
+		sig = sim.AppendIntSig(sig, len(os))
+		sig = append(sig, os...)
+	}
+	return sig, nil
+}
+
 // naiveExplore is the replay-from-root oracle for exploreDFS: every
 // tree node is a run of its own, and a node's children are read off the
 // stopped run's Result.Enabled.
@@ -373,11 +424,28 @@ func runEarlyExits(t *testing.T, cases []struct {
 	}
 }
 
-// TestEarlyExitLeavesNoGoroutines: every way a sequential engine can
-// stop before the tree ends must stop its run driver.
+// exploreReducedTrip runs ExploreReduced's search and reports whether
+// the run was parked at the last node the engine signed. A budget trip
+// at a transposition hit on an internal node returns with that run
+// parked, for the deferred stop to end.
+func exploreReducedTrip(f Factory, r Reduced, limit int) (parked bool, err error) {
+	red, err := newReducer(f, r, limit)
+	if err != nil {
+		return false, err
+	}
+	red.onSign = func([]byte) { parked = red.d.parked }
+	_, err = red.explore(nil)
+	return parked, err
+}
+
+// TestEarlyExitLeavesNoGoroutines: every way a sequential or reduced
+// engine can stop before the tree ends must stop its run driver.
 func TestEarlyExitLeavesNoGoroutines(t *testing.T) {
 	f := counterFactory(3, 2)
 	boom := errors.New("boom")
+	s3 := SymmetricClasses(3, []int{0, 1, 2})
+	s3Renamed := s3
+	s3Renamed.Rename = identRename
 	runEarlyExits(t, []struct {
 		name string
 		run  func() error
@@ -401,6 +469,46 @@ func TestEarlyExitLeavesNoGoroutines(t *testing.T) {
 		}},
 		{"AnalyzeValency ErrLimit", func() error {
 			_, err := AnalyzeValency(f, 3)
+			return err
+		}},
+		{"ExploreReduced visit error", func() error {
+			_, err := ExploreReduced(f, Reduced{Sym: s3}, 0, func(Execution, int) error { return boom })
+			return err
+		}},
+		{"ExploreReduced ErrLimit at a hit", func() error {
+			// Under the trivial group the subtree below [0] charges 560
+			// executions. [1 0] then re-reaches the configuration of
+			// [0 1], whose 210 executions trip a budget of 769 while
+			// the run of [1 0] is still parked.
+			parked, err := exploreReducedTrip(f, Reduced{}, 769)
+			if !errors.Is(err, ErrLimit) || !parked {
+				t.Errorf("err %v, parked %v: want ErrLimit at a parked hit", err, parked)
+			}
+			return err
+		}},
+		{"ExploreReduced ErrLimit at a leaf", func() error {
+			// The first canonical leaf under S3 has an orbit of 6.
+			rep, err := ExploreReduced(f, Reduced{Sym: s3}, 1, nil)
+			if !errors.Is(err, ErrLimit) || rep.Hits != 0 || rep.Representatives != 0 {
+				t.Errorf("err %v, report %+v: want ErrLimit at the first leaf", err, rep)
+			}
+			return err
+		}},
+		{"AnalyzeValencyReduced ErrLimit", func() error {
+			// The same parked hit as in ExploreReduced's case.
+			_, _, err := AnalyzeValencyReduced(f, Reduced{}, 769)
+			return err
+		}},
+		{"AnalyzeValencyReduced ErrLimit at a leaf", func() error {
+			_, _, err := AnalyzeValencyReduced(f, Reduced{Sym: s3Renamed}, 1)
+			return err
+		}},
+		{"AnalyzeValencyReduced missing Rename", func() error {
+			_, _, err := AnalyzeValencyReduced(f, Reduced{Sym: s3}, 0)
+			return err
+		}},
+		{"AnalyzeValencyReduced nondeterministic object", func() error {
+			_, _, err := AnalyzeValencyReduced(coinFactory(2, 1), Reduced{}, 0)
 			return err
 		}},
 	})

@@ -34,10 +34,16 @@ package modelcheck
 //     (SymmetryReport.Deduped reports which) and only symmetry
 //     quotienting applies.
 //
-//   - Arena replay. All replays run through one sim.RunArena, one
-//     sim.Fixed and one choice script per engine call, with per-depth
-//     scratch frames for stabilizers and enabled sets, so steady-state
-//     exploration does not allocate per run.
+//   - Carried arena runs. The engines drive their runs through the
+//     runDriver of driver.go, as the exhaustive engines do: a node's
+//     run parks at the end of its prefix and carries into the node's
+//     first canonical child, so only later siblings and choice
+//     branches start a fresh run. Every fresh run draws its scratch
+//     from one sim.RunArena per engine call (the driver keeps at most
+//     one run live), and stabilizers live in per-depth scratch, so
+//     steady-state exploration does not allocate per run. A parked
+//     node is signed with the status bytes a replay stopped there
+//     would report (see signature).
 //
 // Documented divergences from the unreduced engines (verdicts are still
 // equal; see DESIGN.md):
@@ -222,35 +228,33 @@ func (s Symmetry) group(n int) ([][]int, error) {
 	if len(s.Perms) == 0 {
 		return [][]int{identityPerm(n)}, nil
 	}
+	// buf packs one permutation at a time; a lookup as keys[string(buf)]
+	// does not allocate, which keeps the |G|² closure check below free
+	// of garbage.
 	keys := make(map[string]bool, len(s.Perms))
-	pack := func(p []int) string {
-		b := make([]byte, len(p))
-		for i, v := range p {
-			b[i] = byte(v)
-		}
-		return string(b)
-	}
+	buf := make([]byte, n)
+	seen := make([]bool, n)
 	hasIdentity := false
 	for k, p := range s.Perms {
 		if len(p) != n {
 			return nil, fmt.Errorf("modelcheck: Perms[%d] has length %d, want %d", k, len(p), n)
 		}
-		seen := make([]bool, n)
+		clear(seen)
 		id := true
 		for i, v := range p {
 			if v < 0 || v >= n || seen[v] {
 				return nil, fmt.Errorf("modelcheck: Perms[%d] is not a permutation of %d processes", k, n)
 			}
 			seen[v] = true
+			buf[i] = byte(v)
 			if v != i {
 				id = false
 			}
 		}
-		key := pack(p)
-		if keys[key] {
+		if keys[string(buf)] {
 			return nil, fmt.Errorf("modelcheck: Perms[%d] duplicates an earlier permutation", k)
 		}
-		keys[key] = true
+		keys[string(buf)] = true
 		if id {
 			hasIdentity = true
 		}
@@ -258,27 +262,17 @@ func (s Symmetry) group(n int) ([][]int, error) {
 	if !hasIdentity {
 		return nil, errors.New("modelcheck: symmetry group must contain the identity permutation")
 	}
-	comp := make([]int, n)
 	for _, a := range s.Perms {
 		for _, b := range s.Perms {
-			for i := 0; i < n; i++ {
-				comp[i] = a[b[i]]
+			for i, j := range b {
+				buf[i] = byte(a[j])
 			}
-			if !keys[pack(comp)] {
+			if !keys[string(buf)] {
 				return nil, errors.New("modelcheck: symmetry Perms are not closed under composition")
 			}
 		}
 	}
 	return s.Perms, nil
-}
-
-// redFrame is per-depth reusable scratch: the stabilizer (as indices
-// into reducer.perms) of the node AT this depth and a copy of its
-// enabled set (sim.Result.Enabled aliases arena storage, which child
-// runs clobber).
-type redFrame struct {
-	stab    []int
-	enabled []int
 }
 
 // redMemo is a transposition-table entry for ExploreReduced: subtree
@@ -323,17 +317,22 @@ type reducer struct {
 
 	n        int
 	objOrder []string
-	objects  map[string]sim.Object
+	objects  map[string]sim.Object // the live run's objects
 
+	d              *runDriver
 	sched, choices []int
-	fixed          sim.Fixed
-	src            scriptSource
 	arena          sim.RunArena
 	onStep         func(proc int, out sim.Value, hang bool)
 	hist           [][]byte
+	hung           []bool
 	sig            []byte
 	objSig         []byte
-	frames         []redFrame
+	stabs          [][]int // per-depth stabilizer scratch (indices into perms)
+
+	// onSign, when non-nil, is handed every signature the engine
+	// computes while sched and choices still name the signed node. It
+	// is a test seam.
+	onSign func(sig []byte)
 
 	memo  map[string]*redMemo
 	vmemo map[string]*valMemo
@@ -342,7 +341,8 @@ type reducer struct {
 }
 
 // newReducer probes the factory once for the process count and object
-// set, validates the group, and decides dedup capability.
+// set, validates the group, and decides dedup capability. The caller
+// creates the run driver once every check has passed.
 func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 	if limit <= 0 {
 		limit = 1 << 20
@@ -376,12 +376,14 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 	red.rep.Deduped = red.dedup
 	if red.dedup {
 		red.hist = make([][]byte, n)
+		red.hung = make([]bool, n)
 		// 0x00 marks a hung step; sim's value-signature tags start at
 		// 0x01, so histories stay self-delimiting.
 		red.onStep = func(proc int, out sim.Value, hang bool) {
 			h := red.hist[proc]
 			if hang {
 				h = append(h, 0x00)
+				red.hung[proc] = true
 			} else {
 				h = sim.AppendValueSig(h, out)
 			}
@@ -393,40 +395,49 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 	return red, nil
 }
 
-// runCurrent replays the current (sched, choices) prefix through the
-// shared arena, fixed scheduler and script source.
-func (r *reducer) runCurrent() (*sim.Result, error) {
+// factory is the Factory the reducer's run driver builds every fresh
+// run from: f's configuration, untraced, on the shared arena and, with
+// dedup, feeding fresh response histories. The arena stays valid
+// because the driver has at most one run live.
+func (r *reducer) factory() sim.Config {
 	cfg := r.f()
 	r.objects = cfg.Objects
-	r.fixed.Reset(r.sched)
-	r.src.reset(r.choices)
-	cfg.Scheduler = &r.fixed
-	cfg.Choice = &r.src
 	cfg.DisableTrace = true
 	cfg.Arena = &r.arena
 	if r.dedup {
 		for i := range r.hist {
 			r.hist[i] = r.hist[i][:0]
 		}
+		clear(r.hung)
 		cfg.OnStep = r.onStep
 	}
 	r.rep.Runs++
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return nil, decodeRunError(err)
-	}
-	return res, nil
+	return cfg
 }
 
-// signature packs the canonical configuration signature: per process a
-// status byte plus its length-prefixed response history, then each
-// object's length-prefixed state signature in sorted name order. The
-// returned slice is reducer-owned scratch; callers must copy (via
-// string conversion) before the next run.
-func (r *reducer) signature(res *sim.Result) []byte {
+// signature packs the canonical signature of the live run's
+// configuration: per process a status byte plus its length-prefixed
+// response history, then each object's length-prefixed state signature
+// in sorted name order. enabled is the parked round's enabled set, or
+// nil once the run has ended. The status byte is the one a replay of
+// the same prefix, stopped at this node, reports in Result.Status:
+// Stopped for an enabled process, Hung for one a step hung, and Done
+// otherwise (the reduced engines inject no faults, and a program panic
+// ends the run with an error). The returned slice is reducer-owned
+// scratch; callers must copy it (via string conversion) before the next
+// signature.
+func (r *reducer) signature(enabled []int) []byte {
 	buf := r.sig[:0]
 	for i := 0; i < r.n; i++ {
-		buf = append(buf, byte(res.Status[i]))
+		st := sim.StatusDone
+		switch {
+		case len(enabled) > 0 && enabled[0] == i:
+			st = sim.StatusStopped
+			enabled = enabled[1:]
+		case r.hung[i]:
+			st = sim.StatusHung
+		}
+		buf = append(buf, byte(st))
 		h := r.hist[i]
 		buf = sim.AppendIntSig(buf, len(h))
 		buf = append(buf, h...)
@@ -446,6 +457,9 @@ func (r *reducer) signature(res *sim.Result) []byte {
 		buf = append(buf, os...)
 	}
 	r.sig = buf
+	if r.onSign != nil {
+		r.onSign(buf)
+	}
 	return buf
 }
 
@@ -461,13 +475,32 @@ func canonicalStep(perms [][]int, stab []int, id int) bool {
 	return true
 }
 
-// frame returns the scratch frame for depth d, growing the stack as
-// needed.
-func (r *reducer) frame(d int) *redFrame {
-	for len(r.frames) <= d {
-		r.frames = append(r.frames, redFrame{})
+// childStab returns the stabilizer of the child that steps id, the
+// members of stab that fix id, built in depth's reusable scratch.
+func (r *reducer) childStab(depth int, stab []int, id int) []int {
+	for len(r.stabs) <= depth {
+		r.stabs = append(r.stabs, nil)
 	}
-	return &r.frames[d]
+	cs := r.stabs[depth][:0]
+	for _, pi := range stab {
+		if r.perms[pi][id] == id {
+			cs = append(cs, pi)
+		}
+	}
+	r.stabs[depth] = cs
+	return cs
+}
+
+// reach drives the reducer's run to the node at the current prefix, as
+// runDriver.reach does, and returns the node's enabled set: nil at a
+// leaf, where the driver's enabled set is still the last parked
+// round's.
+func (r *reducer) reach(carry bool) []int {
+	r.d.reach(r.sched, r.choices, carry)
+	if !r.d.parked {
+		return nil
+	}
+	return r.d.enabled
 }
 
 // copyExecution deep-copies the run outcome out of the arena (whose
@@ -498,29 +531,37 @@ func ExploreReduced(f Factory, r Reduced, limit int, visit func(e Execution, orb
 	if err != nil {
 		return nil, err
 	}
-	stab := make([]int, len(red.perms))
-	for i := range stab {
-		stab[i] = i
-	}
-	_, confW, err := red.exploreRec(0, stab, visit)
-	red.rep.Executions = red.execs
-	red.rep.Configs = confW
-	return &red.rep, err
+	return red.explore(visit)
+}
+
+// explore runs ExploreReduced's search from the root. The root's
+// stabilizer is the whole group, every index into perms.
+func (r *reducer) explore(visit func(e Execution, orbit int) error) (*SymmetryReport, error) {
+	r.d = newRunDriver(r.factory, nil)
+	defer r.d.stop()
+	_, confW, err := r.exploreRec(0, identityPerm(len(r.perms)), false, visit)
+	r.rep.Executions = r.execs
+	r.rep.Configs = confW
+	return &r.rep, err
 }
 
 // exploreRec explores the canonical subtree below the current prefix
 // and returns the subtree's execution and configuration weights
-// relative to the node's stabilizer (see redMemo).
-func (r *reducer) exploreRec(depth int, stab []int, visit func(e Execution, orbit int) error) (execW, confW int, err error) {
-	res, err := r.runCurrent()
-	if err != nil {
+// relative to the node's stabilizer (see redMemo). The node's run is
+// carried from its parent's when carry is set, as in exploreDFS: only
+// the first canonical child carries, and later siblings and choice
+// branches start fresh. A transposition hit returns with the run still
+// parked; the next fresh start ends it.
+func (r *reducer) exploreRec(depth int, stab []int, carry bool, visit func(e Execution, orbit int) error) (execW, confW int, err error) {
+	enabled := r.reach(carry)
+	if r.d.err != nil {
 		var demand choiceDemand
-		if asDemand(err, &demand) {
+		if asDemand(r.d.err, &demand) {
 			// A nondeterministic object branch: same schedule prefix,
 			// same stabilizer, one child per choice value.
 			for c := 0; c < demand.n; c++ {
 				r.choices = append(r.choices, c)
-				cw, cc, cerr := r.exploreRec(depth, stab, visit)
+				cw, cc, cerr := r.exploreRec(depth, stab, false, visit)
 				r.choices = r.choices[:len(r.choices)-1]
 				if cerr != nil {
 					return 0, 0, cerr
@@ -530,12 +571,12 @@ func (r *reducer) exploreRec(depth int, stab []int, visit func(e Execution, orbi
 			}
 			return execW, confW, nil
 		}
-		return 0, 0, err
+		return 0, 0, r.d.err
 	}
 	orbit := len(r.perms) / len(stab)
 	var key string
 	if r.dedup {
-		buf := r.signature(res)
+		buf := r.signature(enabled)
 		if m, ok := r.memo[string(buf)]; ok {
 			r.rep.Hits++
 			add := m.execW * orbit
@@ -549,14 +590,14 @@ func (r *reducer) exploreRec(depth int, stab []int, visit func(e Execution, orbi
 		key = string(buf)
 	}
 	r.rep.ReducedConfigs++
-	if len(res.Enabled) == 0 {
+	if enabled == nil {
 		if r.execs+orbit > r.limit {
 			return 0, 0, errLimitExceeded(r.limit)
 		}
 		r.execs += orbit
 		r.rep.Representatives++
 		if visit != nil {
-			if verr := visit(copyExecution(r.sched, r.choices, res), orbit); verr != nil {
+			if verr := visit(copyExecution(r.sched, r.choices, r.d.res), orbit); verr != nil {
 				return 0, 0, verr
 			}
 		}
@@ -565,25 +606,17 @@ func (r *reducer) exploreRec(depth int, stab []int, visit func(e Execution, orbi
 		}
 		return 1, 1, nil
 	}
-	fr := r.frame(depth)
-	en := append(fr.enabled[:0], res.Enabled...)
-	fr.enabled = en
 	confW = 1
-	for _, id := range en {
+	first := true
+	for _, id := range enabled {
 		if !canonicalStep(r.perms, stab, id) {
 			continue
 		}
-		cf := r.frame(depth + 1)
-		cs := cf.stab[:0]
-		for _, pi := range stab {
-			if r.perms[pi][id] == id {
-				cs = append(cs, pi)
-			}
-		}
-		cf.stab = cs
+		cs := r.childStab(depth+1, stab, id)
 		r.sched = append(r.sched, id)
-		cw, cc, cerr := r.exploreRec(depth+1, cs, visit)
+		cw, cc, cerr := r.exploreRec(depth+1, cs, first, visit)
 		r.sched = r.sched[:len(r.sched)-1]
+		first = false
 		if cerr != nil {
 			return 0, 0, cerr
 		}
@@ -612,16 +645,20 @@ func AnalyzeValencyReduced(f Factory, r Reduced, limit int) (*ValencyReport, *Sy
 	if len(red.perms) > 1 && red.rename == nil {
 		return nil, nil, errors.New("modelcheck: AnalyzeValencyReduced requires Sym.Rename for a nontrivial group")
 	}
-	stab := make([]int, len(red.perms))
-	for i := range stab {
-		stab[i] = i
-	}
-	root, err := red.valRec(0, stab)
-	red.rep.Executions = red.execs
+	return red.valency()
+}
+
+// valency runs AnalyzeValencyReduced's analysis from the root, whose
+// stabilizer is the whole group.
+func (r *reducer) valency() (*ValencyReport, *SymmetryReport, error) {
+	r.d = newRunDriver(r.factory, nil)
+	defer r.d.stop()
+	root, err := r.valRec(0, identityPerm(len(r.perms)), false)
+	r.rep.Executions = r.execs
 	if err != nil {
-		return nil, &red.rep, err
+		return nil, &r.rep, err
 	}
-	red.rep.Configs = root.confW
+	r.rep.Configs = root.confW
 	// A disagreeing root leaf has an empty schedule, which copies to nil
 	// as in valencyAcc.disagreeAt; hasDis carries the verdict.
 	var dis []int
@@ -634,28 +671,29 @@ func AnalyzeValencyReduced(f Factory, r Reduced, limit int) (*ValencyReport, *Sy
 		Bivalent:             root.bivW,
 		Critical:             root.critW,
 		Agreement:            !root.hasDis,
-		Values:               red.closureValues(root.vals),
+		Values:               r.closureValues(root.vals),
 		DisagreementSchedule: dis,
 	}
-	return rep, &red.rep, nil
+	return rep, &r.rep, nil
 }
 
 // valRec runs the valency analysis over the canonical subtree below the
 // current prefix, returning the node's valMemo (relative weights,
-// reduced value set, full-tree bivalence).
-func (r *reducer) valRec(depth int, stab []int) (*valMemo, error) {
-	res, err := r.runCurrent()
-	if err != nil {
+// reduced value set, full-tree bivalence). The run is carried and a hit
+// leaves it parked, as in exploreRec.
+func (r *reducer) valRec(depth int, stab []int, carry bool) (*valMemo, error) {
+	enabled := r.reach(carry)
+	if r.d.err != nil {
 		var demand choiceDemand
-		if asDemand(err, &demand) {
-			return nil, errNondetValency(err)
+		if asDemand(r.d.err, &demand) {
+			return nil, errNondetValency(r.d.err)
 		}
-		return nil, err
+		return nil, r.d.err
 	}
 	orbit := len(r.perms) / len(stab)
 	var key string
 	if r.dedup {
-		buf := r.signature(res)
+		buf := r.signature(enabled)
 		if m, ok := r.vmemo[string(buf)]; ok {
 			r.rep.Hits++
 			r.execs += m.execW * orbit
@@ -669,7 +707,8 @@ func (r *reducer) valRec(depth int, stab []int) (*valMemo, error) {
 	}
 	r.rep.ReducedConfigs++
 	node := &valMemo{confW: 1}
-	if len(res.Enabled) == 0 {
+	if enabled == nil {
+		res := r.d.res
 		r.execs += orbit
 		if r.execs > r.limit {
 			return nil, errLimitExceeded(r.limit)
@@ -696,25 +735,17 @@ func (r *reducer) valRec(depth int, stab []int) (*valMemo, error) {
 		}
 		return node, nil
 	}
-	fr := r.frame(depth)
-	en := append(fr.enabled[:0], res.Enabled...)
-	fr.enabled = en
 	allUniv := true
-	for _, id := range en {
+	first := true
+	for _, id := range enabled {
 		if !canonicalStep(r.perms, stab, id) {
 			continue
 		}
-		cf := r.frame(depth + 1)
-		cs := cf.stab[:0]
-		for _, pi := range stab {
-			if r.perms[pi][id] == id {
-				cs = append(cs, pi)
-			}
-		}
-		cf.stab = cs
+		cs := r.childStab(depth+1, stab, id)
 		r.sched = append(r.sched, id)
-		child, cerr := r.valRec(depth+1, cs)
+		child, cerr := r.valRec(depth+1, cs, first)
 		r.sched = r.sched[:len(r.sched)-1]
+		first = false
 		if cerr != nil {
 			return nil, cerr
 		}

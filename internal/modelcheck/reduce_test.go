@@ -1,13 +1,17 @@
 package modelcheck
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"detobj/internal/consensus"
+	"detobj/internal/registers"
 	"detobj/internal/setconsensus"
 	"detobj/internal/sim"
 	"detobj/internal/wrn"
@@ -83,18 +87,18 @@ func lexLeast(sched []int, perms [][]int) bool {
 	return true
 }
 
-// TestReducedOracleExplore is the tentpole cross-check for ExploreReduced:
-// across every experiment-shaped factory and its symmetry group, with the
-// transposition table on and off, the reconstructed execution count must
-// equal the unreduced Explore count, the visited representatives must be
-// canonical (lex-least in their orbits), and without dedup the visited
-// orbit sizes must sum back to the full count.
-func TestReducedOracleExplore(t *testing.T) {
-	cases := []struct {
-		name string
-		f    Factory
-		sym  Symmetry
-	}{
+// reducedCase is one factory with the symmetry group it is reduced
+// under.
+type reducedCase struct {
+	name string
+	f    Factory
+	sym  Symmetry
+}
+
+// reducedExploreCases are the ExploreReduced oracle cases: counters,
+// coins, the E4 race, Algorithm 2's ring and SWAP consensus.
+func reducedExploreCases() []reducedCase {
+	return []reducedCase{
 		{"counter2x1/S2", counterFactory(2, 1), SymmetricClasses(2, []int{0, 1})},
 		{"counter3x2/S3", counterFactory(3, 2), SymmetricClasses(3, []int{0, 1, 2})},
 		{"counter3x2/S{0,1}", counterFactory(3, 2), SymmetricClasses(3, []int{0, 1})},
@@ -106,7 +110,107 @@ func TestReducedOracleExplore(t *testing.T) {
 		{"ring4/C4", ringFactory(4), CyclicRotations(4)},
 		{"swapCons/S2", swapConsensusFactory(), SymmetricClasses(2, []int{0, 1})},
 	}
-	for _, c := range cases {
+}
+
+// reducedValencyCases are the AnalyzeValencyReduced oracle cases: every
+// E11 protocol shape, the E4 race and a disagreeing counter.
+func reducedValencyCases() []reducedCase {
+	sym2 := SymmetricClasses(2, []int{0, 1})
+	sym2.Rename = RenameByInputs([]sim.Value{10, 20})
+	naiveSym := SymmetricClasses(3, []int{0, 2})
+	naiveSym.Rename = RenameByInputs([]sim.Value{10, 20, 30})
+	relSym := SymmetricClasses(3, []int{1, 2})
+	relSym.Rename = RenameByInputs([]sim.Value{"solo", "p1", "p2"})
+	counterSym := SymmetricClasses(3, []int{0, 1, 2})
+	counterSym.Rename = identRename
+	return []reducedCase{
+		{"swap", twoProcs(consensus.TwoConsFromSwap), sym2},
+		{"wrn2", twoProcs(consensus.TwoConsFromWRN2), sym2},
+		{"tas", twoProcs(consensus.TwoConsFromTAS), sym2},
+		{"queue", twoProcs(consensus.TwoConsFromQueue), sym2},
+		{"fetchadd", twoProcs(consensus.TwoConsFromFetchAdd), sym2},
+		{"naive3", func() sim.Config {
+			objects := map[string]sim.Object{}
+			progs := consensus.ThreeFromWRN2Naive(objects, "W", [3]sim.Value{10, 20, 30})
+			return sim.Config{Objects: objects, Programs: progs}
+		}, naiveSym},
+		{"relaxedE4-3x3", relaxedFactory(3, 3), relSym},
+		{"counter3x2", counterFactory(3, 2), counterSym},
+	}
+}
+
+// pinnedReports are the reduced engines' reports on the oracle cases as
+// the reducer produced them when it replayed every node from the root.
+// Carrying runs may change only Runs, which here holds that reducer's
+// count.
+var pinnedReports = map[string]SymmetryReport{
+	"explore counter2x1/S2 dedup=true":         {Group: 2, Representatives: 2, Executions: 6, Configs: 19, ReducedConfigs: 9, Hits: 1, Misses: 9, Runs: 10, Deduped: true},
+	"explore counter2x1/S2 dedup=false":        {Group: 2, Representatives: 3, Executions: 6, Configs: 19, ReducedConfigs: 10, Hits: 0, Misses: 0, Runs: 10, Deduped: false},
+	"explore counter3x2/S3 dedup=true":         {Group: 6, Representatives: 29, Executions: 1680, Configs: 5248, ReducedConfigs: 152, Hits: 42, Misses: 152, Runs: 194, Deduped: true},
+	"explore counter3x2/S3 dedup=false":        {Group: 6, Representatives: 280, Executions: 1680, Configs: 5248, ReducedConfigs: 877, Hits: 0, Misses: 0, Runs: 877, Deduped: false},
+	"explore counter3x2/S{0,1} dedup=true":     {Group: 2, Representatives: 40, Executions: 1680, Configs: 5248, ReducedConfigs: 215, Hits: 63, Misses: 215, Runs: 278, Deduped: true},
+	"explore counter3x2/S{0,1} dedup=false":    {Group: 2, Representatives: 840, Executions: 1680, Configs: 5248, ReducedConfigs: 2626, Hits: 0, Misses: 0, Runs: 2626, Deduped: false},
+	"explore counter3x2/trivial dedup=true":    {Group: 1, Representatives: 49, Executions: 1680, Configs: 5248, ReducedConfigs: 271, Hits: 87, Misses: 271, Runs: 358, Deduped: true},
+	"explore counter3x2/trivial dedup=false":   {Group: 1, Representatives: 1680, Executions: 1680, Configs: 5248, ReducedConfigs: 5248, Hits: 0, Misses: 0, Runs: 5248, Deduped: false},
+	"explore coin2x1/S2 dedup=true":            {Group: 2, Representatives: 4, Executions: 8, Configs: 13, ReducedConfigs: 7, Hits: 0, Misses: 7, Runs: 10, Deduped: true},
+	"explore coin2x1/S2 dedup=false":           {Group: 2, Representatives: 4, Executions: 8, Configs: 13, ReducedConfigs: 7, Hits: 0, Misses: 0, Runs: 10, Deduped: false},
+	"explore coin2x2/S2 dedup=true":            {Group: 2, Representatives: 16, Executions: 96, Configs: 165, ReducedConfigs: 43, Hits: 24, Misses: 43, Runs: 100, Deduped: true},
+	"explore coin2x2/S2 dedup=false":           {Group: 2, Representatives: 48, Executions: 96, Configs: 165, ReducedConfigs: 83, Hits: 0, Misses: 0, Runs: 124, Deduped: false},
+	"explore relaxedE4-3x3/S{1,2} dedup=true":  {Group: 2, Representatives: 3, Executions: 476, Configs: 1448, ReducedConfigs: 51, Hits: 44, Misses: 51, Runs: 95, Deduped: true},
+	"explore relaxedE4-3x3/S{1,2} dedup=false": {Group: 2, Representatives: 238, Executions: 476, Configs: 1448, ReducedConfigs: 726, Hits: 0, Misses: 0, Runs: 726, Deduped: false},
+	"explore ring3/C3 dedup=true":              {Group: 3, Representatives: 2, Executions: 6, Configs: 16, ReducedConfigs: 6, Hits: 0, Misses: 6, Runs: 6, Deduped: true},
+	"explore ring3/C3 dedup=false":             {Group: 3, Representatives: 2, Executions: 6, Configs: 16, ReducedConfigs: 6, Hits: 0, Misses: 0, Runs: 6, Deduped: false},
+	"explore ring4/C4 dedup=true":              {Group: 4, Representatives: 4, Executions: 24, Configs: 65, ReducedConfigs: 14, Hits: 2, Misses: 14, Runs: 16, Deduped: true},
+	"explore ring4/C4 dedup=false":             {Group: 4, Representatives: 6, Executions: 24, Configs: 65, ReducedConfigs: 17, Hits: 0, Misses: 0, Runs: 17, Deduped: false},
+	"explore swapCons/S2 dedup=true":           {Group: 2, Representatives: 2, Executions: 6, Configs: 25, ReducedConfigs: 10, Hits: 1, Misses: 10, Runs: 11, Deduped: true},
+	"explore swapCons/S2 dedup=false":          {Group: 2, Representatives: 3, Executions: 6, Configs: 25, ReducedConfigs: 13, Hits: 0, Misses: 0, Runs: 13, Deduped: false},
+	"valency swap dedup=true":                  {Group: 2, Representatives: 2, Executions: 6, Configs: 25, ReducedConfigs: 10, Hits: 1, Misses: 10, Runs: 11, Deduped: true},
+	"valency swap dedup=false":                 {Group: 2, Representatives: 3, Executions: 6, Configs: 25, ReducedConfigs: 13, Hits: 0, Misses: 0, Runs: 13, Deduped: false},
+	"valency wrn2 dedup=true":                  {Group: 2, Representatives: 1, Executions: 2, Configs: 5, ReducedConfigs: 3, Hits: 0, Misses: 3, Runs: 3, Deduped: true},
+	"valency wrn2 dedup=false":                 {Group: 2, Representatives: 1, Executions: 2, Configs: 5, ReducedConfigs: 3, Hits: 0, Misses: 0, Runs: 3, Deduped: false},
+	"valency tas dedup=true":                   {Group: 2, Representatives: 2, Executions: 6, Configs: 25, ReducedConfigs: 10, Hits: 1, Misses: 10, Runs: 11, Deduped: true},
+	"valency tas dedup=false":                  {Group: 2, Representatives: 3, Executions: 6, Configs: 25, ReducedConfigs: 13, Hits: 0, Misses: 0, Runs: 13, Deduped: false},
+	"valency queue dedup=true":                 {Group: 2, Representatives: 2, Executions: 6, Configs: 25, ReducedConfigs: 10, Hits: 1, Misses: 10, Runs: 11, Deduped: true},
+	"valency queue dedup=false":                {Group: 2, Representatives: 3, Executions: 6, Configs: 25, ReducedConfigs: 13, Hits: 0, Misses: 0, Runs: 13, Deduped: false},
+	"valency fetchadd dedup=true":              {Group: 2, Representatives: 2, Executions: 6, Configs: 25, ReducedConfigs: 10, Hits: 1, Misses: 10, Runs: 11, Deduped: true},
+	"valency fetchadd dedup=false":             {Group: 2, Representatives: 3, Executions: 6, Configs: 25, ReducedConfigs: 13, Hits: 0, Misses: 0, Runs: 13, Deduped: false},
+	"valency naive3 dedup=true":                {Group: 2, Representatives: 3, Executions: 6, Configs: 16, ReducedConfigs: 9, Hits: 0, Misses: 9, Runs: 9, Deduped: true},
+	"valency naive3 dedup=false":               {Group: 2, Representatives: 3, Executions: 6, Configs: 16, ReducedConfigs: 9, Hits: 0, Misses: 0, Runs: 9, Deduped: false},
+	"valency relaxedE4-3x3 dedup=true":         {Group: 2, Representatives: 3, Executions: 476, Configs: 1448, ReducedConfigs: 51, Hits: 44, Misses: 51, Runs: 95, Deduped: true},
+	"valency relaxedE4-3x3 dedup=false":        {Group: 2, Representatives: 238, Executions: 476, Configs: 1448, ReducedConfigs: 726, Hits: 0, Misses: 0, Runs: 726, Deduped: false},
+	"valency counter3x2 dedup=true":            {Group: 6, Representatives: 29, Executions: 1680, Configs: 5248, ReducedConfigs: 152, Hits: 42, Misses: 152, Runs: 194, Deduped: true},
+	"valency counter3x2 dedup=false":           {Group: 6, Representatives: 280, Executions: 1680, Configs: 5248, ReducedConfigs: 877, Hits: 0, Misses: 0, Runs: 877, Deduped: false},
+}
+
+// checkPinnedReport compares every report field but Runs with the pin,
+// and requires Runs to beat the pinned replay-every-node count wherever
+// the tree has an internal node (more configurations than executions).
+func checkPinnedReport(t *testing.T, what string, noDedup bool, got *SymmetryReport) {
+	t.Helper()
+	key := fmt.Sprintf("%s dedup=%v", what, !noDedup)
+	want, ok := pinnedReports[key]
+	if !ok {
+		t.Fatalf("%s: no pinned report", key)
+	}
+	cmp := *got
+	cmp.Runs = want.Runs
+	if cmp != want {
+		t.Errorf("%s: report %+v, pinned %+v (Runs aside)", key, *got, want)
+	}
+	if want.Configs > want.Executions && got.Runs >= want.Runs {
+		t.Errorf("%s: %d runs, want fewer than the %d of a replay per node", key, got.Runs, want.Runs)
+	}
+}
+
+// TestReducedOracleExplore is the tentpole cross-check for ExploreReduced:
+// across every experiment-shaped factory and its symmetry group, with the
+// transposition table on and off, the reconstructed execution count must
+// equal the unreduced Explore count, the visited representatives must be
+// canonical (lex-least in their orbits), and without dedup the visited
+// orbit sizes must sum back to the full count. Every report field but
+// Runs must equal its pin.
+func TestReducedOracleExplore(t *testing.T) {
+	for _, c := range reducedExploreCases() {
 		want, err := Explore(c.f, 0, func(Execution) error { return nil })
 		if err != nil {
 			t.Fatalf("%s: Explore: %v", c.name, err)
@@ -128,6 +232,7 @@ func TestReducedOracleExplore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s dedup=%v: %v", c.name, !noDedup, err)
 			}
+			checkPinnedReport(t, "explore "+c.name, noDedup, rep)
 			if rep.Executions != want {
 				t.Errorf("%s dedup=%v: reconstructed %d executions, want %d (report %+v)",
 					c.name, !noDedup, rep.Executions, want, rep)
@@ -147,6 +252,90 @@ func TestReducedOracleExplore(t *testing.T) {
 				}
 			} else if !rep.Deduped {
 				t.Errorf("%s: dedup unexpectedly unavailable (report %+v)", c.name, rep)
+			}
+		}
+	}
+}
+
+// trap hangs every caller, the way a one-shot object answers an
+// illegal second use. It has no state, so its signature is empty.
+type trap struct{}
+
+func (trap) Apply(*sim.Env, sim.Invocation) sim.Response { return sim.HangCaller() }
+
+func (trap) AppendStateSig(dst []byte) []byte { return dst }
+
+// hangFactory runs process 0 into the trap while processes 1 and 2 each
+// increment a counter and read it, so there are nodes where process 0
+// has hung and a follower is still enabled.
+func hangFactory() Factory {
+	return func() sim.Config {
+		objects := map[string]sim.Object{"C": registers.NewCounter(), "T": trap{}}
+		c := registers.CounterRef{Name: "C"}
+		follower := func(ctx *sim.Ctx) sim.Value {
+			c.Inc(ctx)
+			return c.Read(ctx)
+		}
+		return sim.Config{Objects: objects, Programs: []sim.Program{
+			func(ctx *sim.Ctx) sim.Value { return ctx.Invoke("T", "spring") },
+			follower,
+			follower,
+		}}
+	}
+}
+
+// TestReducedSignsLikeAStoppedReplay: at every node the reduced engines
+// sign, the carried run's signature must be byte-equal to that of the
+// node's prefix replayed from the root and stopped there (signFromRoot),
+// which is how the reducer signed nodes before it carried runs. The
+// hang case checks the Hung status byte at parked nodes.
+func TestReducedSignsLikeAStoppedReplay(t *testing.T) {
+	hangSym := SymmetricClasses(3, []int{1, 2})
+	hangSym.Rename = identRename
+	explore := append(reducedExploreCases(), reducedCase{"hang3/S{1,2}", hangFactory(), hangSym})
+	valency := append(reducedValencyCases(), reducedCase{"hang3", hangFactory(), hangSym})
+	for _, engine := range []struct {
+		name  string
+		cases []reducedCase
+		run   func(*reducer) (*SymmetryReport, error)
+	}{
+		{"explore", explore, func(red *reducer) (*SymmetryReport, error) { return red.explore(nil) }},
+		{"valency", valency, func(red *reducer) (*SymmetryReport, error) {
+			_, rep, err := red.valency()
+			return rep, err
+		}},
+	} {
+		for _, c := range engine.cases {
+			what := engine.name + " " + c.name
+			red, err := newReducer(c.f, Reduced{Sym: c.sym}, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			signed, hungParked, bad := 0, 0, 0
+			red.onSign = func(sig []byte) {
+				signed++
+				if red.d.parked && slices.Contains(red.hung, true) {
+					hungParked++
+				}
+				want, err := signFromRoot(c.f, red.sched, red.choices)
+				if err != nil {
+					t.Fatalf("%s: replaying %v %v: %v", what, red.sched, red.choices, err)
+				}
+				if !bytes.Equal(sig, want) {
+					if bad++; bad <= 3 {
+						t.Errorf("%s: node %v choices %v: signed %x, stopped replay %x", what, red.sched, red.choices, sig, want)
+					}
+				}
+			}
+			rep, err := engine.run(red)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if signed != rep.Hits+rep.Misses || signed == 0 {
+				t.Errorf("%s: %d signatures checked, want hits+misses = %d", what, signed, rep.Hits+rep.Misses)
+			}
+			if strings.HasPrefix(c.name, "hang3") && hungParked == 0 {
+				t.Errorf("%s: no parked node carried a Hung byte", what)
 			}
 		}
 	}
@@ -184,37 +373,11 @@ func TestReducedDedupReachesFixpoint(t *testing.T) {
 
 // TestReducedOracleValency cross-checks AnalyzeValencyReduced against
 // AnalyzeValency on every E11 protocol shape: all verdict fields must be
-// equal, and a disagreeing protocol's canonical-first schedule must
-// replay to a genuinely disagreeing execution.
+// equal, a disagreeing protocol's canonical-first schedule must replay
+// to a genuinely disagreeing execution, and every symmetry-report field
+// but Runs must equal its pin.
 func TestReducedOracleValency(t *testing.T) {
-	sym2 := SymmetricClasses(2, []int{0, 1})
-	sym2.Rename = RenameByInputs([]sim.Value{10, 20})
-	naiveSym := SymmetricClasses(3, []int{0, 2})
-	naiveSym.Rename = RenameByInputs([]sim.Value{10, 20, 30})
-	relSym := SymmetricClasses(3, []int{1, 2})
-	relSym.Rename = RenameByInputs([]sim.Value{"solo", "p1", "p2"})
-	counterSym := SymmetricClasses(3, []int{0, 1, 2})
-	counterSym.Rename = identRename
-
-	cases := []struct {
-		name string
-		f    Factory
-		sym  Symmetry
-	}{
-		{"swap", twoProcs(consensus.TwoConsFromSwap), sym2},
-		{"wrn2", twoProcs(consensus.TwoConsFromWRN2), sym2},
-		{"tas", twoProcs(consensus.TwoConsFromTAS), sym2},
-		{"queue", twoProcs(consensus.TwoConsFromQueue), sym2},
-		{"fetchadd", twoProcs(consensus.TwoConsFromFetchAdd), sym2},
-		{"naive3", func() sim.Config {
-			objects := map[string]sim.Object{}
-			progs := consensus.ThreeFromWRN2Naive(objects, "W", [3]sim.Value{10, 20, 30})
-			return sim.Config{Objects: objects, Programs: progs}
-		}, naiveSym},
-		{"relaxedE4-3x3", relaxedFactory(3, 3), relSym},
-		{"counter3x2", counterFactory(3, 2), counterSym},
-	}
-	for _, c := range cases {
+	for _, c := range reducedValencyCases() {
 		want, err := AnalyzeValency(c.f, 0)
 		if err != nil {
 			t.Fatalf("%s: AnalyzeValency: %v", c.name, err)
@@ -224,6 +387,7 @@ func TestReducedOracleValency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s dedup=%v: %v", c.name, !noDedup, err)
 			}
+			checkPinnedReport(t, "valency "+c.name, noDedup, srep)
 			// DisagreementSchedule is canonical-first rather than
 			// DFS-first (documented); every other field must match.
 			gotCmp, wantCmp := *got, *want

@@ -1,16 +1,15 @@
 package sim
 
-// arena.go provides RunArena, the replay-buffer half of the model
-// checker's reduction layer (ROADMAP "order-of-magnitude state-space
-// engine"): a DFS over an execution tree replays one short run per
-// node, and without the arena every replay pays for a fresh process
+// arena.go provides RunArena, the run-buffer half of the model
+// checker's reduction layer: a DFS over an execution tree starts many
+// short runs, and without the arena every run pays for a fresh process
 // table, scheduling-round buffers and a fresh Result. With an arena
-// those live across runs and the steady-state replay allocates only
-// what the run's programs and objects allocate themselves.
+// those live across runs and a steady-state run allocates only what
+// the run's programs and objects allocate themselves.
 
 // RunArena recycles per-run scratch across consecutive calls to Run.
-// A caller that replays many configurations back-to-back (the model
-// checker's exhaustive engines) stores one arena in every Config it
+// A caller that runs many configurations back-to-back (the model
+// checker's reduced engines) stores one arena in every Config it
 // builds; Run then reuses the previous run's process table, scratch
 // buffers and Result instead of allocating fresh ones.
 //

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -385,6 +386,13 @@ func TestViewEnabledSet(t *testing.T) {
 func TestIndexedName(t *testing.T) {
 	if got := Indexed("R", 3); got != "R[3]" {
 		t.Errorf("Indexed = %q, want R[3]", got)
+	}
+	// Object names are map keys, so Indexed must keep fmt's rendering
+	// byte for byte.
+	for _, i := range []int{math.MinInt, -12, -1, 0, 7, 10, 123456, math.MaxInt} {
+		if got, want := Indexed("R", i), fmt.Sprintf("%s[%d]", "R", i); got != want {
+			t.Errorf("Indexed(R, %d) = %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -140,8 +140,8 @@ type Fixed struct {
 func NewFixed(order ...int) *Fixed { return &Fixed{Order: order} }
 
 // Reset re-arms the scheduler to replay order from its start, reusing
-// the receiver. The model checker's reduction layer replays thousands
-// of schedule prefixes through one Fixed instance per engine run.
+// the receiver. The model checker's run driver starts thousands of
+// schedule prefixes through one Fixed instance per engine call.
 func (f *Fixed) Reset(order []int) {
 	f.Order = order
 	f.pos = 0

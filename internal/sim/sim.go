@@ -42,6 +42,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -150,5 +151,5 @@ func (f ObjectFunc) Apply(env *Env, inv Invocation) Response { return f(env, inv
 // Indexed builds the conventional name of the i-th object of an object
 // array, e.g. Indexed("R", 3) == "R[3]".
 func Indexed(name string, i int) string {
-	return fmt.Sprintf("%s[%d]", name, i)
+	return name + "[" + strconv.Itoa(i) + "]"
 }
