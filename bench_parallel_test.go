@@ -179,34 +179,3 @@ func BenchmarkParValencyE11(b *testing.B) {
 		})
 	})
 }
-
-// BenchmarkParIndistE6: the mechanized Lemma 38 analysis of WRN_k,
-// sequential vs parallel.
-func BenchmarkParIndistE6(b *testing.B) {
-	for _, k := range []int{4, 5} {
-		k := k
-		alpha := modelcheck.WRNAlphabet(k, 2)
-		run := func(b *testing.B, checkFn func() (*modelcheck.IndistReport, error)) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				rep, err := checkFn()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Clean() {
-					b.Fatal("WRN failed Lemma 38 obligations")
-				}
-			}
-		}
-		b.Run(fmt.Sprintf("k=%d/seq", k), func(b *testing.B) {
-			run(b, func() (*modelcheck.IndistReport, error) {
-				return modelcheck.CheckIndistinguishability(wrn.New(k), alpha, 1<<15)
-			})
-		})
-		b.Run(fmt.Sprintf("k=%d/par", k), func(b *testing.B) {
-			run(b, func() (*modelcheck.IndistReport, error) {
-				return modelcheck.CheckIndistinguishabilityParallel(wrn.New(k), alpha, 1<<15, runtime.GOMAXPROCS(0))
-			})
-		})
-	}
-}

@@ -8,10 +8,11 @@
 // extended by Ovens 2024 for the restart rows); the driver exits
 // non-zero when any computed verdict diverges, so a regression in the
 // engines or the objects cannot print a plausible table and still
-// report success. The E6/E11 engines fan out across -parallel workers
+// report success. The E11 engines fan out across -parallel workers
 // (default GOMAXPROCS) with output byte-identical to the sequential
-// engines; E20's adversarial sweeps are sequential but each sweep point
-// is an exhaustive deterministic tree of its own.
+// engines; E6's Lemma 38 checker and E20's adversarial sweeps are
+// sequential, though each E20 sweep point is an exhaustive
+// deterministic tree of its own.
 //
 // With -stats the driver also runs the symmetry-reduction engines
 // (modelcheck.ExploreReduced / AnalyzeValencyReduced) next to the
@@ -57,7 +58,7 @@ func run(w io.Writer, exp string, workers int, stats bool) error {
 	matched := false
 	if exp == "all" || exp == "e6" {
 		matched = true
-		if err := expE6(w, workers); err != nil {
+		if err := expE6(w); err != nil {
 			return fmt.Errorf("e6: %w", err)
 		}
 	}
@@ -85,7 +86,7 @@ func run(w io.Writer, exp string, workers int, stats bool) error {
 }
 
 // expE6: the Lemma 38 obligations across the object zoo.
-func expE6(w io.Writer, workers int) error {
+func expE6(w io.Writer) error {
 	fmt.Fprintln(w, "E6  Lemma 38 mechanized: indistinguishability obligations per object")
 	fmt.Fprintln(w, "    pass = no process can both survive an operation race and observe its order")
 	fmt.Fprintln(w, "object          states  pairs   distinguishing  degenerate  verdict")
@@ -125,7 +126,7 @@ func expE6(w io.Writer, workers int) error {
 	}
 	wrong := 0
 	for _, r := range rows {
-		rep, err := modelcheck.CheckIndistinguishabilityParallel(r.init, r.alpha, 1<<15, workers)
+		rep, err := modelcheck.CheckIndistinguishability(r.init, r.alpha, 1<<15)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,7 @@ package consensus
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"detobj/internal/sim"
 )
@@ -48,13 +48,15 @@ func (q *Queue) Apply(_ *sim.Env, inv sim.Invocation) sim.Response {
 	}
 }
 
-// StateKey serializes the queue contents (for the model checker).
+// StateKey serializes the queue contents (for the model checker): each
+// item as fmt.Sprint renders it, followed by '|'.
 func (q *Queue) StateKey() string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, v := range q.items {
-		fmt.Fprintf(&b, "%v|", v)
+		b = append(sim.AppendSprint(b, v), '|')
 	}
-	return b.String()
+	return string(b)
 }
 
 // CloneObject returns a deep copy (for the model checker).
@@ -111,7 +113,7 @@ func (f *FetchAdd) Apply(_ *sim.Env, inv sim.Invocation) sim.Response {
 }
 
 // StateKey serializes the value (for the model checker).
-func (f *FetchAdd) StateKey() string { return fmt.Sprint(f.n) }
+func (f *FetchAdd) StateKey() string { return strconv.Itoa(f.n) }
 
 // CloneObject returns a copy (for the model checker).
 func (f *FetchAdd) CloneObject() sim.Object { return &FetchAdd{n: f.n} }

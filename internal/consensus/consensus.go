@@ -9,6 +9,7 @@ package consensus
 
 import (
 	"fmt"
+	"strconv"
 
 	"detobj/internal/sim"
 )
@@ -128,7 +129,7 @@ func (r CellRef) Propose(ctx *sim.Ctx, v sim.Value) sim.Value {
 }
 
 // StateKey serializes the cell (for the model checker).
-func (s *Swap) StateKey() string { return fmt.Sprint(s.v) }
+func (s *Swap) StateKey() string { return sim.Sprint(s.v) }
 
 // AppendStateSig implements sim.StateSigner.
 func (s *Swap) AppendStateSig(dst []byte) []byte {
@@ -139,7 +140,7 @@ func (s *Swap) AppendStateSig(dst []byte) []byte {
 func (s *Swap) CloneObject() sim.Object { return &Swap{v: s.v} }
 
 // StateKey serializes the flag (for the model checker).
-func (t *TestAndSet) StateKey() string { return fmt.Sprint(t.set) }
+func (t *TestAndSet) StateKey() string { return strconv.FormatBool(t.set) }
 
 // AppendStateSig implements sim.StateSigner.
 func (t *TestAndSet) AppendStateSig(dst []byte) []byte {
@@ -153,9 +154,14 @@ func (t *TestAndSet) AppendStateSig(dst []byte) []byte {
 // CloneObject returns a copy (for the model checker).
 func (t *TestAndSet) CloneObject() sim.Object { return &TestAndSet{set: t.set} }
 
-// StateKey serializes the decision state (for the model checker).
+// StateKey serializes the decision state (for the model checker) as
+// "used/n:decided:decision", each field as fmt.Sprint renders it.
 func (c *Cell) StateKey() string {
-	return fmt.Sprintf("%d/%d:%v:%v", c.used, c.n, c.decided, c.decision)
+	var buf [64]byte
+	b := append(strconv.AppendInt(buf[:0], int64(c.used), 10), '/')
+	b = append(strconv.AppendInt(b, int64(c.n), 10), ':')
+	b = append(strconv.AppendBool(b, c.decided), ':')
+	return string(sim.AppendSprint(b, c.decision))
 }
 
 // CloneObject returns a copy (for the model checker).

@@ -16,7 +16,7 @@ package lint
 //
 // e.g.
 //
-//	hotalloc detobj/internal/modelcheck.buildTable 3
+//	hotalloc detobj/internal/modelcheck.sweep 5
 //	boxing detobj/internal/sim.(*Runner).step 1
 //
 // '#' starts a comment. Each hot rule judges only its own entries, so

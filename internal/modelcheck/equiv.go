@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"detobj/internal/par"
 	"detobj/internal/sim"
 )
 
@@ -12,28 +11,15 @@ import (
 // serializable state and deep copies. The registers, wrn and consensus
 // packages implement it for their objects.
 //
-// Concurrency contract: StateKey and CloneObject must be read-only on
-// the receiver — the parallel checker calls both from multiple
-// goroutines on shared states (Apply is only ever invoked on a fresh
-// clone, never on a shared state).
+// StateKey and CloneObject must be read-only on the receiver: the
+// checker keys and clones states it has already enumerated, and only
+// ever invokes Apply on a fresh clone.
 type Finite interface {
 	sim.Object
 	// StateKey serializes the current state; equal keys mean equal states.
 	StateKey() string
 	// CloneObject returns a deep copy; the result must itself be Finite.
 	CloneObject() sim.Object
-}
-
-// stepFinite applies inv to a copy of s and returns (successor, rendered
-// output). A hang is rendered as the distinguished token and leaves the
-// state unchanged (the operation never completes).
-func stepFinite(s Finite, inv sim.Invocation) (Finite, string) {
-	next := s.CloneObject().(Finite)
-	resp := next.Apply(&sim.Env{}, inv)
-	if resp.Effect == sim.Hang {
-		return s, hangToken
-	}
-	return next, renderValue(resp.Value)
 }
 
 // transition is one cell of the precomputed step table: the successor
@@ -47,77 +33,119 @@ func stepFinite(s Finite, inv sim.Invocation) (Finite, string) {
 type transition struct {
 	// succ indexes the sorted state list.
 	succ int32
-	// out indexes the interned output-token list.
+	// out is the interned output token, or hangOut.
 	out int32
 }
 
-// stateTable is the transition system of a reachable state space,
-// precomputed once: states in sorted-key order, rows[i][j] the result of
-// alphabet[j] in state i, outputs interned into outs. Every downstream
-// analysis — partition refinement and the Lemma 38 pair sweep — runs on
-// these int32 indices instead of re-cloning objects and re-rendering
-// outputs per visit, which is what held E6 at ~1M allocs per run.
+// hangOut is the output of an operation that hangs its caller. It lies
+// outside the interned ids, so no value an object answers can collide
+// with it. A hung operation's successor is its own state.
+const hangOut int32 = -1
+
+// stateTable is the transition system of a state space closed under the
+// alphabet: states in sorted-key order, rows[i][j] the result of
+// alphabet[j] in state i. Every downstream analysis — partition
+// refinement and the Lemma 38 pair loop — runs on these int32 indices
+// instead of re-cloning objects and re-rendering outputs per visit.
 type stateTable struct {
-	keys     []string
-	states   []Finite
-	alphabet []sim.Invocation
-	rows     [][]transition
-	outs     []string
-	// hang is the interned index of hangToken, or -1 if no operation
-	// hangs anywhere in the table.
-	hang int32
+	keys   []string
+	states []Finite
+	rows   [][]transition
 }
 
-// buildTable precomputes the transition table over the reachable states.
-// Rows are stepped on the worker pool; interning runs sequentially in
-// (state, alphabet) order, so the table — like every report built from
-// it — is byte-identical for any worker count.
-func buildTable(states map[string]Finite, alphabet []sim.Invocation, workers int) *stateTable {
-	keys := make([]string, 0, len(states))
-	for k := range states {
+// sweep enumerates the closure of seeds under alphabet breadth-first
+// and records its transition table as it goes. Each (state, operation)
+// is stepped exactly once, on a fresh clone, and each successor keyed
+// once; a hang leaves the state unchanged and is not keyed again.
+// Outputs are interned by their fmt.Sprint text, so two outputs are
+// equal exactly when they print alike. The queue runs frontier by
+// frontier, so the maxStates guard (0 means 1<<16) fires exactly when
+// the closure exceeds it. At the end the states are renumbered into
+// sorted-key order, the order every report walks them in.
+func sweep(seeds []Finite, alphabet []sim.Invocation, maxStates int) (*stateTable, error) {
+	if maxStates <= 0 {
+		maxStates = 1 << 16
+	}
+	var (
+		ids    = make(map[string]int32)
+		keys   []string
+		states []Finite
+		flat   []transition // discovery order, len(alphabet) per state
+		outs   = make(map[string]int32)
+		text   []byte
+		env    = &sim.Env{}
+	)
+	for _, s := range seeds {
+		k := s.StateKey()
+		if _, seen := ids[k]; seen {
+			continue
+		}
+		if len(keys) >= maxStates {
+			return nil, stateLimitError(maxStates)
+		}
+		ids[k] = int32(len(keys))
 		keys = append(keys, k)
+		states = append(states, s)
 	}
-	sort.Strings(keys)
-	index := make(map[string]int32, len(keys))
-	for i, k := range keys {
-		index[k] = int32(i)
-	}
-	type cell struct{ key, out string }
-	cells := make([][]cell, len(keys))
-	_ = par.ForEach(len(keys), workers, func(i int) error {
-		s := states[keys[i]]
-		row := make([]cell, len(alphabet))
-		for j, inv := range alphabet {
-			succ, out := stepFinite(s, inv)
-			row[j] = cell{key: succ.StateKey(), out: out}
-		}
-		cells[i] = row
-		return nil
-	})
-	t := &stateTable{
-		keys:     keys,
-		states:   make([]Finite, len(keys)),
-		alphabet: alphabet,
-		rows:     make([][]transition, len(keys)),
-		hang:     -1,
-	}
-	interned := make(map[string]int32)
-	for i, k := range keys {
-		t.states[i] = states[k]
-		row := make([]transition, len(alphabet))
-		for j, c := range cells[i] {
-			id, ok := interned[c.out]
-			if !ok {
-				id = int32(len(t.outs))
-				interned[c.out] = id
-				t.outs = append(t.outs, c.out)
-				if c.out == hangToken {
-					t.hang = id
+	for d := 0; d < len(states); d++ {
+		for _, inv := range alphabet {
+			next := states[d].CloneObject().(Finite)
+			resp := next.Apply(env, inv)
+			tr := transition{succ: int32(d), out: hangOut}
+			if resp.Effect != sim.Hang {
+				k := next.StateKey()
+				succ, seen := ids[k]
+				if !seen {
+					if len(keys) >= maxStates {
+						return nil, stateLimitError(maxStates)
+					}
+					succ = int32(len(keys))
+					ids[k] = succ
+					keys = append(keys, k)
+					states = append(states, next)
 				}
+				text = sim.AppendSprint(text[:0], resp.Value)
+				out, seen := outs[string(text)]
+				if !seen {
+					out = int32(len(outs))
+					outs[string(text)] = out
+				}
+				tr.succ, tr.out = succ, out
 			}
-			row[j] = transition{succ: index[c.key], out: id}
+			flat = append(flat, tr)
 		}
-		t.rows[i] = row
+	}
+	return renumber(keys, states, flat, len(alphabet)), nil
+}
+
+// stateLimitError is the error of a closure that outgrows maxStates.
+func stateLimitError(maxStates int) error {
+	return fmt.Errorf("modelcheck: state space exceeds %d states", maxStates)
+}
+
+// renumber sorts the swept states by key and rewrites the table, every
+// successor included, into that order.
+func renumber(keys []string, states []Finite, flat []transition, width int) *stateTable {
+	n := len(keys)
+	order := make([]int32, n) // sorted position -> discovery id
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	rank := make([]int32, n)
+	for r, d := range order {
+		rank[d] = int32(r)
+	}
+	t := &stateTable{keys: make([]string, n), states: make([]Finite, n), rows: make([][]transition, n)}
+	sorted := make([]transition, n*width)
+	for r, d := range order {
+		t.keys[r], t.states[r] = keys[d], states[d]
+		row := sorted[r*width : (r+1)*width]
+		for j, tr := range flat[int(d)*width : (int(d)+1)*width] {
+			tr.succ = rank[tr.succ]
+			row[j] = tr
+		}
+		t.rows[r] = row
 	}
 	return t
 }
@@ -126,66 +154,48 @@ func buildTable(states map[string]Finite, alphabet []sim.Invocation, workers int
 // from alphabet, keyed by StateKey. maxStates guards against unbounded
 // spaces (0 means 1<<16).
 func Reachable(init Finite, alphabet []sim.Invocation, maxStates int) (map[string]Finite, error) {
-	return reachableN(init, alphabet, maxStates, 1)
-}
-
-// reachableN is the breadth-first reachability sweep behind Reachable,
-// with each frontier state's successor row computed on the worker pool.
-// Deduplication stays sequential in (frontier index, alphabet index)
-// order, so the insertion order — and the exact point at which the
-// maxStates guard fires — matches the sequential sweep.
-func reachableN(init Finite, alphabet []sim.Invocation, maxStates, workers int) (map[string]Finite, error) {
-	if maxStates <= 0 {
-		maxStates = 1 << 16
+	t, err := sweep([]Finite{init}, alphabet, maxStates)
+	if err != nil {
+		return nil, err
 	}
-	type row struct {
-		succ Finite
-		key  string
-	}
-	states := map[string]Finite{init.StateKey(): init}
-	frontier := []Finite{init}
-	for len(frontier) > 0 {
-		rows := make([][]row, len(frontier))
-		_ = par.ForEach(len(frontier), workers, func(i int) error {
-			rs := make([]row, len(alphabet))
-			for j, inv := range alphabet {
-				succ, _ := stepFinite(frontier[i], inv)
-				rs[j] = row{succ: succ, key: succ.StateKey()}
-			}
-			rows[i] = rs
-			return nil
-		})
-		var next []Finite
-		for _, rs := range rows {
-			for _, r := range rs {
-				if _, seen := states[r.key]; !seen {
-					if len(states) >= maxStates {
-						return nil, fmt.Errorf("modelcheck: state space exceeds %d states", maxStates)
-					}
-					states[r.key] = r.succ
-					next = append(next, r.succ)
-				}
-			}
-		}
-		frontier = next
+	states := make(map[string]Finite, len(t.keys))
+	for i, k := range t.keys {
+		states[k] = t.states[i]
 	}
 	return states, nil
 }
 
-// ObsClasses partitions the states into observational-equivalence classes
+// ObsClasses partitions states into observational-equivalence classes
 // with respect to the operation alphabet: two states are equivalent iff no
 // sequence of operations can produce different outputs from them. It is
 // the standard partition-refinement (bisimulation) computation; since the
 // objects are deterministic, observational equivalence and bisimilarity
 // coincide.
-func ObsClasses(states map[string]Finite, alphabet []sim.Invocation) map[string]int {
-	t := buildTable(states, alphabet, 1)
+//
+// The partition covers the closure of states under the alphabet, so the
+// result also classifies every state they lead to; a set returned by
+// Reachable is already closed. A closure of more than 1<<16 states is
+// refused with Reachable's error.
+func ObsClasses(states map[string]Finite, alphabet []sim.Invocation) (map[string]int, error) {
+	keys := make([]string, 0, len(states))
+	for k := range states {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	seeds := make([]Finite, len(keys))
+	for i, k := range keys {
+		seeds[i] = states[k]
+	}
+	t, err := sweep(seeds, alphabet, 0)
+	if err != nil {
+		return nil, err
+	}
 	class := t.obsClasses()
 	out := make(map[string]int, len(t.keys))
 	for i, k := range t.keys {
 		out[k] = int(class[i])
 	}
-	return out
+	return out, nil
 }
 
 // obsClasses is the partition refinement over the precomputed table.
@@ -193,9 +203,7 @@ func ObsClasses(states map[string]Finite, alphabet []sim.Invocation) map[string]
 // row across the alphabet — as packed int32 bytes into one reused
 // buffer; class ids are assigned first-seen in sorted-key order, exactly
 // as the string-signature refinement assigned them, so the resulting
-// partition (and every report built on it) is unchanged. The rounds are
-// pure integer work over the table, so they run sequentially: the
-// parallel engine already paid its fan-out when the table was built.
+// partition (and every report built on it) is unchanged.
 func (t *stateTable) obsClasses() []int32 {
 	n := len(t.keys)
 	class := make([]int32, n)
@@ -291,62 +299,40 @@ func (r *IndistReport) Clean() bool { return r.Passed() && len(r.Degenerate) == 
 //
 // Observational equivalence is computed by ObsClasses over the full
 // alphabet — the strongest observer — so a pass here is conservative.
+//
+// The reachable space is swept into a transition table once, so each
+// verdict is a handful of index lookups. Per state, every ordered
+// verdict is computed once into a reused buffer, and the pair loop reads
+// both orders from it.
 func CheckIndistinguishability(init Finite, alphabet []sim.Invocation, maxStates int) (*IndistReport, error) {
-	return checkIndistN(init, alphabet, maxStates, 1)
-}
-
-// CheckIndistinguishabilityParallel is CheckIndistinguishability across
-// a worker pool (<= 0 workers means GOMAXPROCS): reachability rounds,
-// the transition-table build and the per-state pair analysis all fan
-// out, and every result list is concatenated in sorted-state-key order,
-// so the report is byte-identical to the sequential checker's.
-func CheckIndistinguishabilityParallel(init Finite, alphabet []sim.Invocation, maxStates, workers int) (*IndistReport, error) {
-	return checkIndistN(init, alphabet, maxStates, par.Normalize(workers, -1))
-}
-
-// checkIndistN runs the Lemma 38 case analysis with each state's pair
-// loop on the worker pool. The reachable space is precomputed into a
-// transition table once, so the per-pair verdicts are index lookups
-// rather than four object clones; per-state failure lists land in an
-// indexed slot and are concatenated in sorted-key order, matching the
-// sequential append order.
-func checkIndistN(init Finite, alphabet []sim.Invocation, maxStates, workers int) (*IndistReport, error) {
-	states, err := reachableN(init, alphabet, maxStates, workers)
+	t, err := sweep([]Finite{init}, alphabet, maxStates)
 	if err != nil {
 		return nil, err
 	}
-	t := buildTable(states, alphabet, workers)
 	class := t.obsClasses()
-
-	type chunk struct {
-		failures, degenerate []PairFailure
-	}
-	chunks := make([]chunk, len(t.keys))
-	_ = par.ForEach(len(t.keys), workers, func(i int) error {
-		var c chunk
-		for ai, a := range alphabet {
-			for bi, b := range alphabet {
-				va := t.classify(class, int32(i), ai, bi)
-				vb := t.classify(class, int32(i), bi, ai)
+	m := len(alphabet)
+	rep := &IndistReport{States: len(t.keys), Pairs: len(t.keys) * m * m}
+	verdict := make([]pairVerdict, m*m) // verdict[a*m+b] = classify(s, a, b)
+	for s := range t.keys {
+		for a := 0; a < m; a++ {
+			for b := 0; b < m; b++ {
+				verdict[a*m+b] = t.classify(class, int32(s), a, b)
+			}
+		}
+		for a := 0; a < m; a++ {
+			for b := 0; b < m; b++ {
+				va, vb := verdict[a*m+b], verdict[b*m+a]
 				if va == pairIndist || vb == pairIndist {
 					continue // some issuer cannot distinguish: obligation met
 				}
-				f := PairFailure{State: t.keys[i], A: a, B: b}
+				f := PairFailure{State: t.keys[s], A: alphabet[a], B: alphabet[b]}
 				if va == pairDistinguish || vb == pairDistinguish {
-					c.failures = append(c.failures, f)
+					rep.Failures = append(rep.Failures, f)
 				} else {
-					c.degenerate = append(c.degenerate, f)
+					rep.Degenerate = append(rep.Degenerate, f)
 				}
 			}
 		}
-		chunks[i] = c
-		return nil
-	})
-
-	rep := &IndistReport{States: len(t.keys), Pairs: len(t.keys) * len(alphabet) * len(alphabet)}
-	for _, c := range chunks {
-		rep.Failures = append(rep.Failures, c.failures...)
-		rep.Degenerate = append(rep.Degenerate, c.degenerate...)
 	}
 	return rep, nil
 }
@@ -366,19 +352,17 @@ const (
 	pairDegenerate
 )
 
-const hangToken = "<hang>"
-
 // classify judges how the process issuing alphabet[a] experiences the
 // order of a and b from state s, entirely through table lookups.
 // Indistinguishable means: same response either with b's step absorbed
 // (overwriting, S·a ≡ S·b·a) or with both steps applied (commuting,
 // S·a·b ≡ S·b·a). Interned output ids compare exactly as the rendered
-// strings did, and class indexes the same partition ObsClasses computes.
+// strings do, and class indexes the same partition ObsClasses computes.
 func (t *stateTable) classify(class []int32, s int32, a, b int) pairVerdict {
 	ta := t.rows[s][a]        // S·a: a's response and successor
 	tb := t.rows[s][b]        // S·b: b's successor (a hang stays at S)
 	tba := t.rows[tb.succ][a] // S·b·a: a's response after b
-	if ta.out == t.hang || tba.out == t.hang {
+	if ta.out == hangOut || tba.out == hangOut {
 		return pairDegenerate
 	}
 	if ta.out != tba.out {
@@ -389,31 +373,6 @@ func (t *stateTable) classify(class []int32, s int32, a, b int) pairVerdict {
 	}
 	sab := t.rows[ta.succ][b].succ
 	if class[sab] == class[tba.succ] {
-		return pairIndist // commuting
-	}
-	return pairDistinguish
-}
-
-// classifyStep is the table-free variant of classify for objects whose
-// state space cannot be enumerated (unbounded growth): it re-steps the
-// object per verdict. Distinguishing verdicts depend only on the
-// issuer's outputs plus the supplied equivalence, so callers with
-// unbounded spaces pass a conservative cls (e.g. state identity).
-func classifyStep(s Finite, a, b sim.Invocation, cls func(Finite) int) pairVerdict {
-	sa, outA := stepFinite(s, a)
-	sb, _ := stepFinite(s, b)
-	sba, outAafterB := stepFinite(sb, a)
-	if outA == hangToken || outAafterB == hangToken {
-		return pairDegenerate
-	}
-	if outA != outAafterB {
-		return pairDistinguish
-	}
-	if cls(sa) == cls(sba) {
-		return pairIndist // overwriting: b's step is invisible to a's issuer
-	}
-	sab, _ := stepFinite(sa, b)
-	if cls(sab) == cls(sba) {
 		return pairIndist // commuting
 	}
 	return pairDistinguish

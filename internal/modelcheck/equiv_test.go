@@ -40,7 +40,10 @@ func TestObsClassesRegister(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reachable: %v", err)
 	}
-	classes := ObsClasses(states, alpha)
+	classes, err := ObsClasses(states, alpha)
+	if err != nil {
+		t.Fatalf("ObsClasses: %v", err)
+	}
 	// All three states are distinguishable by a read.
 	seen := map[int]bool{}
 	for _, c := range classes {

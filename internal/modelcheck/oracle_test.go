@@ -130,7 +130,7 @@ func naiveValency(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, sched
 		rep.Executions++
 		for i, st := range res.Status {
 			if st == sim.StatusDone {
-				set[renderValue(res.Outputs[i])] = true
+				set[sim.Sprint(res.Outputs[i])] = true
 			}
 		}
 		if len(set) > 1 && rep.Agreement {

@@ -277,48 +277,3 @@ func TestValencyParallelRejectsNondeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckIndistParallelMatches: reachability, refinement and the pair
-// analysis all fan out, yet the report — including the ORDER of the
-// failure lists — must equal the sequential checker's.
-func TestCheckIndistParallelMatches(t *testing.T) {
-	cases := []struct {
-		name  string
-		init  Finite
-		alpha []sim.Invocation
-	}{
-		{"wrn3", wrn.New(3), WRNAlphabet(3, 2)},
-		{"wrn2-fails", wrn.New(2), WRNAlphabet(2, 2)},
-		{"oneShot3", wrn.NewOneShot(3), WRNAlphabet(3, 2)},
-	}
-	for _, c := range cases {
-		want, seqErr := CheckIndistinguishability(c.init, c.alpha, 1<<14)
-		if seqErr != nil {
-			t.Fatalf("%s: %v", c.name, seqErr)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := CheckIndistinguishabilityParallel(c.init, c.alpha, 1<<14, workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s workers=%d: report diverges:\n got %+v\nwant %+v", c.name, workers, got, want)
-			}
-		}
-	}
-}
-
-// TestCheckIndistParallelStateLimit: the maxStates guard fires at the
-// same point with the same error.
-func TestCheckIndistParallelStateLimit(t *testing.T) {
-	_, seqErr := CheckIndistinguishability(wrn.New(3), WRNAlphabet(3, 2), 2)
-	if seqErr == nil {
-		t.Fatal("sequential checker ignored maxStates")
-	}
-	for _, workers := range []int{2, 4} {
-		_, err := CheckIndistinguishabilityParallel(wrn.New(3), WRNAlphabet(3, 2), 2, workers)
-		if err == nil || err.Error() != seqErr.Error() {
-			t.Errorf("workers=%d: err = %v, want %v", workers, err, seqErr)
-		}
-	}
-}

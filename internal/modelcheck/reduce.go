@@ -719,7 +719,7 @@ func (r *reducer) valRec(depth int, stab []int, carry bool) (*valMemo, error) {
 			if st != sim.StatusDone {
 				continue
 			}
-			node.vals = mergeVal(node.vals, rval{key: renderValue(res.Outputs[i]), v: res.Outputs[i]})
+			node.vals = mergeVal(node.vals, rval{key: sim.Sprint(res.Outputs[i]), v: res.Outputs[i]})
 		}
 		if len(node.vals) > 1 {
 			// Internal disagreement; its whole orbit disagrees too
@@ -794,7 +794,7 @@ func (r *reducer) closedBivalent(vals []rval, stab []int) bool {
 	}
 	v := vals[0]
 	for _, pi := range stab {
-		if renderValue(r.rename(v.v, r.perms[pi])) != v.key {
+		if sim.Sprint(r.rename(v.v, r.perms[pi])) != v.key {
 			return true
 		}
 	}
@@ -812,7 +812,7 @@ func (r *reducer) closureValues(vals []rval) []string {
 			continue
 		}
 		for _, p := range r.perms {
-			set[renderValue(r.rename(rv.v, p))] = true
+			set[sim.Sprint(r.rename(rv.v, p))] = true
 		}
 	}
 	var out []string

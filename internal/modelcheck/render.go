@@ -1,41 +1,18 @@
 package modelcheck
 
-// render.go renders sim.Values as strings without going through fmt for
-// the common cases. The exhaustive engines render a value once per
-// object step — the E6 transition-table build and the valency analysis
-// both sit on this path — and fmt's reflection walk plus its interface
-// boxing of every argument dominated their allocation profiles
-// (detlint's hotalloc/boxing rules now budget this path; see
-// DESIGN.md §7). The rendered strings are byte-identical to
-// fmt.Sprint's output for every type the switch names, and the default
-// arm still delegates to fmt, so reports cannot drift.
+// render.go renders value slices without fmt. The engines render
+// values once per object step — one at a time through sim.Sprint, the
+// decision vectors of an exploration through renderValues — and fmt's
+// reflection walk plus its interface boxing of every argument dominated
+// their allocation profiles (detlint's hotalloc/boxing rules budget
+// this path; see DESIGN.md §7). The text is byte-identical to
+// fmt.Sprint's, so reports cannot drift.
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 
 	"detobj/internal/sim"
 )
-
-// renderValue renders one value exactly as fmt.Sprint would.
-func renderValue(v sim.Value) string {
-	switch x := v.(type) {
-	case nil:
-		return "<nil>"
-	case string:
-		return x
-	case int:
-		return strconv.Itoa(x)
-	case bool:
-		if x {
-			return "true"
-		}
-		return "false"
-	default:
-		return fmt.Sprint(v)
-	}
-}
 
 // renderValues renders a value slice exactly as fmt.Sprint renders the
 // slice itself: elements space-separated inside brackets. DecisionVectors
@@ -48,7 +25,7 @@ func renderValues(vs []sim.Value) string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(renderValue(v))
+		b.WriteString(sim.Sprint(v))
 	}
 	b.WriteByte(']')
 	return b.String()

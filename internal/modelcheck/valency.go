@@ -81,7 +81,7 @@ func decisionValues(res *sim.Result) map[string]bool {
 	vals := make(map[string]bool)
 	for i, st := range res.Status {
 		if st == sim.StatusDone {
-			vals[renderValue(res.Outputs[i])] = true
+			vals[sim.Sprint(res.Outputs[i])] = true
 		}
 	}
 	return vals

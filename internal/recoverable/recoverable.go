@@ -32,7 +32,7 @@ package recoverable
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"detobj/internal/sim"
 )
@@ -82,17 +82,18 @@ func (r *Register) OnCrash(proc int) { delete(r.buf, proc) }
 // StateKey renders the full (durable + staged) state for the model
 // checker's indistinguishability engine.
 func (r *Register) StateKey() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "d=%v", r.durable)
+	var buf [64]byte
+	b := sim.AppendSprint(append(buf[:0], "d="...), r.durable)
 	procs := make([]int, 0, len(r.buf))
 	for p := range r.buf {
 		procs = append(procs, p)
 	}
 	sort.Ints(procs)
 	for _, p := range procs {
-		fmt.Fprintf(&b, " b%d=%v", p, r.buf[p])
+		b = append(strconv.AppendInt(append(b, " b"...), int64(p), 10), '=')
+		b = sim.AppendSprint(b, r.buf[p])
 	}
-	return b.String()
+	return string(b)
 }
 
 // CloneObject deep-copies the register.
@@ -192,7 +193,7 @@ func (t *TestAndSet) Apply(env *sim.Env, inv sim.Invocation) sim.Response {
 func (t *TestAndSet) OnCrash(proc int) {}
 
 // StateKey renders the state for the model checker.
-func (t *TestAndSet) StateKey() string { return fmt.Sprintf("w=%d", t.winner) }
+func (t *TestAndSet) StateKey() string { return "w=" + strconv.Itoa(t.winner) }
 
 // CloneObject copies the object.
 func (t *TestAndSet) CloneObject() sim.Object { return &TestAndSet{winner: t.winner} }

@@ -11,6 +11,7 @@ package registers
 
 import (
 	"fmt"
+	"strconv"
 
 	"detobj/internal/sim"
 )
@@ -169,7 +170,7 @@ func AddCounterArray(objects map[string]sim.Object, name string, k int) []Counte
 }
 
 // StateKey serializes the register value (for the model checker).
-func (r *Register) StateKey() string { return fmt.Sprint(r.value) }
+func (r *Register) StateKey() string { return sim.Sprint(r.value) }
 
 // AppendStateSig implements sim.StateSigner.
 func (r *Register) AppendStateSig(dst []byte) []byte {
@@ -182,7 +183,7 @@ func (r *Register) CloneObject() sim.Object {
 }
 
 // StateKey serializes the counter (for the model checker).
-func (c *Counter) StateKey() string { return fmt.Sprint(c.n) }
+func (c *Counter) StateKey() string { return strconv.Itoa(c.n) }
 
 // AppendStateSig implements sim.StateSigner.
 func (c *Counter) AppendStateSig(dst []byte) []byte {

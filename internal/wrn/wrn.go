@@ -14,6 +14,7 @@ package wrn
 
 import (
 	"fmt"
+	"strconv"
 
 	"detobj/internal/registers"
 	"detobj/internal/sim"
@@ -22,8 +23,11 @@ import (
 // bottomType is the type of Bottom; it prints as ⊥.
 type bottomType struct{}
 
+// bottomText is how Bottom prints.
+const bottomText = "⊥"
+
 // String implements fmt.Stringer.
-func (bottomType) String() string { return "⊥" }
+func (bottomType) String() string { return bottomText }
 
 // Bottom is the distinguished "no value" ⊥. Cells start at Bottom and no
 // process may write it.
@@ -183,8 +187,30 @@ func (r Relaxed) RlxWRN(ctx *sim.Ctx, i int, v sim.Value) sim.Value {
 // K returns the arity of the underlying object.
 func (r Relaxed) K() int { return len(r.counters) }
 
-// StateKey serializes the cell contents (for the model checker).
-func (o *Object) StateKey() string { return fmt.Sprint(o.cells) }
+// StateKey serializes the cell contents (for the model checker), as
+// fmt.Sprint renders the cell slice.
+func (o *Object) StateKey() string {
+	var buf [64]byte
+	return string(appendCellsKey(buf[:0], o.cells))
+}
+
+// appendCellsKey appends cells as fmt.Sprint renders a []sim.Value:
+// space-separated inside brackets, with ⊥ written directly instead of
+// through its String method.
+func appendCellsKey(dst []byte, cells []sim.Value) []byte {
+	dst = append(dst, '[')
+	for i, c := range cells {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		if IsBottom(c) {
+			dst = append(dst, bottomText...)
+		} else {
+			dst = sim.AppendSprint(dst, c)
+		}
+	}
+	return append(dst, ']')
+}
 
 // AppendStateSig implements sim.StateSigner: the cell contents, in
 // index order, tag-delimited (see internal/sim/signature.go).
@@ -201,9 +227,17 @@ func (o *Object) CloneObject() sim.Object {
 }
 
 // StateKey serializes cells plus per-index use flags (for the model
-// checker).
+// checker), as fmt renders the two slices back to back.
 func (o *OneShot) StateKey() string {
-	return fmt.Sprintf("%v%v", o.inner.cells, o.used)
+	var buf [64]byte
+	b := append(appendCellsKey(buf[:0], o.inner.cells), '[')
+	for i, u := range o.used {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendBool(b, u)
+	}
+	return string(append(b, ']'))
 }
 
 // AppendStateSig implements sim.StateSigner: the inner cells plus the
