@@ -59,9 +59,9 @@ test-short:
 	$(GO) test -short ./...
 
 # Run the full benchmark suite and distill it into the next-numbered
-# BENCH_N.json via cmd/benchjson, which pairs the .../seq and .../par
-# sub-benchmarks of bench_parallel_test.go and reports the parallel
-# engines' speedup. The target number is derived from the newest
+# BENCH_N.json via cmd/benchjson, which pairs the .../seq and .../red
+# sub-benchmarks and reports the reduced engines' speedup and
+# allocation ratio. The target number is derived from the newest
 # committed BENCH_N.json (plus one), so the filename never drifts from
 # the tree the way a hardcoded number does. The JSON records
 # numcpu/gomaxprocs so committed numbers are honest about the machine

@@ -319,12 +319,6 @@ func Explore(f Factory, limit int, visit func(e Execution) error) (int, error) {
 	return modelcheck.Explore(f, limit, visit)
 }
 
-// ExploreParallel is Explore across a worker pool (<= 0 workers means
-// GOMAXPROCS) with a byte-identical visit sequence.
-func ExploreParallel(f Factory, limit, workers int, visit func(e Execution) error) (int, error) {
-	return modelcheck.ExploreParallel(f, limit, workers, visit)
-}
-
 // Hierarchy calculus (the paper's primary contribution).
 type (
 	// SetCons identifies an (N,K)-set consensus object.

@@ -1,15 +1,12 @@
 // Command benchjson converts `go test -bench` output (read from stdin)
-// into a machine-readable JSON report, pairing the seq/par sub-benchmark
-// twins of bench_parallel_test.go and computing par's speedup over seq.
-// Benchmarks that also carry a symmetry-reduced /red twin are paired
-// into a reductions section recording the speedup and the allocation
-// ratio of the reduced engine over the sequential one.
+// into a machine-readable JSON report. Benchmarks that carry a /seq
+// sub-benchmark and a symmetry-reduced /red twin are paired into a
+// reductions section recording the speedup and the allocation ratio of
+// the reduced engine over the exhaustive one.
 //
 // The report records goos/goarch/cpu from the bench header and
 // numcpu/gomaxprocs from this process, so a committed BENCH_N.json is
-// honest about the hardware it was measured on: the parallel engines
-// cannot beat the sequential ones at GOMAXPROCS = 1, and a reader of the
-// file can see that context without re-running anything.
+// honest about the hardware it was measured on.
 //
 // Usage:
 //
@@ -42,18 +39,9 @@ type Benchmark struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Speedup pairs a /seq sub-benchmark with its /par twin.
-type Speedup struct {
-	Pair    string  `json:"pair"`
-	SeqNs   float64 `json:"seq_ns_per_op"`
-	ParNs   float64 `json:"par_ns_per_op"`
-	Speedup float64 `json:"speedup"`
-}
-
 // Reduction pairs a /seq sub-benchmark with its symmetry-reduced /red
-// twin. Unlike the seq/par pairs, the interesting figure here is the
-// allocation collapse as much as the time: the reduced engine visits one
-// representative per orbit and replays runs through an arena.
+// twin. The interesting figure is the allocation collapse as much as the
+// time: the reduced engine visits one representative per orbit.
 type Reduction struct {
 	Pair       string  `json:"pair"`
 	SeqNs      float64 `json:"seq_ns_per_op"`
@@ -73,10 +61,7 @@ type Report struct {
 	Pkg        string      `json:"pkg,omitempty"`
 	NumCPU     int         `json:"numcpu"`
 	Gomaxprocs int         `json:"gomaxprocs"`
-	Note       string      `json:"note,omitempty"`
-	Warning    string      `json:"warning,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	Speedups   []Speedup   `json:"speedups,omitempty"`
 	Reductions []Reduction `json:"reductions,omitempty"`
 }
 
@@ -126,13 +111,6 @@ func parse(r io.Reader) (*Report, error) {
 		NumCPU:     runtime.NumCPU(),
 		Gomaxprocs: runtime.GOMAXPROCS(0),
 	}
-	if rep.Gomaxprocs < 4 {
-		rep.Note = "measured below GOMAXPROCS=4; the parallel engines' speedup materializes at GOMAXPROCS >= 4"
-	}
-	if rep.NumCPU == 1 {
-		rep.Warning = "single-CPU machine: seq/par speedup figures are meaningless here; only ns/op and allocs/op are comparable across runs"
-		fmt.Fprintln(os.Stderr, "benchjson: warning:", rep.Warning)
-	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -164,7 +142,6 @@ func parse(r io.Reader) (*Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines on stdin")
 	}
-	rep.Speedups = pairSpeedups(rep.Benchmarks)
 	rep.Reductions = pairReductions(rep.Benchmarks)
 	return rep, nil
 }
@@ -211,33 +188,6 @@ func stripProcSuffix(name string) string {
 		return name
 	}
 	return name[:i]
-}
-
-// pairSpeedups joins each .../seq benchmark with its .../par twin, in the
-// order the seq side appeared.
-func pairSpeedups(benches []Benchmark) []Speedup {
-	byName := make(map[string]Benchmark, len(benches))
-	for _, b := range benches {
-		byName[b.Name] = b
-	}
-	var out []Speedup
-	for _, b := range benches {
-		if !strings.HasSuffix(b.Name, "/seq") {
-			continue
-		}
-		pair := strings.TrimSuffix(b.Name, "/seq")
-		par, ok := byName[pair+"/par"]
-		if !ok || par.NsPerOp <= 0 {
-			continue
-		}
-		out = append(out, Speedup{
-			Pair:    pair,
-			SeqNs:   b.NsPerOp,
-			ParNs:   par.NsPerOp,
-			Speedup: math2(b.NsPerOp / par.NsPerOp),
-		})
-	}
-	return out
 }
 
 // pairReductions joins each .../seq benchmark with its .../red twin, in

@@ -10,29 +10,21 @@ goarch: amd64
 pkg: detobj
 cpu: Example CPU
 BenchmarkParExploreE4/k=3procs=4/seq-8   2	500000000 ns/op	300000000 B/op	4000000 allocs/op
-BenchmarkParExploreE4/k=3procs=4/par-8   2	250000000 ns/op	300000000 B/op	4000000 allocs/op
 BenchmarkParExploreE4/k=3procs=4/red-8   100	2500000 ns/op	500000 B/op	16000 allocs/op
 BenchmarkParValencyE11/swap/seq-8        1000	200000 ns/op	88000 B/op	1200 allocs/op
-BenchmarkParValencyE11/swap/par-8        1000	150000 ns/op	88000 B/op	1200 allocs/op
 PASS
 `
 
-func TestParsePairsSpeedupsAndReductions(t *testing.T) {
+func TestParsePairsReductions(t *testing.T) {
 	rep, err := parse(strings.NewReader(sampleBench))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if len(rep.Benchmarks) != 5 {
-		t.Fatalf("benchmarks = %d, want 5", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("benchmarks = %d, want 3", len(rep.Benchmarks))
 	}
 	if rep.Benchmarks[0].Name != "BenchmarkParExploreE4/k=3procs=4/seq" {
 		t.Errorf("proc suffix not stripped: %q", rep.Benchmarks[0].Name)
-	}
-	if len(rep.Speedups) != 2 {
-		t.Fatalf("speedups = %d, want 2", len(rep.Speedups))
-	}
-	if s := rep.Speedups[0]; s.Pair != "BenchmarkParExploreE4/k=3procs=4" || s.Speedup != 2.0 {
-		t.Errorf("speedup[0] = %+v", s)
 	}
 	// Only the E4 benchmark has a /red twin.
 	if len(rep.Reductions) != 1 {

@@ -36,6 +36,7 @@
 // a self-contained deterministic run, so each writes into its own buffer
 // and the buffers are printed in seed order — the sweep's output and its
 // first-failing-seed error are identical for every worker count.
+// testdata/ pins the -v output of 20 seeds byte for byte.
 //
 // Usage:
 //
@@ -82,6 +83,9 @@ func run(w io.Writer, scenario string, start, seeds int64, workers int, verbose 
 	doRestart := scenario == "all" || scenario == "restart"
 	if !doSim && !doNative && !doRestart {
 		return fmt.Errorf("unknown scenario %q", scenario)
+	}
+	if seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", seeds)
 	}
 	// One buffer per seed; par.ForEach guarantees every seed below the
 	// failing one completes, so replaying the buffers in seed order and

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"io"
+	"strconv"
 	"strings"
 	"testing"
+
+	"detobj/internal/golden"
 )
 
 func TestRunSweep(t *testing.T) {
@@ -24,35 +28,23 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
-// TestSweepOutputIsReproducible: two identical sweeps must print byte-
-// identical output — the sweep is a pure function of its seed range.
-func TestSweepOutputIsReproducible(t *testing.T) {
-	var a, b strings.Builder
-	if err := run(&a, "all", 3, 3, 0, true); err != nil {
-		t.Fatalf("first sweep: %v", err)
-	}
-	if err := run(&b, "all", 3, 3, 0, true); err != nil {
-		t.Fatalf("second sweep: %v", err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("sweep output differs between identical invocations")
+// TestGolden pins the verbose 20-seed sweep of every scenario, the
+// native scenario's seeded fault plans included, at every worker count:
+// per-seed buffers are replayed in seed order.
+func TestGolden(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		golden.Run(t, "seeds20-v.golden", "chaos", []string{"-scenario", "all", "-seeds", "20", "-v", "-parallel", strconv.Itoa(workers)},
+			func(w io.Writer) error { return run(w, "all", 0, 20, workers, true) })
 	}
 }
 
-// TestSweepParallelDeterministic: the sweep output is byte-identical for
-// every worker count — per-seed buffers are replayed in seed order.
-func TestSweepParallelDeterministic(t *testing.T) {
-	var want strings.Builder
-	if err := run(&want, "all", 0, 4, 1, true); err != nil {
-		t.Fatalf("sequential sweep: %v", err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		var got strings.Builder
-		if err := run(&got, "all", 0, 4, workers, true); err != nil {
-			t.Fatalf("parallel=%d sweep: %v", workers, err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("parallel=%d output differs from sequential", workers)
+// TestRunRejectsBadSeeds: an empty sweep would report a vacuous pass,
+// and a negative one cannot size its slots.
+func TestRunRejectsBadSeeds(t *testing.T) {
+	for _, seeds := range []int64{0, -3} {
+		var b strings.Builder
+		if err := run(&b, "all", 0, seeds, 0, false); err == nil {
+			t.Errorf("-seeds %d accepted", seeds)
 		}
 	}
 }

@@ -28,6 +28,10 @@ func main() {
 }
 
 func run(w io.Writer, exp string, maxN int) error {
+	if maxN < 2 {
+		// E7's rows start at n = 2.
+		return fmt.Errorf("-max must be at least 2, got %d", maxN)
+	}
 	type experiment struct {
 		name string
 		fn   func(io.Writer, int) error

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"detobj/internal/core"
+	"detobj/internal/golden"
 )
 
 func TestRunAll(t *testing.T) {
@@ -43,6 +45,21 @@ func TestRunAll(t *testing.T) {
 	}
 	if rows != 20 { // n = 2..6 × k = 1..4
 		t.Errorf("parsed %d E10 rows, want 20", rows)
+	}
+}
+
+// TestGolden pins every table at the default size.
+func TestGolden(t *testing.T) {
+	golden.Run(t, "default.golden", "hierarchy", nil, func(w io.Writer) error { return run(w, "all", 12) })
+}
+
+// TestRunRejectsBadMax: the tables start at n = 2.
+func TestRunRejectsBadMax(t *testing.T) {
+	for _, maxN := range []int{1, 0, -1} {
+		var b strings.Builder
+		if err := run(&b, "all", maxN); err == nil {
+			t.Errorf("-max %d accepted", maxN)
+		}
 	}
 }
 

@@ -8,11 +8,10 @@
 // extended by Ovens 2024 for the restart rows); the driver exits
 // non-zero when any computed verdict diverges, so a regression in the
 // engines or the objects cannot print a plausible table and still
-// report success. The E11 engines fan out across -parallel workers
-// (default GOMAXPROCS) with output byte-identical to the sequential
-// engines; E6's Lemma 38 checker and E20's adversarial sweeps are
-// sequential, though each E20 sweep point is an exhaustive
-// deterministic tree of its own.
+// report success. Every engine runs sequentially; each E20 sweep point
+// is an exhaustive deterministic tree of its own. The stdout of
+// `-exp all`, with and without -stats, is pinned byte for byte under
+// testdata/.
 //
 // With -stats the driver also runs the symmetry-reduction engines
 // (modelcheck.ExploreReduced / AnalyzeValencyReduced) next to the
@@ -23,7 +22,7 @@
 //
 // Usage:
 //
-//	modelcheck [-exp e6|e11|e20|all] [-parallel P] [-stats]
+//	modelcheck [-exp e6|e11|e20|all] [-stats]
 package main
 
 import (
@@ -35,7 +34,6 @@ import (
 	"detobj/internal/chaos"
 	"detobj/internal/consensus"
 	"detobj/internal/modelcheck"
-	"detobj/internal/par"
 	"detobj/internal/recoverable"
 	"detobj/internal/registers"
 	"detobj/internal/sim"
@@ -44,17 +42,15 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: e6, e11, e20 or all")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the engines (0 = GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "run the symmetry-reduction engines next to the exhaustive ones and print their transposition-table accounting")
 	flag.Parse()
-	if err := run(os.Stdout, *exp, *parallel, *stats); err != nil {
+	if err := run(os.Stdout, *exp, *stats); err != nil {
 		fmt.Fprintln(os.Stderr, "modelcheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, exp string, workers int, stats bool) error {
-	workers = par.Normalize(workers, -1)
+func run(w io.Writer, exp string, stats bool) error {
 	matched := false
 	if exp == "all" || exp == "e6" {
 		matched = true
@@ -64,18 +60,18 @@ func run(w io.Writer, exp string, workers int, stats bool) error {
 	}
 	if exp == "all" || exp == "e11" {
 		matched = true
-		if err := expE11(w, workers); err != nil {
+		if err := expE11(w); err != nil {
 			return fmt.Errorf("e11: %w", err)
 		}
 	}
 	if stats && (exp == "all" || exp == "e11") {
-		if err := expReduced(w, workers); err != nil {
+		if err := expReduced(w); err != nil {
 			return fmt.Errorf("reduction: %w", err)
 		}
 	}
 	if exp == "all" || exp == "e20" {
 		matched = true
-		if err := expE20(w, workers); err != nil {
+		if err := expE20(w); err != nil {
 			return fmt.Errorf("e20: %w", err)
 		}
 	}
@@ -189,12 +185,12 @@ func e11Rows() []e11Row {
 }
 
 // expE11: valency analysis of the 2-consensus protocols.
-func expE11(w io.Writer, workers int) error {
+func expE11(w io.Writer) error {
 	fmt.Fprintln(w, "E11 Valency analysis: SWAP/WRN_2/TAS solve 2-consensus; the naive 3-process protocol breaks")
 	fmt.Fprintln(w, "protocol            configs  executions  bivalent  critical  agreement")
 	wrong := 0
 	for _, r := range e11Rows() {
-		rep, err := modelcheck.AnalyzeValencyParallel(r.f, 0, workers)
+		rep, err := modelcheck.AnalyzeValency(r.f, 0)
 		if err != nil {
 			return err
 		}
@@ -219,12 +215,12 @@ func expE11(w io.Writer, workers int) error {
 // relaxed-WRN race is re-explored with ExploreReduced under follower
 // symmetry; every reconstructed count and verdict is cross-checked
 // against the unreduced oracle and any divergence is an error.
-func expReduced(w io.Writer, workers int) error {
+func expReduced(w io.Writer) error {
 	fmt.Fprintln(w, "E11r Symmetry + transposition reduction vs the exhaustive oracle")
 	fmt.Fprintln(w, "protocol            group  reduced  runs    hits    misses  executions  verdict")
 	wrong := 0
 	for _, r := range e11Rows() {
-		oracle, err := modelcheck.AnalyzeValencyParallel(r.f, 0, workers)
+		oracle, err := modelcheck.AnalyzeValency(r.f, 0)
 		if err != nil {
 			return err
 		}
@@ -263,7 +259,7 @@ func expReduced(w io.Writer, workers int) error {
 		// procs=4 here (and once offline for procs=5 — see
 		// TestReducedE4Procs5 in internal/modelcheck).
 		if procs == 4 {
-			oracle, err := modelcheck.ExploreParallel(f, 1<<40, workers, func(modelcheck.Execution) error { return nil })
+			oracle, err := modelcheck.Explore(f, 1<<40, func(modelcheck.Execution) error { return nil })
 			if err != nil {
 				return fmt.Errorf("E4 procs=4 oracle: %w", err)
 			}
@@ -327,7 +323,7 @@ func equalStrings(a, b []string) bool {
 // amnesiac restart (the winner forgets it won, or a re-applied WRN step
 // reads its rival's later write) while the recoverable implementations
 // retain it; any row contradicting that calibration exits non-zero.
-func expE20(w io.Writer, workers int) error {
+func expE20(w io.Writer) error {
 	fmt.Fprintln(w, "E20 Recoverable consensus: amnesiac restarts strip plain objects of their power (Ovens 2024)")
 	fmt.Fprintln(w, "    full-persist = plain valency analysis (recovery resumes with all state, as in E11)")
 	fmt.Fprintln(w, "    amnesiac     = exhaustive valency under CrashRestart sweeps of victim x crashAt x window")
@@ -356,7 +352,7 @@ func expE20(w io.Writer, workers int) error {
 			progs := r.build(objects, "X", 10, 20)
 			return sim.Config{Objects: objects, Programs: progs}
 		}
-		full, err := modelcheck.AnalyzeValencyParallel(f, 0, workers)
+		full, err := modelcheck.AnalyzeValency(f, 0)
 		if err != nil {
 			return fmt.Errorf("%s full-persistence: %w", r.name, err)
 		}

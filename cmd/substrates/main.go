@@ -37,6 +37,9 @@ func main() {
 }
 
 func run(w io.Writer, exp string, runs int) error {
+	if runs < 1 {
+		return fmt.Errorf("-runs must be at least 1, got %d", runs)
+	}
 	type experiment struct {
 		name string
 		fn   func(io.Writer, int) error

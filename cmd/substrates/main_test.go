@@ -1,8 +1,11 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
+
+	"detobj/internal/golden"
 )
 
 func TestRunAll(t *testing.T) {
@@ -37,6 +40,22 @@ func TestRunAll(t *testing.T) {
 		fields := strings.Fields(line)
 		if len(fields) == 3 && fields[0] != "n" && fields[2] != "0" {
 			t.Errorf("E14 violations in row: %s", line)
+		}
+	}
+}
+
+// TestGolden pins every table at the default size.
+func TestGolden(t *testing.T) {
+	golden.Run(t, "default.golden", "substrates", nil, func(w io.Writer) error { return run(w, "all", 200) })
+}
+
+// TestRunRejectsBadRuns: a sweep of no schedules would print vacuous
+// rows such as 0/0 valid.
+func TestRunRejectsBadRuns(t *testing.T) {
+	for _, runs := range []int{0, -2} {
+		var b strings.Builder
+		if err := run(&b, "all", runs); err == nil {
+			t.Errorf("-runs %d accepted", runs)
 		}
 	}
 }

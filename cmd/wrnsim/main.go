@@ -4,7 +4,7 @@
 //
 // Random sweeps split the base seed per run (run r uses seed+r), so the
 // result table is identical for every -parallel value; exhaustive rows run
-// on modelcheck.ExploreParallel, which is order-identical to Explore.
+// on modelcheck.Explore. testdata/ pins the tables byte for byte.
 // wrnsim exits non-zero when any experiment's correctness columns show a
 // violation (E1/E3/E9 violations, E3/E4 illegal uses, E5 non-linearizable
 // runs), so a failed sweep cannot masquerade as a clean one.
@@ -42,6 +42,9 @@ func main() {
 }
 
 func run(w io.Writer, exp string, runs int, seed int64, workers int) error {
+	if runs < 1 {
+		return fmt.Errorf("-runs must be at least 1, got %d", runs)
+	}
 	workers = par.Normalize(workers, -1)
 	type experiment struct {
 		name string
@@ -82,14 +85,12 @@ func expE1(w io.Writer, runs int, seed int64, workers int) error {
 	for k := 3; k <= 8; k++ {
 		task := tasks.SetConsensus{K: k - 1}
 		if k <= 6 {
-			// Exhaustive: the protocol takes one step per process. The
-			// parallel engine visits executions in the canonical order on
-			// this goroutine, so the counters need no locking.
+			// Exhaustive: the protocol takes one step per process.
 			maxDistinct, count, violations := 0, 0, 0
-			_, err := modelcheck.ExploreParallel(func() sim.Config {
+			_, err := modelcheck.Explore(func() sim.Config {
 				objects := map[string]sim.Object{}
 				return sim.Config{Objects: objects, Programs: alg2Programs(objects, k)}
-			}, 0, workers, func(e modelcheck.Execution) error {
+			}, 0, func(e modelcheck.Execution) error {
 				count++
 				o := tasks.OutcomeFromResult(e.Result, alg2Inputs(k))
 				if task.Check(o) != nil {

@@ -1,24 +1,24 @@
 package main
 
 import (
+	"io"
+	"strconv"
 	"strings"
 	"testing"
+
+	"detobj/internal/golden"
 )
 
-func TestRunAllExperiments(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, "all", 20, 1, 0); err != nil {
-		t.Fatalf("run: %v", err)
+// TestGolden pins the E1, E3, E4, E5 and E9 tables: the `make
+// experiments` size at the default worker count, and a small size at
+// every worker count the seed sweeps must be independent of.
+func TestGolden(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		golden.Run(t, "runs15-seed7.golden", "wrnsim", []string{"-runs", "15", "-seed", "7", "-parallel", strconv.Itoa(workers)},
+			func(w io.Writer) error { return run(w, "all", 15, 7, workers) })
 	}
-	out := b.String()
-	for _, want := range []string{"E1", "E3", "E4", "E5", "E9", "exhaustive"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	if strings.Contains(out, "FAIL") {
-		t.Errorf("experiments reported failures:\n%s", out)
-	}
+	golden.Run(t, "runs1000-seed1.golden", "wrnsim", []string{"-runs", "1000", "-seed", "1"},
+		func(w io.Writer) error { return run(w, "all", 1000, 1, 0) })
 }
 
 func TestRunSingleExperiment(t *testing.T) {
@@ -38,21 +38,13 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestRunParallelDeterministic: the result tables must be byte-identical
-// for every -parallel value — run r always uses seed+r, and aggregation
-// happens in run order.
-func TestRunParallelDeterministic(t *testing.T) {
-	var want strings.Builder
-	if err := run(&want, "all", 15, 7, 1); err != nil {
-		t.Fatalf("sequential run: %v", err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		var got strings.Builder
-		if err := run(&got, "all", 15, 7, workers); err != nil {
-			t.Fatalf("parallel=%d run: %v", workers, err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("parallel=%d output differs from sequential", workers)
+// TestRunRejectsBadRuns: a sweep of no schedules would print vacuous
+// rows, and a negative one cannot size its slots.
+func TestRunRejectsBadRuns(t *testing.T) {
+	for _, runs := range []int{0, -5} {
+		var b strings.Builder
+		if err := run(&b, "e4", runs, 1, 0); err == nil {
+			t.Errorf("-runs %d accepted", runs)
 		}
 	}
 }

@@ -436,8 +436,8 @@ func (d *idxDeriver) classifyAliasExpr(e ast.Expr, at ast.Stmt, captured map[*ty
 
 // atomicClaimVars finds literal-locals bound to an atomic counter claim —
 // r := int(next.Add(1) - 1) — which hands out each index exactly once,
-// so subscripts through r are slot-shaped (ExploreParallel's stream
-// handout). The proof is that the value traces to a sync/atomic Add
+// so subscripts through r are slot-shaped (a pool claiming work items
+// by counter). The proof is that the value traces to a sync/atomic Add
 // method call result through arithmetic and conversions only.
 func atomicClaimVars(pkg *Package, lit *ast.FuncLit) map[*types.Var]bool {
 	out := make(map[*types.Var]bool)

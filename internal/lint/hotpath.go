@@ -34,10 +34,8 @@ const maxHotDepth = 6
 // paths by name, wherever they are declared under internal/ or cmd/.
 var hotRootNames = map[string]bool{
 	"Explore":                   true,
-	"ExploreParallel":           true,
 	"ExploreReduced":            true,
 	"AnalyzeValency":            true,
-	"AnalyzeValencyParallel":    true,
 	"AnalyzeValencyReduced":     true,
 	"CheckIndistinguishability": true,
 }

@@ -1,9 +1,9 @@
 package lint
 
 // sharedsink audits the shared accumulators worker bodies are allowed to
-// keep: the documented shapes are an atomic early-exit counter (method
-// calls on captured sync/atomic values — ExploreParallel's ErrLimit
-// handout), a mutex-guarded sink (every write to the variable under the
+// keep: the documented shapes are an atomic counter (method calls on
+// captured sync/atomic values, such as a shared early-exit budget), a
+// mutex-guarded sink (every write to the variable under the
 // same lock, proved by the literal's own lockset with an empty entry
 // set), and per-index slots (slotdiscipline's territory, accepted here
 // too). The rule anchors on both kinds of worker literal:
@@ -21,7 +21,7 @@ package lint
 // between the spawn and the read, or the write's own lock held at the
 // read. Slot-classified writes are exempt — their visibility is the
 // surrounding pool's barrier or channel handshake, which the repository
-// encodes in par.ForEach and the stream merger.
+// encodes in par.ForEach.
 
 import (
 	"fmt"

@@ -45,8 +45,8 @@ func FillDerived(n, workers int) []cell {
 }
 
 // FillClaimed hands out extra stream slots with an atomic claim counter,
-// the ExploreParallel idiom: the claimed index is as good as the worker
-// index.
+// the work-claiming idiom of a worker pool: the claimed index is as good
+// as the worker index.
 func FillClaimed(n, workers int) []int {
 	streams := make([]int, 2*n)
 	var next atomic.Int64

@@ -21,12 +21,12 @@ import (
 	"detobj/internal/sim"
 )
 
-// runDriver executes the scripted runs of one engine call (or of one
-// parallel worker or subtree root) on a coroutine of its own. After start or resume the
-// run is either parked at the end of its prefix (parked, with enabled
-// set) or ended (res or err set). stop must be called on every return
-// path: it ends a parked run, which returns the run's process workers
-// to sim's pool, and exits the coroutine.
+// runDriver executes the scripted runs of one engine call on a
+// coroutine of its own. After start or resume the run is either parked
+// at the end of its prefix (parked, with enabled set) or ended (res or
+// err set). stop must be called on every return path: it ends a parked
+// run, which returns the run's process workers to sim's pool, and exits
+// the coroutine.
 type runDriver struct {
 	f    Factory
 	wrap func(inner sim.Scheduler) sim.Scheduler

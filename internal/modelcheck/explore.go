@@ -114,9 +114,8 @@ func Explore(f Factory, limit int, visit func(e Execution) error) (int, error) {
 	count := 0
 	err := exploreDFS(d, nil, nil, false, func(e Execution) error {
 		// The budget check runs before the count moves, so the returned
-		// count is exactly the number of visit calls — the doc contract
-		// ExploreParallel reproduces through the same errLimitExceeded
-		// rendering (see TestExploreLimitBoundaryParity).
+		// count is exactly the number of visit calls (see
+		// TestExploreLimitBoundary).
 		if count == limit {
 			return errLimitExceeded(limit)
 		}
@@ -126,8 +125,7 @@ func Explore(f Factory, limit int, visit func(e Execution) error) (int, error) {
 	return count, err
 }
 
-// errLimitExceeded builds the canonical budget error; ExploreParallel
-// must produce byte-identical errors, so the rendering lives here.
+// errLimitExceeded builds the budget error every engine returns.
 func errLimitExceeded(limit int) error {
 	return fmt.Errorf("%w (%d executions)", ErrLimit, limit)
 }
@@ -136,9 +134,7 @@ func errLimitExceeded(limit int) error {
 // complete execution reachable from the (sched, choices) prefix and
 // calls emit once per execution. The branching discipline — choice
 // values 0..n−1 before deeper schedules, enabled ids in increasing
-// order — is THE canonical exploration order: Explore and
-// ExploreParallel both derive their visit sequences from this one
-// function, which is what makes their outputs byte-identical.
+// order — is THE canonical exploration order.
 //
 // d reaches the node as runDriver.reach says: the first child of a
 // parked node carries its parent's run one step further (carry), while
@@ -215,16 +211,10 @@ func asDemand(err error, out *choiceDemand) bool {
 func VerifyAll(f Factory, limit int, check func(res *sim.Result) error) (int, error) {
 	return Explore(f, limit, func(e Execution) error {
 		if err := check(e.Result); err != nil {
-			return verifyErr(e, err)
+			return fmt.Errorf("schedule %v choices %v: %w", e.Schedule, e.Choices, err)
 		}
 		return nil
 	})
-}
-
-// verifyErr pins a check failure to its execution; shared by VerifyAll
-// and VerifyAllParallel so both render failures identically.
-func verifyErr(e Execution, err error) error {
-	return fmt.Errorf("schedule %v choices %v: %w", e.Schedule, e.Choices, err)
 }
 
 // DecisionVectors explores every execution and returns the set of distinct

@@ -3,10 +3,12 @@ package modelcheck
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"detobj/internal/registers"
 	"detobj/internal/sim"
+	"detobj/internal/wrn"
 )
 
 // counterFactory builds procs processes that each increment a shared
@@ -25,6 +27,26 @@ func counterFactory(procs, steps int) Factory {
 			}
 		}
 		return sim.Config{Objects: objects, Programs: programs}
+	}
+}
+
+// relaxedFactory is an E4-style configuration: procs processes racing on
+// a relaxed WRN_k wrapper, one of them alone on index 1.
+func relaxedFactory(k, procs int) Factory {
+	return func() sim.Config {
+		objects := map[string]sim.Object{}
+		rlx, _ := wrn.NewRelaxed(objects, "W", k)
+		progs := make([]sim.Program, procs)
+		for p := 0; p < procs; p++ {
+			p := p
+			progs[p] = func(ctx *sim.Ctx) sim.Value {
+				if p == 0 {
+					return rlx.RlxWRN(ctx, 1, "solo")
+				}
+				return rlx.RlxWRN(ctx, 0, fmt.Sprintf("p%d", p))
+			}
+		}
+		return sim.Config{Objects: objects, Programs: progs}
 	}
 }
 
@@ -58,6 +80,81 @@ func TestExploreLimit(t *testing.T) {
 	_, err := Explore(counterFactory(3, 2), 5, func(Execution) error { return nil })
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("err = %v, want ErrLimit", err)
+	}
+}
+
+// TestExploreVisitError: a visit error stops Explore at once and comes
+// back to the caller, after exactly the first stopAt executions of the
+// full depth-first enumeration.
+func TestExploreVisitError(t *testing.T) {
+	f := counterFactory(3, 2)
+	var all []string
+	if _, err := Explore(f, 0, func(e Execution) error {
+		all = append(all, renderExec(e))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const stopAt = 37
+	boom := errors.New("boom")
+	var got []string
+	n, err := Explore(f, 0, func(e Execution) error {
+		got = append(got, renderExec(e))
+		if len(got) == stopAt {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n != stopAt {
+		t.Errorf("count %d, want %d", n, stopAt)
+	}
+	if !reflect.DeepEqual(got, all[:stopAt]) {
+		t.Errorf("the %d visited executions are not the first %d of the enumeration", len(got), stopAt)
+	}
+}
+
+// mine is a deterministic object that panics on its fuse-th application.
+type mine struct {
+	applied, fuse int
+}
+
+func (m *mine) Apply(env *sim.Env, inv sim.Invocation) sim.Response {
+	m.applied++
+	if m.applied == m.fuse {
+		panic(fmt.Sprintf("mine detonated at application %d", m.applied))
+	}
+	return sim.Respond(m.applied)
+}
+
+func mineFactory(procs, steps, fuse int) Factory {
+	return func() sim.Config {
+		programs := make([]sim.Program, procs)
+		for i := range programs {
+			programs[i] = func(ctx *sim.Ctx) sim.Value {
+				last := sim.Value(nil)
+				for s := 0; s < steps; s++ {
+					last = ctx.Invoke("M", "hit")
+				}
+				return last
+			}
+		}
+		return sim.Config{
+			Objects:  map[string]sim.Object{"M": &mine{fuse: fuse}},
+			Programs: programs,
+		}
+	}
+}
+
+// TestExploreCrashingAdversary: an object that panics mid-exploration
+// stops Explore with the run's *sim.ObjectPanicError.
+func TestExploreCrashingAdversary(t *testing.T) {
+	_, err := Explore(mineFactory(3, 2, 4), 0, func(Execution) error { return nil })
+	var ope *sim.ObjectPanicError
+	if !errors.As(err, &ope) {
+		t.Fatalf("err = %T %v, want *sim.ObjectPanicError", err, err)
 	}
 }
 

@@ -218,6 +218,22 @@ func oracleFactories() []struct {
 	}
 }
 
+// renderExec pins down everything Explore exposes about one execution,
+// the rendered trace included, so two visit sequences can be compared
+// byte for byte.
+func renderExec(e Execution) string {
+	r := e.Result
+	return fmt.Sprintf("sched=%v choices=%v out=%v status=%v enabled=%v steps=%d restarts=%v\n%s",
+		e.Schedule, e.Choices, r.Outputs, r.Status, r.Enabled, r.Steps, r.Restarts, r.Trace)
+}
+
+func at(s []string, i int) string {
+	if i < len(s) {
+		return s[i]
+	}
+	return "<missing>"
+}
+
 // naiveVisits is the oracle's visit sequence for f.
 func naiveVisits(t *testing.T, f Factory) []string {
 	t.Helper()
@@ -258,22 +274,6 @@ func TestExploreMatchesNaiveOracle(t *testing.T) {
 			return nil
 		})
 		checkVisits(t, fc.name, got, want, n, err)
-	}
-}
-
-// TestExploreParallelMatchesNaiveOracle is the same check on the
-// parallel engine, whose split phase and workers share the driver.
-func TestExploreParallelMatchesNaiveOracle(t *testing.T) {
-	for _, fc := range oracleFactories() {
-		want := naiveVisits(t, fc.f)
-		for _, workers := range []int{1, 2, 4} {
-			var got []string
-			n, err := ExploreParallel(fc.f, 0, workers, func(e Execution) error {
-				got = append(got, renderExec(e))
-				return nil
-			})
-			checkVisits(t, fmt.Sprintf("%s workers=%d", fc.name, workers), got, want, n, err)
-		}
 	}
 }
 
@@ -337,18 +337,6 @@ func TestValencyUnderMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
-// TestValencyParallelMatchesNaiveOracle is the same check on the
-// parallel valency engine.
-func TestValencyParallelMatchesNaiveOracle(t *testing.T) {
-	for _, fc := range oracleFactories() {
-		want, wantErr := naiveReport(fc.f, nil)
-		for _, workers := range []int{1, 2, 4} {
-			got, err := AnalyzeValencyParallel(fc.f, 0, workers)
-			checkReport(t, fmt.Sprintf("%s workers=%d", fc.name, workers), got, err, want, wantErr)
-		}
-	}
-}
-
 // TestRootLeafDisagreement: when every process decides without invoking
 // an object, the root is the only execution, and two different
 // decisions there are a disagreement with an empty schedule. Every
@@ -369,7 +357,6 @@ func TestRootLeafDisagreement(t *testing.T) {
 		run  func(Factory, int) (*ValencyReport, error)
 	}{
 		{"AnalyzeValency", AnalyzeValency},
-		{"AnalyzeValencyParallel", func(f Factory, limit int) (*ValencyReport, error) { return AnalyzeValencyParallel(f, limit, 2) }},
 		{"AnalyzeValencyUnder", func(f Factory, limit int) (*ValencyReport, error) { return AnalyzeValencyUnder(f, nil, limit) }},
 		{"AnalyzeValencyReduced", reduced},
 	}
@@ -509,50 +496,6 @@ func TestEarlyExitLeavesNoGoroutines(t *testing.T) {
 		}},
 		{"AnalyzeValencyReduced nondeterministic object", func() error {
 			_, _, err := AnalyzeValencyReduced(coinFactory(2, 1), Reduced{}, 0)
-			return err
-		}},
-	})
-}
-
-// TestParallelEarlyExitLeavesNoGoroutines: the parallel engines' early
-// exits — a tripped budget gate, including one that stops a worker at a
-// first child while its carried run is parked, and ExploreParallel's
-// abort after a visit error or the budget — must stop every driver.
-func TestParallelEarlyExitLeavesNoGoroutines(t *testing.T) {
-	f := counterFactory(3, 2)
-	boom := errors.New("boom")
-	runEarlyExits(t, []struct {
-		name string
-		run  func() error
-	}{
-		{"AnalyzeValencyParallel ErrLimit", func() error {
-			_, err := AnalyzeValencyParallel(f, 5, 2)
-			return err
-		}},
-		{"gate at a parked run", func() error {
-			// A gate hook like the parallel engine's, tripped at the
-			// root's first child: the root's run is parked when it
-			// fires, and stop must end that run too.
-			d := newRunDriver(f, nil)
-			defer d.stop()
-			configs := 0
-			_, err := valencyRec(d, nil, false, newValencyAcc(), valencyHooks{gate: func() error {
-				if configs++; configs > 1 {
-					if !d.parked {
-						t.Errorf("the gate fired without a parked run")
-					}
-					return errLimitExceeded(1)
-				}
-				return nil
-			}})
-			return err
-		}},
-		{"ExploreParallel visit error", func() error {
-			_, err := ExploreParallel(f, 0, 2, func(Execution) error { return boom })
-			return err
-		}},
-		{"ExploreParallel ErrLimit", func() error {
-			_, err := ExploreParallel(f, 5, 2, func(Execution) error { return nil })
 			return err
 		}},
 	})

@@ -8,7 +8,7 @@ import (
 // exhaustive explorers cannot reach under the default test timeout:
 // E4 with k=3 and five processes (one solo writer plus four symmetric
 // followers).  The execution count 910800 was verified once against
-// ExploreParallel on the same factory (~42s wall clock); the reduced
+// the exhaustive engine on the same factory (~42s wall clock); the reduced
 // engine reconstructs it from under two thousand concrete runs in
 // tens of milliseconds.  cmd/modelcheck's -stats E4r table prints
 // this configuration and cites this test as the oracle record.
@@ -30,7 +30,7 @@ func TestReducedE4Procs5(t *testing.T) {
 		t.Fatalf("ExploreReduced: %v", err)
 	}
 	if rep.Executions != wantExecutions {
-		t.Errorf("Executions = %d, want %d (oracle: ExploreParallel on relaxedFactory(3, 5))",
+		t.Errorf("Executions = %d, want %d (oracle: exhaustive exploration of relaxedFactory(3, 5))",
 			rep.Executions, wantExecutions)
 	}
 	if rep.Representatives != visits {

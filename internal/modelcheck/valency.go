@@ -31,10 +31,7 @@ type ValencyReport struct {
 	DisagreementSchedule []int
 }
 
-// valencyAcc accumulates the report fields during one (sub)tree
-// recursion. Every field is either a commutative count or resolved by
-// depth-first position (disagreement), so per-subtree accumulators can
-// be merged deterministically by AnalyzeValencyParallel.
+// valencyAcc accumulates the report fields during one tree recursion.
 type valencyAcc struct {
 	configs, executions, bivalent, critical int
 	values                                  map[string]bool
@@ -43,10 +40,6 @@ type valencyAcc struct {
 	// schedule, so it cannot double as the flag.
 	disagrees    bool
 	disagreement []int
-}
-
-func newValencyAcc() *valencyAcc {
-	return &valencyAcc{values: make(map[string]bool)}
 }
 
 // disagreeAt records the schedule of a disagreeing execution unless an
@@ -93,26 +86,12 @@ func errNondetValency(err error) error {
 	return fmt.Errorf("modelcheck: valency analysis requires deterministic objects: %w", err)
 }
 
-// valencyHooks are the extension points the parallel engine needs: gate
-// runs at every configuration (abort checks) and counted after every
-// complete execution (budget enforcement). Either may be nil.
-type valencyHooks struct {
-	gate    func() error
-	counted func() error
-}
-
 // valencyRec returns the set of decision values reachable from the
-// configuration reached by sched, accumulating tree statistics into acc.
-// It is the single recursion both AnalyzeValency and
-// AnalyzeValencyParallel run, so their per-subtree numbers agree by
-// construction. d reaches the configuration as in exploreDFS: carried
-// from the parked parent for the first child, fresh for the others.
-func valencyRec(d *runDriver, sched []int, carry bool, acc *valencyAcc, hooks valencyHooks) (map[string]bool, error) {
-	if hooks.gate != nil {
-		if err := hooks.gate(); err != nil {
-			return nil, err
-		}
-	}
+// configuration reached by sched, accumulating tree statistics into acc
+// and failing once acc counts more than limit complete executions. d
+// reaches the configuration as in exploreDFS: carried from the parked
+// parent for the first child, fresh for the others.
+func valencyRec(d *runDriver, sched []int, carry bool, acc *valencyAcc, limit int) (map[string]bool, error) {
 	d.reach(sched, nil, carry)
 	if d.err != nil {
 		var demand choiceDemand
@@ -124,10 +103,8 @@ func valencyRec(d *runDriver, sched []int, carry bool, acc *valencyAcc, hooks va
 	acc.configs++
 	if !d.parked {
 		acc.executions++
-		if hooks.counted != nil {
-			if err := hooks.counted(); err != nil {
-				return nil, err
-			}
+		if acc.executions > limit {
+			return nil, errLimitExceeded(limit)
 		}
 		vals := decisionValues(d.res)
 		if len(vals) > 1 {
@@ -142,7 +119,7 @@ func valencyRec(d *runDriver, sched []int, carry bool, acc *valencyAcc, hooks va
 	allChildrenUnivalent := true
 	enabled := d.enabled // the deeper runs park with enabled sets of their own
 	for i, id := range enabled {
-		child, err := valencyRec(d, appendStep(sched, id), i == 0, acc, hooks)
+		child, err := valencyRec(d, appendStep(sched, id), i == 0, acc, limit)
 		if err != nil {
 			return nil, err
 		}
@@ -204,14 +181,8 @@ func AnalyzeValencyUnder(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler
 	}
 	d := newRunDriver(f, wrap)
 	defer d.stop()
-	acc := newValencyAcc()
-	_, err := valencyRec(d, nil, false, acc, valencyHooks{counted: func() error {
-		if acc.executions > limit {
-			return errLimitExceeded(limit)
-		}
-		return nil
-	}})
-	if err != nil {
+	acc := &valencyAcc{values: make(map[string]bool)}
+	if _, err := valencyRec(d, nil, false, acc, limit); err != nil {
 		return nil, err
 	}
 	return acc.report(), nil

@@ -1,6 +1,8 @@
 package modelcheck
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"detobj/internal/consensus"
@@ -54,6 +56,25 @@ func TestValencyWRN2Consensus(t *testing.T) {
 	}
 	if len(rep.Values) != 2 {
 		t.Errorf("values = %v", rep.Values)
+	}
+}
+
+// TestValencyLimitBoundary pins valencyRec's budget at the exact
+// boundary: at limit == executions the full report comes back, and one
+// below it fails with the canonical ErrLimit rendering.
+func TestValencyLimitBoundary(t *testing.T) {
+	f := counterFactory(3, 2)
+	want, err := AnalyzeValency(f, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AnalyzeValency(f, want.Executions)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("limit=%d: (%+v, %v), want (%+v, nil)", want.Executions, got, err, want)
+	}
+	limit := want.Executions - 1
+	if _, err := AnalyzeValency(f, limit); !errors.Is(err, ErrLimit) || err.Error() != errLimitExceeded(limit).Error() {
+		t.Errorf("limit=%d: err = %v, want %v", limit, err, errLimitExceeded(limit))
 	}
 }
 

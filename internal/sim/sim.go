@@ -24,8 +24,8 @@
 // # Concurrency contract
 //
 // Concurrent calls to Run are safe if and only if the Configs share no
-// mutable state. The parallel engines (modelcheck.ExploreParallel, the
-// -parallel seed sweeps) rely on exactly this, so the contract is:
+// mutable state. The -parallel seed sweeps of cmd/wrnsim and cmd/chaos
+// rely on exactly this, so the contract is:
 //
 //   - Objects, Scheduler, Choice and (if the scheduler implements it)
 //     Observer instances belong to ONE run. They hold per-run state and
