@@ -31,7 +31,16 @@ func TestRunSelection(t *testing.T) {
 	if strings.Contains(b.String(), "E6") {
 		t.Error("e11 selection also ran e6")
 	}
-	if err := run(&b, "bogus", false); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, c := range []struct {
+		exp   string
+		stats bool
+	}{
+		{"bogus", false},
+		{"e6", true},
+		{"e20", true},
+	} {
+		if err := run(&b, c.exp, c.stats); err == nil {
+			t.Errorf("-exp %s -stats=%v accepted", c.exp, c.stats)
+		}
 	}
 }

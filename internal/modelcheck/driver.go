@@ -2,15 +2,16 @@
 
 package modelcheck
 
-// driver.go runs the exhaustive engines' scripted simulator runs on a
-// coroutine the engine owns (iter.Pull). A run replays its schedule
-// prefix under sim.Fixed, whose fallback parks the run once the prefix
-// is used up. The engine reads the node's enabled set off the parked
-// run and resumes that same run into the node's first child ("the
-// carry"); only later siblings and choice branches start a fresh run
-// from the root. A depth-first search finishes a carried run at a leaf
-// before it starts a sibling, so one run at a time is live and one
-// coroutine serves every run of an engine call. See DESIGN.md §5.2.
+// driver.go runs the reducer's scripted simulator runs, in every
+// engine mode, on a coroutine the engine owns (iter.Pull). A run
+// replays its schedule prefix under sim.Fixed, whose fallback parks the
+// run once the prefix is used up. The reducer reads the node's enabled
+// set off the parked run and resumes that same run into the node's
+// first child ("the carry"); only later siblings and choice branches
+// start a fresh run from the root. The depth-first search finishes a
+// carried run at a leaf before it starts a sibling, so one run at a
+// time is live and one coroutine serves every run of an engine call.
+// See DESIGN.md §5.2.
 //
 // The build line raises this file's language version to Go 1.23 for
 // package iter, as in internal/sim/worker.go.
@@ -114,15 +115,4 @@ func (d *runDriver) start(sched, choices []int) {
 func (d *runDriver) resume(id int) {
 	d.pick = id
 	d.next()
-}
-
-// reach drives the run to the node at (sched, choices). With carry the
-// node is the first child of the parked run's node, which resume
-// carries into with sched's last id; otherwise the node starts fresh.
-func (d *runDriver) reach(sched, choices []int, carry bool) {
-	if carry {
-		d.resume(sched[len(sched)-1])
-		return
-	}
-	d.start(sched, choices)
 }

@@ -1,14 +1,13 @@
 // Package modelcheck verifies the paper's claims over ALL executions
-// rather than sampled ones. It provides three engines:
+// rather than sampled ones. It provides two engines:
 //
-//   - Explore: exhaustive enumeration of every execution of a
-//     configuration — every interleaving chosen by the scheduler and, for
-//     nondeterministic objects, every internal choice. Used to verify the
-//     algorithms of §4 completely for small parameters and to exhibit the
-//     disagreement executions of broken protocols.
-//
-//   - AnalyzeValency: the FLP/Herlihy valency analysis (bivalent, univalent
-//     and critical configurations) of a protocol's execution tree (§6).
+//   - The reducer (reduce.go), one depth-first search over the
+//     execution tree. Its exhaustive mode runs Explore, which enumerates
+//     every interleaving and every internal choice of nondeterministic
+//     objects, and AnalyzeValency, the FLP/Herlihy valency analysis
+//     (bivalent, univalent and critical configurations) of §6.
+//     ExploreReduced and AnalyzeValencyReduced add symmetry quotienting
+//     and a transposition table.
 //
 //   - CheckIndistinguishability: the mechanization of Lemma 38's
 //     critical-configuration case analysis — for every reachable object
@@ -38,8 +37,10 @@ var ErrLimit = errors.New("modelcheck: execution limit exceeded")
 var ErrScriptDivergence = errors.New("modelcheck: replayed choice script diverged from the object's demand")
 
 // Factory produces a fresh configuration (fresh objects, same programs)
-// for every run the explorer starts from the root. Scheduler and Choice
-// are overridden by the explorer.
+// for every run the engine starts from the root, plus one probe call.
+// The engine overrides Scheduler and Choice, sets Arena, sets OnStep
+// when the transposition table is on, and sets DisableTrace unless the
+// call has a visit callback (so VerifyReplay checks only traced runs).
 type Factory func() sim.Config
 
 // Execution is one complete run discovered by Explore.
@@ -105,76 +106,24 @@ func (s *scriptSource) Intn(n int) int {
 // exploration and is returned to the caller. limit bounds the number of
 // complete executions (0 means 1<<20). Explore reports the number of
 // executions visited.
+//
+// Explore is the reducer's exhaustive mode: it visits in depth-first
+// lexicographic order (choice values 0..n−1 before deeper schedules,
+// enabled ids in increasing order), and each visited Execution, trace
+// included, is the caller's to keep.
 func Explore(f Factory, limit int, visit func(e Execution) error) (int, error) {
-	if limit <= 0 {
-		limit = 1 << 20
+	red, err := newReducer(f, Reduced{NoDedup: true}, limit)
+	if err != nil {
+		return 0, err
 	}
-	d := newRunDriver(f, nil)
-	defer d.stop()
-	count := 0
-	err := exploreDFS(d, nil, nil, false, func(e Execution) error {
-		// The budget check runs before the count moves, so the returned
-		// count is exactly the number of visit calls (see
-		// TestExploreLimitBoundary).
-		if count == limit {
-			return errLimitExceeded(limit)
-		}
-		count++
-		return visit(e)
-	})
-	return count, err
+	// Executions counts exactly the visit calls (TestExploreLimitBoundary).
+	rep, err := red.explore(func(e Execution, _ int) error { return visit(e) })
+	return rep.Executions, err
 }
 
 // errLimitExceeded builds the budget error every engine returns.
 func errLimitExceeded(limit int) error {
 	return fmt.Errorf("%w (%d executions)", ErrLimit, limit)
-}
-
-// exploreDFS enumerates, in depth-first lexicographic order, every
-// complete execution reachable from the (sched, choices) prefix and
-// calls emit once per execution. The branching discipline — choice
-// values 0..n−1 before deeper schedules, enabled ids in increasing
-// order — is THE canonical exploration order.
-//
-// d reaches the node as runDriver.reach says: the first child of a
-// parked node carries its parent's run one step further (carry), while
-// later siblings and choice branches start a fresh run of their prefix.
-// A carried run ends at a leaf, a choice demand or an error before the
-// recursion returns, so the next sibling never finds it still parked.
-func exploreDFS(d *runDriver, sched, choices []int, carry bool, emit func(e Execution) error) error {
-	d.reach(sched, choices, carry)
-	if d.err != nil {
-		var demand choiceDemand
-		if asDemand(d.err, &demand) {
-			for c := 0; c < demand.n; c++ {
-				if err := exploreDFS(d, sched, appendStep(choices, c), false, emit); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return d.err
-	}
-	if !d.parked {
-		return emit(Execution{
-			Schedule: append([]int(nil), sched...),
-			Choices:  append([]int(nil), choices...),
-			Result:   d.res,
-		})
-	}
-	enabled := d.enabled // the deeper runs park with enabled sets of their own
-	for i, id := range enabled {
-		if err := exploreDFS(d, appendStep(sched, id), choices, i == 0, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendStep extends a prefix without aliasing the parent's backing
-// array (siblings share the parent slice, so plain append would race).
-func appendStep(prefix []int, v int) []int {
-	return append(prefix[:len(prefix):len(prefix)], v)
 }
 
 // decodeRunError converts the control-signal panics the explorers plant
@@ -215,22 +164,4 @@ func VerifyAll(f Factory, limit int, check func(res *sim.Result) error) (int, er
 		}
 		return nil
 	})
-}
-
-// DecisionVectors explores every execution and returns the set of distinct
-// decided-output vectors, rendered as strings, mapped to a sample
-// execution schedule.
-func DecisionVectors(f Factory, limit int) (map[string][]int, error) {
-	out := make(map[string][]int)
-	_, err := Explore(f, limit, func(e Execution) error {
-		key := renderValues(e.Result.Outputs)
-		if _, ok := out[key]; !ok {
-			out[key] = e.Schedule
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -236,17 +236,6 @@ func TestExploreSchedulesTimesChoices(t *testing.T) {
 	}
 }
 
-func TestDecisionVectors(t *testing.T) {
-	vecs, err := DecisionVectors(counterFactory(2, 1), 0)
-	if err != nil {
-		t.Fatalf("DecisionVectors: %v", err)
-	}
-	// Possible output vectors: [1 2], [2 1], [2 2] — readers see 1 or 2.
-	if len(vecs) != 3 {
-		t.Errorf("distinct vectors = %d (%v), want 3", len(vecs), vecs)
-	}
-}
-
 func TestScriptSourceValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

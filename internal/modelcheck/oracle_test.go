@@ -84,8 +84,14 @@ func signFromRoot(f Factory, sched, choices []int) ([]byte, error) {
 	return sig, nil
 }
 
-// naiveExplore is the replay-from-root oracle for exploreDFS: every
-// tree node is a run of its own, and a node's children are read off the
+// appendStep extends a prefix without aliasing the parent's backing
+// array (siblings share the parent slice, so plain append would race).
+func appendStep(prefix []int, v int) []int {
+	return append(prefix[:len(prefix):len(prefix)], v)
+}
+
+// naiveExplore is the replay-from-root oracle for Explore: every tree
+// node is a run of its own, and a node's children are read off the
 // stopped run's Result.Enabled.
 func naiveExplore(f Factory, sched, choices []int, emit func(e Execution)) error {
 	res, err := runFromRoot(f, nil, sched, choices)
@@ -113,9 +119,22 @@ func naiveExplore(f Factory, sched, choices []int, emit func(e Execution)) error
 	return nil
 }
 
-// naiveValency is the replay-from-root oracle for valencyRec. It adds
-// the subtree's counts and its DFS-first disagreement to rep, adds every
-// decided value to values, and returns the node's value set.
+// decisionValues is the set of values decided within one complete
+// execution (outputs of StatusDone processes, rendered).
+func decisionValues(res *sim.Result) map[string]bool {
+	vals := map[string]bool{}
+	for i, st := range res.Status {
+		if st == sim.StatusDone {
+			vals[sim.Sprint(res.Outputs[i])] = true
+		}
+	}
+	return vals
+}
+
+// naiveValency is the replay-from-root oracle for AnalyzeValency and
+// AnalyzeValencyUnder. It adds the subtree's counts and its DFS-first
+// disagreement to rep, adds every decided value to values, and returns
+// the node's value set.
 func naiveValency(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, sched []int, rep *ValencyReport, values map[string]bool) (map[string]bool, error) {
 	res, err := runFromRoot(f, wrap, sched, nil)
 	if err != nil {
@@ -128,11 +147,7 @@ func naiveValency(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, sched
 	set := map[string]bool{}
 	if len(res.Enabled) == 0 {
 		rep.Executions++
-		for i, st := range res.Status {
-			if st == sim.StatusDone {
-				set[sim.Sprint(res.Outputs[i])] = true
-			}
-		}
+		set = decisionValues(res)
 		if len(set) > 1 && rep.Agreement {
 			rep.Agreement = false
 			rep.DisagreementSchedule = append([]int(nil), sched...)
@@ -273,6 +288,26 @@ func TestExploreMatchesNaiveOracle(t *testing.T) {
 			got = append(got, renderExec(e))
 			return nil
 		})
+		checkVisits(t, fc.name, got, want, n, err)
+	}
+}
+
+// TestExploreExecutionsOutliveTheRun: every Execution Explore visits is
+// the caller's to keep. Rendered only after Explore has returned, and
+// so after later runs reused the engine's arena, each must still match
+// the oracle's, trace included.
+func TestExploreExecutionsOutliveTheRun(t *testing.T) {
+	for _, fc := range oracleFactories() {
+		want := naiveVisits(t, fc.f)
+		var kept []Execution
+		n, err := Explore(fc.f, 0, func(e Execution) error {
+			kept = append(kept, e)
+			return nil
+		})
+		got := make([]string, len(kept))
+		for i, e := range kept {
+			got[i] = renderExec(e)
+		}
 		checkVisits(t, fc.name, got, want, n, err)
 	}
 }

@@ -1,9 +1,10 @@
 package modelcheck
 
-// reduce.go is the opt-in state-space reduction layer. Three techniques
-// compose, each keeping the exhaustive engines of explore.go/valency.go
-// as the oracle (cross-checked by TestReducedOracle* on every experiment
-// factory):
+// reduce.go is the model checker's one tree-search engine. Its
+// exhaustive mode, the trivial group with the table off
+// (Reduced{NoDedup: true}), runs Explore, VerifyAll, AnalyzeValency and
+// AnalyzeValencyUnder. Every mode is checked against the naive
+// replay-from-root oracles of oracle_test.go. Three techniques compose:
 //
 //   - Process-symmetry quotienting. Given an explicit permutation group
 //     over process ids (Symmetry.Perms), schedules are canonicalized to
@@ -35,18 +36,20 @@ package modelcheck
 //     quotienting applies.
 //
 //   - Carried arena runs. The engines drive their runs through the
-//     runDriver of driver.go, as the exhaustive engines do: a node's
-//     run parks at the end of its prefix and carries into the node's
-//     first canonical child, so only later siblings and choice
-//     branches start a fresh run. Every fresh run draws its scratch
-//     from one sim.RunArena per engine call (the driver keeps at most
-//     one run live), and stabilizers live in per-depth scratch, so
-//     steady-state exploration does not allocate per run. A parked
-//     node is signed with the status bytes a replay stopped there
-//     would report (see signature).
+//     runDriver of driver.go: a node's run parks at the end of its
+//     prefix and carries into the node's first canonical child, so
+//     only later siblings and choice branches start a fresh run. Every
+//     fresh run draws its scratch from one sim.RunArena per engine
+//     call (the driver keeps at most one run live), and stabilizers
+//     live in per-depth scratch, so steady-state exploration does not
+//     allocate per run. A parked node is signed with the status bytes
+//     a replay stopped there would report (see signature).
 //
-// Documented divergences from the unreduced engines (verdicts are still
-// equal; see DESIGN.md):
+// Runs record their trace exactly when the call has a visit callback;
+// copyExecution copies it out of the arena.
+//
+// Documented divergences of a nontrivial group or the table from
+// exhaustive mode (verdicts are still equal; see DESIGN.md):
 //
 //   - visit sees one representative per orbit (and, with dedup, only
 //     the first canonical path into a shared configuration), paired
@@ -57,7 +60,7 @@ package modelcheck
 //   - The execution budget is charged in orbit-sized chunks, so the
 //     engines may stop before literally limit representatives are
 //     visited; whether ErrLimit fires (total > limit) and its rendering
-//     are identical to the unreduced engines.
+//     are identical to exhaustive mode.
 
 import (
 	"errors"
@@ -322,6 +325,8 @@ type reducer struct {
 	d              *runDriver
 	sched, choices []int
 	arena          sim.RunArena
+	trace          bool                                    // record traces, for visit
+	wrap           func(inner sim.Scheduler) sim.Scheduler // AnalyzeValencyUnder's adversary
 	onStep         func(proc int, out sim.Value, hang bool)
 	hist           [][]byte
 	hung           []bool
@@ -396,13 +401,15 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 }
 
 // factory is the Factory the reducer's run driver builds every fresh
-// run from: f's configuration, untraced, on the shared arena and, with
-// dedup, feeding fresh response histories. The arena stays valid
-// because the driver has at most one run live.
+// run from: f's configuration, traced only for visit, on the shared
+// arena and, with dedup, feeding fresh response histories. The arena
+// stays valid because the driver has at most one run live.
 func (r *reducer) factory() sim.Config {
 	cfg := r.f()
 	r.objects = cfg.Objects
-	cfg.DisableTrace = true
+	if !r.trace {
+		cfg.DisableTrace = true
+	}
 	cfg.Arena = &r.arena
 	if r.dedup {
 		for i := range r.hist {
@@ -491,12 +498,17 @@ func (r *reducer) childStab(depth int, stab []int, id int) []int {
 	return cs
 }
 
-// reach drives the reducer's run to the node at the current prefix, as
-// runDriver.reach does, and returns the node's enabled set: nil at a
-// leaf, where the driver's enabled set is still the last parked
-// round's.
+// reach drives the run to the node at the current prefix and returns
+// the node's enabled set: nil at a leaf, where the driver's enabled set
+// is still the last parked round's. With carry the node is the first
+// child of the parked run's node, which resume carries into with the
+// prefix's last id; otherwise the node starts fresh.
 func (r *reducer) reach(carry bool) []int {
-	r.d.reach(r.sched, r.choices, carry)
+	if carry {
+		r.d.resume(r.sched[len(r.sched)-1])
+	} else {
+		r.d.start(r.sched, r.choices)
+	}
 	if !r.d.parked {
 		return nil
 	}
@@ -504,13 +516,16 @@ func (r *reducer) reach(carry bool) []int {
 }
 
 // copyExecution deep-copies the run outcome out of the arena (whose
-// buffers the next run reuses) into a caller-owned Execution.
+// buffers, trace events included, the next run reuses) into a
+// caller-owned Execution. No wrap reaches a visited run, so Restarts
+// is nil.
 func copyExecution(sched, choices []int, res *sim.Result) Execution {
 	cp := &sim.Result{
 		Outputs: append([]sim.Value(nil), res.Outputs...),
 		Status:  append([]sim.ProcStatus(nil), res.Status...),
 		Enabled: append([]int(nil), res.Enabled...),
 		Steps:   res.Steps,
+		Trace:   sim.Trace{Events: append([]sim.Event(nil), res.Trace.Events...)},
 	}
 	return Execution{
 		Schedule: append([]int(nil), sched...),
@@ -537,7 +552,8 @@ func ExploreReduced(f Factory, r Reduced, limit int, visit func(e Execution, orb
 // explore runs ExploreReduced's search from the root. The root's
 // stabilizer is the whole group, every index into perms.
 func (r *reducer) explore(visit func(e Execution, orbit int) error) (*SymmetryReport, error) {
-	r.d = newRunDriver(r.factory, nil)
+	r.trace = visit != nil
+	r.d = newRunDriver(r.factory, r.wrap)
 	defer r.d.stop()
 	_, confW, err := r.exploreRec(0, identityPerm(len(r.perms)), false, visit)
 	r.rep.Executions = r.execs
@@ -548,10 +564,10 @@ func (r *reducer) explore(visit func(e Execution, orbit int) error) (*SymmetryRe
 // exploreRec explores the canonical subtree below the current prefix
 // and returns the subtree's execution and configuration weights
 // relative to the node's stabilizer (see redMemo). The node's run is
-// carried from its parent's when carry is set, as in exploreDFS: only
-// the first canonical child carries, and later siblings and choice
-// branches start fresh. A transposition hit returns with the run still
-// parked; the next fresh start ends it.
+// carried from its parent's when carry is set: only the first
+// canonical child carries, and later siblings and choice branches start
+// fresh. A transposition hit returns with the run still parked; the
+// next fresh start ends it.
 func (r *reducer) exploreRec(depth int, stab []int, carry bool, visit func(e Execution, orbit int) error) (execW, confW int, err error) {
 	enabled := r.reach(carry)
 	if r.d.err != nil {
@@ -651,7 +667,7 @@ func AnalyzeValencyReduced(f Factory, r Reduced, limit int) (*ValencyReport, *Sy
 // valency runs AnalyzeValencyReduced's analysis from the root, whose
 // stabilizer is the whole group.
 func (r *reducer) valency() (*ValencyReport, *SymmetryReport, error) {
-	r.d = newRunDriver(r.factory, nil)
+	r.d = newRunDriver(r.factory, r.wrap)
 	defer r.d.stop()
 	root, err := r.valRec(0, identityPerm(len(r.perms)), false)
 	r.rep.Executions = r.execs
@@ -659,8 +675,8 @@ func (r *reducer) valency() (*ValencyReport, *SymmetryReport, error) {
 		return nil, &r.rep, err
 	}
 	r.rep.Configs = root.confW
-	// A disagreeing root leaf has an empty schedule, which copies to nil
-	// as in valencyAcc.disagreeAt; hasDis carries the verdict.
+	// A disagreeing root leaf has an empty schedule, which copies to
+	// nil; hasDis carries the verdict.
 	var dis []int
 	if root.hasDis {
 		dis = append([]int(nil), root.disagree...)
@@ -803,7 +819,7 @@ func (r *reducer) closedBivalent(vals []rval, stab []int) bool {
 
 // closureValues closes the root's reduced value set under the whole
 // group and renders it sorted, matching ValencyReport.Values of the
-// unreduced engine.
+// exhaustive mode.
 func (r *reducer) closureValues(vals []rval) []string {
 	set := make(map[string]bool)
 	for _, rv := range vals {

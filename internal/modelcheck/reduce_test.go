@@ -14,7 +14,6 @@ import (
 	"detobj/internal/registers"
 	"detobj/internal/setconsensus"
 	"detobj/internal/sim"
-	"detobj/internal/wrn"
 )
 
 // ringFactory is the E1 workload at parameter k: k processes solving
@@ -210,19 +209,26 @@ func checkPinnedReport(t *testing.T, what string, noDedup bool, got *SymmetryRep
 	}
 }
 
+// naiveCount is the naive oracle's execution count for f.
+func naiveCount(t *testing.T, f Factory) int {
+	t.Helper()
+	n := 0
+	if err := naiveExplore(f, nil, nil, func(Execution) { n++ }); err != nil {
+		t.Fatalf("naive oracle: %v", err)
+	}
+	return n
+}
+
 // TestReducedOracleExplore is the tentpole cross-check for ExploreReduced:
 // across every experiment-shaped factory and its symmetry group, with the
 // transposition table on and off, the reconstructed execution count must
-// equal the unreduced Explore count, the visited representatives must be
+// equal the naive oracle's count, the visited representatives must be
 // canonical (lex-least in their orbits), and without dedup the visited
 // orbit sizes must sum back to the full count. Every report field but
 // Runs must equal its pin.
 func TestReducedOracleExplore(t *testing.T) {
 	for _, c := range reducedExploreCases() {
-		want, err := Explore(c.f, 0, func(Execution) error { return nil })
-		if err != nil {
-			t.Fatalf("%s: Explore: %v", c.name, err)
-		}
+		want := naiveCount(t, c.f)
 		perms := c.sym.Perms
 		if len(perms) == 0 {
 			perms = [][]int{identityPerm(len(c.f().Programs))}
@@ -349,6 +355,36 @@ func TestReducedSignsLikeAStoppedReplay(t *testing.T) {
 	}
 }
 
+// TestReducedRepresentativesReplay: with the transposition table on and
+// off, every representative ExploreReduced visits is the execution its
+// own schedule and choices replay to from the root, down to the
+// rendered trace.
+func TestReducedRepresentativesReplay(t *testing.T) {
+	for _, c := range reducedExploreCases() {
+		for _, noDedup := range []bool{false, true} {
+			visits := 0
+			_, err := ExploreReduced(c.f, Reduced{Sym: c.sym, NoDedup: noDedup}, 0, func(e Execution, _ int) error {
+				visits++
+				res, err := runFromRoot(c.f, nil, e.Schedule, e.Choices)
+				if err != nil {
+					return fmt.Errorf("replaying %v %v: %w", e.Schedule, e.Choices, err)
+				}
+				want := renderExec(Execution{Schedule: e.Schedule, Choices: e.Choices, Result: res})
+				if got := renderExec(e); got != want {
+					return fmt.Errorf("representative diverges from its replay:\n got %q\nwant %q", got, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%s dedup=%v: %v", c.name, !noDedup, err)
+			}
+			if visits == 0 {
+				t.Errorf("%s dedup=%v: no representative visited", c.name, !noDedup)
+			}
+		}
+	}
+}
+
 // TestReducedDedupReachesFixpoint: on a workload with heavy state
 // sharing, the transposition table must actually fire — and the visited
 // representative set with dedup must be a subset of the one without.
@@ -380,15 +416,15 @@ func TestReducedDedupReachesFixpoint(t *testing.T) {
 }
 
 // TestReducedOracleValency cross-checks AnalyzeValencyReduced against
-// AnalyzeValency on every E11 protocol shape: all verdict fields must be
-// equal, a disagreeing protocol's canonical-first schedule must replay
-// to a genuinely disagreeing execution, and every symmetry-report field
-// but Runs must equal its pin.
+// the naive oracle's report on every E11 protocol shape: all verdict
+// fields must be equal, a disagreeing protocol's canonical-first
+// schedule must replay to a genuinely disagreeing execution, and every
+// symmetry-report field but Runs must equal its pin.
 func TestReducedOracleValency(t *testing.T) {
 	for _, c := range reducedValencyCases() {
-		want, err := AnalyzeValency(c.f, 0)
+		want, err := naiveReport(c.f, nil)
 		if err != nil {
-			t.Fatalf("%s: AnalyzeValency: %v", c.name, err)
+			t.Fatalf("%s: naive oracle: %v", c.name, err)
 		}
 		for _, noDedup := range []bool{false, true} {
 			got, srep, err := AnalyzeValencyReduced(c.f, Reduced{Sym: c.sym, NoDedup: noDedup}, 0)
@@ -421,52 +457,68 @@ func TestReducedOracleValency(t *testing.T) {
 	}
 }
 
-// TestReducedBudgetParity: whether ErrLimit fires — and its rendering —
-// must match the unreduced engines at the exact boundary, even though
-// the reduced budget is charged in orbit-sized chunks.
+// TestReducedBudgetParity: in every engine, ErrLimit fires exactly when
+// the naive oracle's execution count exceeds the limit, with the same
+// rendering, even though the reduced budget is charged in orbit-sized
+// chunks. Below the limit each engine reconstructs the full count.
 func TestReducedBudgetParity(t *testing.T) {
 	f := counterFactory(3, 2)
 	sym := SymmetricClasses(3, []int{0, 1, 2})
-	total, err := Explore(f, 0, func(Execution) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	symRen := sym
+	symRen.Rename = identRename
+	total := naiveCount(t, f)
 	for _, limit := range []int{total, total - 1, 1} {
-		_, seqErr := Explore(f, limit, func(Execution) error { return nil })
-		rep, redErr := ExploreReduced(f, Reduced{Sym: sym}, limit, nil)
-		if (seqErr == nil) != (redErr == nil) {
-			t.Fatalf("limit=%d: Explore err %v, ExploreReduced err %v", limit, seqErr, redErr)
+		var want error
+		if total > limit {
+			want = errLimitExceeded(limit)
 		}
-		if seqErr != nil && seqErr.Error() != redErr.Error() {
-			t.Errorf("limit=%d: error %q, want %q", limit, redErr, seqErr)
-		}
-		if redErr == nil && rep.Executions != total {
-			t.Errorf("limit=%d: reconstructed %d, want %d", limit, rep.Executions, total)
-		}
-
-		symRen := sym
-		symRen.Rename = identRename
-		_, seqValErr := AnalyzeValency(f, limit)
-		_, _, redValErr := AnalyzeValencyReduced(f, Reduced{Sym: symRen}, limit)
-		if (seqValErr == nil) != (redValErr == nil) {
-			t.Fatalf("limit=%d: AnalyzeValency err %v, AnalyzeValencyReduced err %v", limit, seqValErr, redValErr)
-		}
-		if seqValErr != nil && seqValErr.Error() != redValErr.Error() {
-			t.Errorf("limit=%d: valency error %q, want %q", limit, redValErr, seqValErr)
+		for _, e := range []struct {
+			name string
+			run  func() (int, error)
+		}{
+			{"Explore", func() (int, error) { return Explore(f, limit, func(Execution) error { return nil }) }},
+			{"ExploreReduced", func() (int, error) {
+				rep, err := ExploreReduced(f, Reduced{Sym: sym}, limit, nil)
+				return rep.Executions, err
+			}},
+			{"AnalyzeValency", func() (int, error) {
+				rep, err := AnalyzeValency(f, limit)
+				if err != nil {
+					return 0, err
+				}
+				return rep.Executions, nil
+			}},
+			{"AnalyzeValencyReduced", func() (int, error) {
+				rep, _, err := AnalyzeValencyReduced(f, Reduced{Sym: symRen}, limit)
+				if err != nil {
+					return 0, err
+				}
+				return rep.Executions, nil
+			}},
+		} {
+			n, err := e.run()
+			switch {
+			case want == nil && err != nil:
+				t.Errorf("limit=%d: %s err %v, want nil", limit, e.name, err)
+			case want == nil && n != total:
+				t.Errorf("limit=%d: %s counted %d executions, want %d", limit, e.name, n, total)
+			case want != nil && (err == nil || err.Error() != want.Error()):
+				t.Errorf("limit=%d: %s err %v, want %v", limit, e.name, err, want)
+			}
 		}
 	}
 }
 
 // TestReducedValencyRejectsNondeterminism: same errNondetValency wrap as
-// the unreduced engine.
+// the naive oracle.
 func TestReducedValencyRejectsNondeterminism(t *testing.T) {
-	_, seqErr := AnalyzeValency(coinFactory(1, 1), 0)
-	if seqErr == nil {
-		t.Fatal("sequential engine accepted a nondeterministic object")
+	_, wantErr := naiveReport(coinFactory(1, 1), nil)
+	if wantErr == nil {
+		t.Fatal("naive oracle accepted a nondeterministic object")
 	}
 	_, _, err := AnalyzeValencyReduced(coinFactory(1, 1), Reduced{}, 0)
-	if err == nil || err.Error() != seqErr.Error() {
-		t.Errorf("err = %v, want %v", err, seqErr)
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Errorf("err = %v, want %v", err, wantErr)
 	}
 }
 
@@ -539,18 +591,6 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-// TestRenderValuesMatchesFmt pins the DecisionVectors key format to
-// fmt.Sprint's slice rendering across every value shape the zoo uses.
-func TestRenderValuesMatchesFmt(t *testing.T) {
-	vs := []sim.Value{nil, 1, -3, "x", true, false, wrn.Bottom}
-	if got, want := renderValues(vs), fmt.Sprint(vs); got != want {
-		t.Errorf("renderValues = %q, fmt.Sprint = %q", got, want)
-	}
-	if got, want := renderValues(nil), fmt.Sprint([]sim.Value{}); got != want {
-		t.Errorf("renderValues(nil) = %q, fmt.Sprint(empty) = %q", got, want)
-	}
 }
 
 // TestReducedVisitStopsExploration: a visit error aborts the reduced

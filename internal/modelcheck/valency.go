@@ -2,7 +2,6 @@ package modelcheck
 
 import (
 	"fmt"
-	"sort"
 
 	"detobj/internal/sim"
 )
@@ -31,112 +30,10 @@ type ValencyReport struct {
 	DisagreementSchedule []int
 }
 
-// valencyAcc accumulates the report fields during one tree recursion.
-type valencyAcc struct {
-	configs, executions, bivalent, critical int
-	values                                  map[string]bool
-	// disagrees records that some execution disagreed; disagreement is
-	// the DFS-first such schedule, which is nil for the root's empty
-	// schedule, so it cannot double as the flag.
-	disagrees    bool
-	disagreement []int
-}
-
-// disagreeAt records the schedule of a disagreeing execution unless an
-// earlier one is already recorded.
-func (a *valencyAcc) disagreeAt(sched []int) {
-	if !a.disagrees {
-		a.disagrees = true
-		a.disagreement = append([]int(nil), sched...)
-	}
-}
-
-// report renders the accumulator as the public report.
-func (a *valencyAcc) report() *ValencyReport {
-	rep := &ValencyReport{
-		Configs:              a.configs,
-		Executions:           a.executions,
-		Bivalent:             a.bivalent,
-		Critical:             a.critical,
-		Agreement:            !a.disagrees,
-		DisagreementSchedule: a.disagreement,
-	}
-	for v := range a.values {
-		rep.Values = append(rep.Values, v)
-	}
-	sort.Strings(rep.Values)
-	return rep
-}
-
-// decisionValues is the set of values decided within one complete
-// execution (outputs of StatusDone processes, rendered).
-func decisionValues(res *sim.Result) map[string]bool {
-	vals := make(map[string]bool)
-	for i, st := range res.Status {
-		if st == sim.StatusDone {
-			vals[sim.Sprint(res.Outputs[i])] = true
-		}
-	}
-	return vals
-}
-
 // errNondetValency wraps a choice demand: valency analysis is defined
 // over deterministic objects only.
 func errNondetValency(err error) error {
 	return fmt.Errorf("modelcheck: valency analysis requires deterministic objects: %w", err)
-}
-
-// valencyRec returns the set of decision values reachable from the
-// configuration reached by sched, accumulating tree statistics into acc
-// and failing once acc counts more than limit complete executions. d
-// reaches the configuration as in exploreDFS: carried from the parked
-// parent for the first child, fresh for the others.
-func valencyRec(d *runDriver, sched []int, carry bool, acc *valencyAcc, limit int) (map[string]bool, error) {
-	d.reach(sched, nil, carry)
-	if d.err != nil {
-		var demand choiceDemand
-		if asDemand(d.err, &demand) {
-			return nil, errNondetValency(d.err)
-		}
-		return nil, d.err
-	}
-	acc.configs++
-	if !d.parked {
-		acc.executions++
-		if acc.executions > limit {
-			return nil, errLimitExceeded(limit)
-		}
-		vals := decisionValues(d.res)
-		if len(vals) > 1 {
-			acc.disagreeAt(sched)
-		}
-		for v := range vals {
-			acc.values[v] = true
-		}
-		return vals, nil
-	}
-	union := make(map[string]bool)
-	allChildrenUnivalent := true
-	enabled := d.enabled // the deeper runs park with enabled sets of their own
-	for i, id := range enabled {
-		child, err := valencyRec(d, appendStep(sched, id), i == 0, acc, limit)
-		if err != nil {
-			return nil, err
-		}
-		if len(child) > 1 {
-			allChildrenUnivalent = false
-		}
-		for v := range child {
-			union[v] = true
-		}
-	}
-	if len(union) > 1 {
-		acc.bivalent++
-		if allChildrenUnivalent {
-			acc.critical++
-		}
-	}
-	return union, nil
 }
 
 // AnalyzeValency explores the full execution tree of a consensus-style
@@ -175,15 +72,19 @@ func AnalyzeValency(f Factory, limit int) (*ValencyReport, error) {
 // crash-restart wrap has lost consensus power to the restart (Ovens
 // 2024), while a recoverable implementation keeps Agreement true under
 // both.
+//
+// It always runs the reducer's exhaustive mode, nil wrap included. A
+// signature cannot see the adversary's state (its firing step, whether
+// the victim has crashed and restarted), so the table would merge
+// configurations that continue differently, and a named victim breaks
+// process symmetry. With nil wrap the table stays off so that
+// AnalyzeValency remains the count cmd/modelcheck -stats checks it by.
 func AnalyzeValencyUnder(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, limit int) (*ValencyReport, error) {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	d := newRunDriver(f, wrap)
-	defer d.stop()
-	acc := &valencyAcc{values: make(map[string]bool)}
-	if _, err := valencyRec(d, nil, false, acc, limit); err != nil {
+	red, err := newReducer(f, Reduced{NoDedup: true}, limit)
+	if err != nil {
 		return nil, err
 	}
-	return acc.report(), nil
+	red.wrap = wrap
+	rep, _, err := red.valency()
+	return rep, err
 }

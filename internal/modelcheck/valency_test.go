@@ -59,7 +59,7 @@ func TestValencyWRN2Consensus(t *testing.T) {
 	}
 }
 
-// TestValencyLimitBoundary pins valencyRec's budget at the exact
+// TestValencyLimitBoundary pins AnalyzeValency's budget at the exact
 // boundary: at limit == executions the full report comes back, and one
 // below it fails with the canonical ErrLimit rendering.
 func TestValencyLimitBoundary(t *testing.T) {
