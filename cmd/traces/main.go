@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -25,23 +26,25 @@ import (
 func main() {
 	record := flag.Bool("record", false, "run Algorithm 5 and record a trace")
 	check := flag.String("check", "", "trace file to verify")
-	k := flag.Int("k", 3, "WRN arity")
+	k := flag.Int("k", 3, "WRN arity, at least 2")
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
 	switch {
 	case *record:
-		w := io.Writer(os.Stdout)
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
+		// Record first, so that a failed run leaves no -o file behind.
+		var buf bytes.Buffer
+		if err := recordTrace(&buf, *k, *seed); err != nil {
+			fatal(err)
 		}
-		if err := recordTrace(w, *k, *seed); err != nil {
+		var err error
+		if *out == "" {
+			_, err = os.Stdout.Write(buf.Bytes())
+		} else {
+			err = os.WriteFile(*out, buf.Bytes(), 0o666)
+		}
+		if err != nil {
 			fatal(err)
 		}
 	case *check != "":
@@ -91,6 +94,9 @@ type fileEvent struct {
 // recordTrace runs one Algorithm 5 execution with k processes and writes
 // the logical-operation trace as JSON.
 func recordTrace(w io.Writer, k int, seed int64) error {
+	if k < 2 {
+		return fmt.Errorf("-k must be at least 2, got %d", k)
+	}
 	objects := map[string]sim.Object{}
 	impl := wrn.NewImpl(objects, "LW", k)
 	progs := make([]sim.Program, k)

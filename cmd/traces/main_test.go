@@ -2,9 +2,27 @@ package main
 
 import (
 	"bytes"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
+
+	"detobj/internal/golden"
 )
+
+// TestGolden pins two recorded traces byte for byte. Both runs reach the
+// strong-election object's draws, so they pin the stream of Env.Rand as
+// well as the scheduler's.
+func TestGolden(t *testing.T) {
+	for _, c := range []struct {
+		k    int
+		seed int64
+	}{{3, 3}, {5, 9}} {
+		file := "record-k" + strconv.Itoa(c.k) + "-seed" + strconv.FormatInt(c.seed, 10) + ".golden"
+		args := []string{"-record", "-k", strconv.Itoa(c.k), "-seed", strconv.FormatInt(c.seed, 10)}
+		golden.Run(t, file, "traces", args, func(w io.Writer) error { return recordTrace(w, c.k, c.seed) })
+	}
+}
 
 func TestRecordAndCheckRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -18,6 +36,20 @@ func TestRecordAndCheckRoundTrip(t *testing.T) {
 		}
 		if verdict != "linearizable" {
 			t.Fatalf("seed %d: verdict %q", seed, verdict)
+		}
+	}
+}
+
+// TestRecordRejectsBadK: Algorithm 5 needs k >= 2, and a smaller k must
+// be an error rather than a panic inside the construction.
+func TestRecordRejectsBadK(t *testing.T) {
+	for _, k := range []int{-1, 0, 1} {
+		var buf bytes.Buffer
+		if err := recordTrace(&buf, k, 1); err == nil {
+			t.Errorf("-k %d accepted", k)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-k %d wrote %q", k, buf.String())
 		}
 	}
 }

@@ -40,9 +40,19 @@ func verifyReplay(cfg Config, res *Result) error {
 	return nil
 }
 
-// replayProc re-executes one program against its recorded sub-trace.
+// replayProc re-executes one program against its recorded events, read
+// in place from the run's trace.
 func replayProc(cfg Config, res *Result, id int) error {
-	expected := res.Trace.ByProc(id).Events
+	events := res.Trace.Events
+	// at indexes the process's next recorded event (len(events) once none
+	// is left), and next counts the process's events consumed so far.
+	at, next := -1, -1
+	advance := func() {
+		next++
+		for at++; at < len(events) && events[at].Proc != id; at++ {
+		}
+	}
+	advance()
 	w := getWorker()
 	// A divergence return leaves the process parked at its last yield;
 	// unwind it before the worker goes back to the pool.
@@ -54,11 +64,10 @@ func replayProc(cfg Config, res *Result, id int) error {
 	}()
 	w.start(id, 0, cfg.Recovery, cfg.Programs[id])
 
-	next := 0
 	failf := func(format string, args ...any) error {
 		pos := "event " + fmt.Sprint(next)
-		if next < len(expected) {
-			pos += " " + expected[next].String()
+		if at < len(events) {
+			pos += " " + events[at].String()
 		}
 		return fmt.Errorf("%w: process %d at %s: %s", ErrReplayDivergence, id, pos, fmt.Sprintf(format, args...))
 	}
@@ -67,7 +76,7 @@ func replayProc(cfg Config, res *Result, id int) error {
 		m := &w.msg
 		switch m.kind {
 		case msgInvoke:
-			if next >= len(expected) {
+			if at == len(events) {
 				if res.Status[id] == StatusStopped {
 					// The run stopped with this invocation pending; the
 					// replay confirmed everything that was recorded.
@@ -75,28 +84,28 @@ func replayProc(cfg Config, res *Result, id int) error {
 				}
 				return failf("extra invocation %s.%s", m.obj, m.inv.Op)
 			}
-			e := expected[next]
+			e := &events[at]
 			if e.Kind == EventCrash {
 				// The run crashed this process while exactly this
 				// invocation was pending: wipe the replayed incarnation
 				// too, then either confirm the process stayed crashed or
 				// re-execute the recorded restart.
-				if e.Object != m.obj || e.Op != m.inv.Op || !reflect.DeepEqual(e.Args, m.inv.Args) {
+				if e.Object != m.obj || e.Op != m.inv.Op || !sameArgs(e.Args, m.inv.Args) {
 					return failf("program invoked %s.%s%v, crash wiped a different invocation", m.obj, m.inv.Op, m.inv.Args)
 				}
 				w.abort()
-				next++
-				if next >= len(expected) {
+				advance()
+				if at == len(events) {
 					if res.Status[id] != StatusCrashed {
 						return failf("trace ends with a crash but process status is %v", res.Status[id])
 					}
 					return nil
 				}
-				r := expected[next]
+				r := &events[at]
 				if r.Kind != EventRestart {
 					return failf("crash followed by %s event, want restart", r.Kind)
 				}
-				next++
+				advance()
 				inc, ok := r.Out.(int)
 				if !ok {
 					return failf("restart event carries incarnation %v, want an int", r.Out)
@@ -107,10 +116,10 @@ func replayProc(cfg Config, res *Result, id int) error {
 			if e.Kind != EventStep {
 				return failf("program invoked %s.%s, trace records a %s mark", m.obj, m.inv.Op, e.Kind)
 			}
-			if e.Object != m.obj || e.Op != m.inv.Op || !reflect.DeepEqual(e.Args, m.inv.Args) {
+			if e.Object != m.obj || e.Op != m.inv.Op || !sameArgs(e.Args, m.inv.Args) {
 				return failf("program invoked %s.%s%v", m.obj, m.inv.Op, m.inv.Args)
 			}
-			next++
+			advance()
 			if e.Hang {
 				if res.Status[id] != StatusHung {
 					return failf("trace records a hang but process status is %v", res.Status[id])
@@ -119,19 +128,25 @@ func replayProc(cfg Config, res *Result, id int) error {
 			}
 			w.resume(e.Out)
 		case msgMark:
-			if next >= len(expected) {
+			if at == len(events) {
 				return failf("extra %s mark on %s.%s", m.mark, m.obj, m.inv.Op)
 			}
-			e := expected[next]
+			e := &events[at]
 			if e.Kind != m.mark || e.Object != m.obj || e.Op != m.inv.Op ||
-				!reflect.DeepEqual(e.Args, m.inv.Args) || !reflect.DeepEqual(e.Out, m.out) {
+				!sameArgs(e.Args, m.inv.Args) || !reflect.DeepEqual(e.Out, m.out) {
 				return failf("program recorded %s mark %s.%s%v -> %v", m.mark, m.obj, m.inv.Op, m.inv.Args, m.out)
 			}
-			next++
+			advance()
 			w.resume(nil)
 		case msgDone:
-			if next < len(expected) {
-				return failf("program finished with %d recorded event(s) left", len(expected)-next)
+			if at < len(events) {
+				left := 0
+				for i := at; i < len(events); i++ {
+					if events[i].Proc == id {
+						left++
+					}
+				}
+				return failf("program finished with %d recorded event(s) left", left)
 			}
 			if res.Status[id] != StatusDone {
 				return failf("program finished but recorded status is %v", res.Status[id])
@@ -144,4 +159,22 @@ func replayProc(cfg Config, res *Result, id int) error {
 			return failf("program panicked: %v", m.out)
 		}
 	}
+}
+
+// sameArgs reports whether two argument lists are equal as
+// reflect.DeepEqual judges the slices (nil and empty differ, one backing
+// array is equal), comparing element by element instead of boxing them.
+func sameArgs(a, b []Value) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	if len(a) > 0 && &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }

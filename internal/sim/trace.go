@@ -111,17 +111,6 @@ func (t Trace) ByObject(name string) Trace {
 	return out
 }
 
-// ByProc returns the sub-trace of events issued by process id.
-func (t Trace) ByProc(id int) Trace {
-	var out Trace
-	for _, e := range t.Events {
-		if e.Proc == id {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}
-
 // String renders the whole trace, one event per line.
 func (t Trace) String() string {
 	var b strings.Builder
