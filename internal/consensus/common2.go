@@ -19,11 +19,16 @@ import (
 // the head or nil when empty.
 type Queue struct {
 	items []sim.Value
+	// initial is what Reset restores. Its capacity is its length, so enq
+	// always reallocates instead of writing into it, and clones share it.
+	initial []sim.Value
 }
 
 // NewQueue returns an empty queue, optionally pre-filled with items.
 func NewQueue(items ...sim.Value) *Queue {
-	return &Queue{items: append([]sim.Value(nil), items...)}
+	items = append([]sim.Value(nil), items...)
+	n := len(items)
+	return &Queue{items: items[:n:n], initial: items[:n:n]}
 }
 
 // Apply implements sim.Object.
@@ -61,8 +66,13 @@ func (q *Queue) StateKey() string {
 
 // CloneObject returns a deep copy (for the model checker).
 func (q *Queue) CloneObject() sim.Object {
-	return NewQueue(q.items...)
+	c := NewQueue(q.items...)
+	c.initial = q.initial
+	return c
 }
+
+// Reset returns the queue in place to its constructed contents.
+func (q *Queue) Reset() { q.items = q.initial }
 
 // AppendStateSig implements sim.StateSigner: the queue contents in FIFO
 // order, with a length prefix so different splits cannot alias.
@@ -92,11 +102,12 @@ func (r QueueRef) Deq(ctx *sim.Ctx) sim.Value {
 // FetchAdd is a fetch&add register: "fad"(d) adds d and returns the
 // previous value.
 type FetchAdd struct {
-	n int
+	n       int
+	initial int // what Reset restores
 }
 
 // NewFetchAdd returns a fetch&add register holding initial.
-func NewFetchAdd(initial int) *FetchAdd { return &FetchAdd{n: initial} }
+func NewFetchAdd(initial int) *FetchAdd { return &FetchAdd{n: initial, initial: initial} }
 
 // Apply implements sim.Object.
 func (f *FetchAdd) Apply(_ *sim.Env, inv sim.Invocation) sim.Response {
@@ -116,7 +127,10 @@ func (f *FetchAdd) Apply(_ *sim.Env, inv sim.Invocation) sim.Response {
 func (f *FetchAdd) StateKey() string { return strconv.Itoa(f.n) }
 
 // CloneObject returns a copy (for the model checker).
-func (f *FetchAdd) CloneObject() sim.Object { return &FetchAdd{n: f.n} }
+func (f *FetchAdd) CloneObject() sim.Object { return &FetchAdd{n: f.n, initial: f.initial} }
+
+// Reset returns the register in place to its initial value.
+func (f *FetchAdd) Reset() { f.n = f.initial }
 
 // AppendStateSig implements sim.StateSigner.
 func (f *FetchAdd) AppendStateSig(dst []byte) []byte {

@@ -18,11 +18,12 @@ import (
 // value and returns the previous one. Initially the cell holds nil, which
 // plays the role of ⊥.
 type Swap struct {
-	v sim.Value
+	v       sim.Value
+	initial sim.Value // what Reset restores
 }
 
 // NewSwap returns a SWAP object holding initial.
-func NewSwap(initial sim.Value) *Swap { return &Swap{v: initial} }
+func NewSwap(initial sim.Value) *Swap { return &Swap{v: initial, initial: initial} }
 
 // Apply implements sim.Object with the single operation "swap"(v).
 func (s *Swap) Apply(_ *sim.Env, inv sim.Invocation) sim.Response {
@@ -137,7 +138,10 @@ func (s *Swap) AppendStateSig(dst []byte) []byte {
 }
 
 // CloneObject returns a copy (for the model checker).
-func (s *Swap) CloneObject() sim.Object { return &Swap{v: s.v} }
+func (s *Swap) CloneObject() sim.Object { return &Swap{v: s.v, initial: s.initial} }
+
+// Reset returns the cell in place to its initial value.
+func (s *Swap) Reset() { s.v = s.initial }
 
 // StateKey serializes the flag (for the model checker).
 func (t *TestAndSet) StateKey() string { return strconv.FormatBool(t.set) }
@@ -153,6 +157,9 @@ func (t *TestAndSet) AppendStateSig(dst []byte) []byte {
 
 // CloneObject returns a copy (for the model checker).
 func (t *TestAndSet) CloneObject() sim.Object { return &TestAndSet{set: t.set} }
+
+// Reset clears the flag in place.
+func (t *TestAndSet) Reset() { t.set = false }
 
 // StateKey serializes the decision state (for the model checker) as
 // "used/n:decided:decision", each field as fmt.Sprint renders it.

@@ -22,6 +22,10 @@ type Finite interface {
 	CloneObject() sim.Object
 }
 
+// resetter is an object the tree-search engine re-arms between runs
+// (see Factory). Reset must allocate nothing.
+type resetter interface{ Reset() }
+
 // transition is one cell of the precomputed step table: the successor
 // state and the interned output token of applying one alphabet operation
 // in one reachable state. It is deliberately flat — two int32 indices,

@@ -36,11 +36,15 @@ var ErrLimit = errors.New("modelcheck: execution limit exceeded")
 // engines fail loudly instead.
 var ErrScriptDivergence = errors.New("modelcheck: replayed choice script diverged from the object's demand")
 
-// Factory produces a fresh configuration (fresh objects, same programs)
-// for every run the engine starts from the root, plus one probe call.
-// The engine overrides Scheduler and Choice, sets Arena, sets OnStep
-// when the transposition table is on, and sets DisableTrace unless the
-// call has a visit callback (so VerifyReplay checks only traced runs).
+// Factory produces a fresh configuration (fresh objects, same programs).
+// When every object has a Reset method, which returns it in place to
+// its constructed state, the engine calls f once per engine call and
+// resets the objects before each run it starts from the root, reusing
+// the programs as the replay contract allows; otherwise it calls f once
+// more per such run. The engine overrides Scheduler and Choice, sets
+// Arena, sets OnStep when the transposition table is on, and sets
+// DisableTrace unless the call has a visit callback (so VerifyReplay
+// checks only traced runs).
 type Factory func() sim.Config
 
 // Execution is one complete run discovered by Explore.

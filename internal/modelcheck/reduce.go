@@ -65,6 +65,7 @@ package modelcheck
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"detobj/internal/sim"
@@ -231,13 +232,18 @@ func (s Symmetry) group(n int) ([][]int, error) {
 	if len(s.Perms) == 0 {
 		return [][]int{identityPerm(n)}, nil
 	}
-	// buf packs one permutation at a time; a lookup as keys[string(buf)]
-	// does not allocate, which keeps the |G|² closure check below free
-	// of garbage.
-	keys := make(map[string]bool, len(s.Perms))
-	buf := make([]byte, n)
+	// buf packs one permutation, each image in width bytes, so that
+	// index[string(buf)] finds a member without allocating.
+	width := (bits.Len(uint(n-1)) + 7) / 8
+	index := make(map[string]int, len(s.Perms))
+	buf := make([]byte, n*width)
+	pack := func(i, v int) {
+		for b := 0; b < width; b++ {
+			buf[i*width+b] = byte(v >> (8 * b))
+		}
+	}
 	seen := make([]bool, n)
-	hasIdentity := false
+	identity := -1
 	for k, p := range s.Perms {
 		if len(p) != n {
 			return nil, fmt.Errorf("modelcheck: Perms[%d] has length %d, want %d", k, len(p), n)
@@ -249,29 +255,54 @@ func (s Symmetry) group(n int) ([][]int, error) {
 				return nil, fmt.Errorf("modelcheck: Perms[%d] is not a permutation of %d processes", k, n)
 			}
 			seen[v] = true
-			buf[i] = byte(v)
+			pack(i, v)
 			if v != i {
 				id = false
 			}
 		}
-		if keys[string(buf)] {
+		if _, dup := index[string(buf)]; dup {
 			return nil, fmt.Errorf("modelcheck: Perms[%d] duplicates an earlier permutation", k)
 		}
-		keys[string(buf)] = true
+		index[string(buf)] = k
 		if id {
-			hasIdentity = true
+			identity = k
 		}
 	}
-	if !hasIdentity {
+	if identity < 0 {
 		return nil, errors.New("modelcheck: symmetry group must contain the identity permutation")
 	}
-	for _, a := range s.Perms {
-		for _, b := range s.Perms {
-			for i, j := range b {
-				buf[i] = byte(a[j])
+	// Perms is closed iff the group it generates lies inside it. elems[:ne]
+	// is the subgroup generated so far, closed under right products by
+	// gens[:ng]. Each unreached member joins gens and at least doubles it,
+	// and old elements take only the new generator: O(|G| log |G|) products.
+	reached := make([]bool, len(s.Perms))
+	elems := make([]int, len(s.Perms))
+	gens := make([]int, len(s.Perms))
+	reached[identity], elems[0] = true, identity
+	ne, ng := 1, 0
+	for g := range s.Perms {
+		if reached[g] {
+			continue
+		}
+		gens[ng], ng = g, ng+1
+		old := ne
+		for x, from := 0, ng-1; x < ne; x++ {
+			if x == old {
+				from = 0
 			}
-			if !keys[string(buf)] {
-				return nil, errors.New("modelcheck: symmetry Perms are not closed under composition")
+			a := s.Perms[elems[x]]
+			for _, y := range gens[from:ng] {
+				for i, j := range s.Perms[y] {
+					pack(i, a[j])
+				}
+				k, ok := index[string(buf)]
+				if !ok {
+					return nil, errors.New("modelcheck: symmetry Perms are not closed under composition")
+				}
+				if !reached[k] {
+					reached[k], elems[ne] = true, k
+					ne++
+				}
 			}
 		}
 	}
@@ -312,6 +343,9 @@ type valMemo struct {
 // reducer carries the state of one reduced engine call.
 type reducer struct {
 	f      Factory
+	probe  sim.Config // f's first configuration, re-armed per run when rearm
+	rearm  bool       // every probe object resets; resets holds them in objOrder
+	resets []resetter
 	perms  [][]int
 	rename func(v sim.Value, perm []int) sim.Value
 	dedup  bool
@@ -346,8 +380,8 @@ type reducer struct {
 }
 
 // newReducer probes the factory once for the process count and object
-// set, validates the group, and decides dedup capability. The caller
-// creates the run driver once every check has passed.
+// set, validates the group, and decides re-arm and dedup capability.
+// The caller creates the run driver once every check has passed.
 func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 	if limit <= 0 {
 		limit = 1 << 20
@@ -358,12 +392,22 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 	if err != nil {
 		return nil, err
 	}
-	red := &reducer{f: f, perms: perms, rename: r.Sym.Rename, limit: limit, n: n}
+	red := &reducer{f: f, probe: probe, perms: perms, rename: r.Sym.Rename, limit: limit, n: n}
 	red.rep.Group = len(perms)
 	for name := range probe.Objects {
 		red.objOrder = append(red.objOrder, name)
 	}
 	sort.Strings(red.objOrder)
+	red.rearm = true
+	red.resets = make([]resetter, len(red.objOrder))
+	for i, name := range red.objOrder {
+		rs, ok := probe.Objects[name].(resetter)
+		if !ok {
+			red.rearm, red.resets = false, nil
+			break
+		}
+		red.resets[i] = rs
+	}
 	red.dedup = !r.NoDedup
 	if red.dedup {
 		for _, name := range red.objOrder {
@@ -401,11 +445,18 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 }
 
 // factory is the Factory the reducer's run driver builds every fresh
-// run from: f's configuration, traced only for visit, on the shared
-// arena and, with dedup, feeding fresh response histories. The arena
-// stays valid because the driver has at most one run live.
+// run from: the re-armed probe, or else f's next configuration, traced
+// only for visit, on the shared arena and, with dedup, feeding fresh
+// response histories. Reset and arena are safe because the driver ends
+// the previous run before it starts the next.
 func (r *reducer) factory() sim.Config {
-	cfg := r.f()
+	cfg := r.probe
+	if !r.rearm {
+		cfg = r.f()
+	}
+	for _, o := range r.resets {
+		o.Reset()
+	}
 	r.objects = cfg.Objects
 	if !r.trace {
 		cfg.DisableTrace = true

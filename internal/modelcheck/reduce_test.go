@@ -2,8 +2,10 @@ package modelcheck
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
@@ -47,22 +49,172 @@ func TestSymmetryGroupHelpers(t *testing.T) {
 	}
 }
 
+// TestSymmetryGroupValidation: each malformed group is rejected with its
+// own error, and valid groups are accepted, over 256 processes too.
 func TestSymmetryGroupValidation(t *testing.T) {
+	swap := func(n, a, b int) []int {
+		p := identityPerm(n)
+		p[a], p[b] = b, a
+		return p
+	}
+	cycle := identityPerm(300)
+	cycle[1], cycle[257], cycle[2] = 257, 2, 1
 	cases := []struct {
-		name  string
-		perms [][]int
+		name    string
+		n       int
+		perms   [][]int
+		wantErr string // "" for a valid group
 	}{
-		{"no identity", [][]int{{1, 0}}},
-		{"not closed", [][]int{{0, 1, 2}, {1, 2, 0}}}, // missing the second rotation
-		{"wrong length", [][]int{{0, 1}}},
-		{"not a permutation", [][]int{{0, 1, 2}, {0, 0, 2}}},
-		{"duplicate", [][]int{{0, 1, 2}, {0, 1, 2}}},
+		{"no identity", 3, [][]int{{1, 0, 2}}, "modelcheck: symmetry group must contain the identity permutation"},
+		{"not closed", 3, [][]int{{0, 1, 2}, {1, 2, 0}}, "modelcheck: symmetry Perms are not closed under composition"}, // missing the second rotation
+		{"wrong length", 3, [][]int{{0, 1}}, "modelcheck: Perms[0] has length 2, want 3"},
+		{"not a permutation", 3, [][]int{{0, 1, 2}, {0, 0, 2}}, "modelcheck: Perms[1] is not a permutation of 3 processes"},
+		{"duplicate", 3, [][]int{{0, 1, 2}, {0, 1, 2}}, "modelcheck: Perms[1] duplicates an earlier permutation"},
+		{"not closed in 300", 300, [][]int{identityPerm(300), cycle}, "modelcheck: symmetry Perms are not closed under composition"},
+		{"trivial", 3, nil, ""},
+		{"S3", 3, SymmetricClasses(3, []int{0, 1, 2}).Perms, ""},
+		{"C4", 4, CyclicRotations(4).Perms, ""},
+		{"S{0,256} in 257", 257, SymmetricClasses(257, []int{0, 256}).Perms, ""},
+		{"S{1,257} in 300", 300, SymmetricClasses(300, []int{1, 257}).Perms, ""},
+		{"transposition in 70000", 70000, [][]int{identityPerm(70000), swap(70000, 3, 65539)}, ""},
 	}
 	for _, c := range cases {
-		_, err := ExploreReduced(counterFactory(3, 1), Reduced{Sym: Symmetry{Perms: c.perms}}, 0, nil)
-		if err == nil {
-			t.Errorf("%s: group accepted", c.name)
+		_, err := newReducer(counterFactory(c.n, 1), Reduced{Sym: Symmetry{Perms: c.perms}}, 0)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: valid group rejected: %v", c.name, err)
+		case c.wantErr != "" && (err == nil || err.Error() != c.wantErr):
+			t.Errorf("%s: err %v, want %q", c.name, err, c.wantErr)
 		}
+	}
+}
+
+// permKey renders a permutation as a map key for any process count.
+func permKey(p []int) string {
+	b := make([]byte, 0, 2*len(p))
+	for _, v := range p {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	return string(b)
+}
+
+// closedByProducts is the reference for Symmetry.group's closure check:
+// the |G|² sweep that composes every ordered pair of members and looks
+// the product up.
+func closedByProducts(perms [][]int) bool {
+	keys := make(map[string]bool, len(perms))
+	for _, p := range perms {
+		keys[permKey(p)] = true
+	}
+	c := make([]int, len(perms[0]))
+	for _, a := range perms {
+		for _, b := range perms {
+			for i, j := range b {
+				c[i] = a[j]
+			}
+			if !keys[permKey(c)] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// generated closes perms under composition (test-side, by fixpoint).
+func generated(perms [][]int) [][]int {
+	out := append([][]int(nil), perms...)
+	keys := map[string]bool{}
+	for _, p := range out {
+		keys[permKey(p)] = true
+	}
+	for grew := true; grew; {
+		grew = false
+		for _, a := range out {
+			for _, b := range out {
+				c := make([]int, len(b))
+				for i, j := range b {
+					c[i] = a[j]
+				}
+				if k := permKey(c); !keys[k] {
+					keys[k] = true
+					out = append(out, c)
+					grew = true
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestSymmetryClosureMatchesReference: the generator-based closure check
+// gives the |G|² sweep's verdict on every subset of S_3 containing the
+// identity (in both orders), on seeded random subsets of S_4 and S_5,
+// their generated subgroups and those subgroups less one member, and on
+// SymmetricClasses and CyclicRotations up to n = 7.
+func TestSymmetryClosureMatchesReference(t *testing.T) {
+	const notClosed = "modelcheck: symmetry Perms are not closed under composition"
+	checked, closed := 0, 0
+	check := func(what string, perms [][]int) {
+		t.Helper()
+		checked++
+		want := closedByProducts(perms)
+		if want {
+			closed++
+		}
+		_, err := Symmetry{Perms: perms}.group(len(perms[0]))
+		switch {
+		case want && err != nil:
+			t.Errorf("%s: closed set rejected: %v", what, err)
+		case !want && (err == nil || err.Error() != notClosed):
+			t.Errorf("%s: err %v, want %q", what, err, notClosed)
+		}
+	}
+	s3 := permutationsOf(3) // s3[0] is the identity
+	for mask := 0; mask < 1<<(len(s3)-1); mask++ {
+		perms := [][]int{s3[0]}
+		for i := 1; i < len(s3); i++ {
+			if mask>>(i-1)&1 == 1 {
+				perms = append(perms, s3[i])
+			}
+		}
+		check(fmt.Sprintf("S3 subset %v", perms), perms)
+		rev := slices.Clone(perms)
+		slices.Reverse(rev)
+		check(fmt.Sprintf("S3 subset %v", rev), rev)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for _, k := range []int{4, 5} {
+		all := permutationsOf(k)
+		for trial := 0; trial < 60; trial++ {
+			perms := [][]int{all[0]}
+			for _, i := range rng.Perm(len(all) - 1)[:1+rng.Intn(4)] {
+				perms = append(perms, all[i+1])
+			}
+			rng.Shuffle(len(perms), func(i, j int) { perms[i], perms[j] = perms[j], perms[i] })
+			check(fmt.Sprintf("S%d random %v", k, perms), perms)
+			g := generated(perms)
+			rng.Shuffle(len(g), func(i, j int) { g[i], g[j] = g[j], g[i] })
+			check(fmt.Sprintf("S%d subgroup of order %d", k, len(g)), g)
+			for i, p := range g {
+				if !slices.Equal(p, identityPerm(k)) {
+					less := slices.Delete(slices.Clone(g), i, i+1)
+					check(fmt.Sprintf("S%d subgroup of order %d less one", k, len(g)), less)
+					break
+				}
+			}
+		}
+	}
+	for n := 1; n <= 7; n++ {
+		check(fmt.Sprintf("C%d", n), CyclicRotations(n).Perms)
+		followers := make([]int, n-1)
+		for i := range followers {
+			followers[i] = i + 1
+		}
+		check(fmt.Sprintf("S(followers) in %d", n), SymmetricClasses(n, followers).Perms)
+		check(fmt.Sprintf("S(evens)xS(odds) in %d", n), SymmetricClasses(n, []int{0, 2, 4, 6}[:(n+1)/2], []int{1, 3, 5}[:n/2]).Perms)
+	}
+	if closed == 0 || closed == checked {
+		t.Errorf("%d of %d sets closed: the cases must cover both verdicts", closed, checked)
 	}
 }
 

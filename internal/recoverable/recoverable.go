@@ -155,6 +155,9 @@ func (s *Scratch) Apply(env *sim.Env, inv sim.Invocation) sim.Response {
 // process's slot is volatile.
 func (s *Scratch) OnCrash(proc int) { delete(s.slots, proc) }
 
+// Reset returns the scratchpad in place to its constructed state.
+func (s *Scratch) Reset() { s.slots = nil }
+
 // TestAndSet is a recoverable test-and-set: the winner's identity is
 // durable, and "tas" is idempotent per process — the recorded winner
 // wins again on re-invocation, so a restarted winner re-learns its win
@@ -197,6 +200,9 @@ func (t *TestAndSet) StateKey() string { return "w=" + strconv.Itoa(t.winner) }
 
 // CloneObject copies the object.
 func (t *TestAndSet) CloneObject() sim.Object { return &TestAndSet{winner: t.winner} }
+
+// Reset returns the object in place to unset.
+func (t *TestAndSet) Reset() { t.winner = -1 }
 
 // TASRef is a typed handle to a recoverable TestAndSet registered under
 // Name.

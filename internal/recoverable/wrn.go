@@ -143,6 +143,16 @@ func (c *WRNCore) validate(inv sim.Invocation) (opid, i int, v sim.Value) {
 // the durable half of the construction by design.
 func (c *WRNCore) OnCrash(proc int) {}
 
+// Reset returns the core in place to its constructed state.
+func (c *WRNCore) Reset() {
+	for i := range c.cells {
+		c.cells[i] = wrn.Bottom
+	}
+	clear(c.lastOp)
+	clear(c.lastResp)
+	clear(c.applies)
+}
+
 // cacheEntry is the volatile response-cache record: which operation the
 // process last completed and what it returned. Comparable, so checkers
 // can == it.

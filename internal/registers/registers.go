@@ -21,19 +21,20 @@ const MWMR = -1
 
 // Register is an atomic read/write register.
 type Register struct {
-	value  sim.Value
-	writer int
+	value   sim.Value
+	initial sim.Value // what Reset restores
+	writer  int
 }
 
 // New returns a multi-writer multi-reader register holding initial.
 func New(initial sim.Value) *Register {
-	return &Register{value: initial, writer: MWMR}
+	return &Register{value: initial, initial: initial, writer: MWMR}
 }
 
 // NewSWMR returns a single-writer register holding initial that only the
 // given process may write. Reads are unrestricted.
 func NewSWMR(initial sim.Value, writer int) *Register {
-	return &Register{value: initial, writer: writer}
+	return &Register{value: initial, initial: initial, writer: writer}
 }
 
 // Apply implements sim.Object with operations "read" and "write".
@@ -179,8 +180,11 @@ func (r *Register) AppendStateSig(dst []byte) []byte {
 
 // CloneObject returns a copy (for the model checker).
 func (r *Register) CloneObject() sim.Object {
-	return &Register{value: r.value, writer: r.writer}
+	return &Register{value: r.value, initial: r.initial, writer: r.writer}
 }
+
+// Reset returns the register in place to its initial value.
+func (r *Register) Reset() { r.value = r.initial }
 
 // StateKey serializes the counter (for the model checker).
 func (c *Counter) StateKey() string { return strconv.Itoa(c.n) }
@@ -192,3 +196,6 @@ func (c *Counter) AppendStateSig(dst []byte) []byte {
 
 // CloneObject returns a copy (for the model checker).
 func (c *Counter) CloneObject() sim.Object { return &Counter{n: c.n} }
+
+// Reset returns the counter in place to zero.
+func (c *Counter) Reset() { c.n = 0 }

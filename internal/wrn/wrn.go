@@ -226,6 +226,13 @@ func (o *Object) CloneObject() sim.Object {
 	return &Object{k: o.k, cells: o.Cells()}
 }
 
+// Reset returns the object in place to its constructed state, every cell ⊥.
+func (o *Object) Reset() {
+	for i := range o.cells {
+		o.cells[i] = Bottom
+	}
+}
+
 // StateKey serializes cells plus per-index use flags (for the model
 // checker), as fmt renders the two slices back to back.
 func (o *OneShot) StateKey() string {
@@ -258,4 +265,11 @@ func (o *OneShot) CloneObject() sim.Object {
 		used:  append([]bool(nil), o.used...),
 		uses:  append([]int(nil), o.uses...),
 	}
+}
+
+// Reset returns the object in place to its constructed state.
+func (o *OneShot) Reset() {
+	o.inner.Reset()
+	clear(o.used)
+	clear(o.uses)
 }
