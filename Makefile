@@ -97,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWRNAgainstReference -fuzztime 30s ./internal/wrn/
 	$(GO) test -fuzz FuzzAlg2Schedules -fuzztime 30s ./internal/wrn/
 	$(GO) test -fuzz FuzzCheckAgainstBruteForce -fuzztime 30s ./internal/linearize/
+	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/sim/
 
 clean:
 	$(GO) clean -testcache

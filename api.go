@@ -1,6 +1,8 @@
 package detobj
 
 import (
+	"math/rand"
+
 	"detobj/internal/bgsim"
 	"detobj/internal/chaos"
 	"detobj/internal/consensus"
@@ -54,6 +56,10 @@ func NewRoundRobin() Scheduler { return sim.NewRoundRobin() }
 
 // NewRandomScheduler returns the seeded uniform scheduler.
 func NewRandomScheduler(seed int64) Scheduler { return sim.NewRandom(seed) }
+
+// NewSeededSource returns the source behind the random scheduler and
+// Env.Rand: it draws what rand.NewSource(seed) draws, but seeds in O(1).
+func NewSeededSource(seed int64) rand.Source64 { return sim.NewSource(seed) }
 
 // NewFixedSchedule returns a scheduler replaying the given process order.
 func NewFixedSchedule(order ...int) Scheduler { return sim.NewFixed(order...) }

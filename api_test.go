@@ -2,6 +2,7 @@ package detobj_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"detobj"
@@ -243,5 +244,16 @@ func TestFacadeObjects(t *testing.T) {
 	}
 	if detobj.NewRoundRobin() == nil {
 		t.Fatal("round robin nil")
+	}
+}
+
+// TestFacadeSeededSource: the facade's source draws what math/rand's
+// source seeded alike draws.
+func TestFacadeSeededSource(t *testing.T) {
+	got, want := rand.New(detobj.NewSeededSource(11)), rand.New(rand.NewSource(11))
+	for i := 0; i < 1000; i++ {
+		if g, w := got.Intn(97), want.Intn(97); g != w {
+			t.Fatalf("draw %d = %d, want %d", i, g, w)
+		}
 	}
 }

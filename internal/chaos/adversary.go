@@ -292,7 +292,7 @@ type Adaptive struct {
 
 // NewAdaptive returns the adaptive adversary with the given seed.
 func NewAdaptive(seed int64, r *Report) *Adaptive {
-	return &Adaptive{rng: rand.New(rand.NewSource(seed)), report: r, last: -1}
+	return &Adaptive{rng: rand.New(sim.NewSource(seed)), report: r, last: -1}
 }
 
 // Observe implements sim.Observer: it maintains the per-process step

@@ -184,7 +184,7 @@ type AdaptiveRestart struct {
 // with the given seed and total crash budget.
 func NewAdaptiveRestart(inner sim.Scheduler, r *Report, seed int64, maxCrashes int) *AdaptiveRestart {
 	return &AdaptiveRestart{
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        rand.New(sim.NewSource(seed)),
 		inner:      innerOf(inner),
 		report:     r,
 		maxCrashes: maxCrashes,

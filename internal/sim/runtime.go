@@ -72,8 +72,9 @@ type Config struct {
 	Scheduler Scheduler
 	// MaxSteps bounds the run; 0 means DefaultMaxSteps.
 	MaxSteps int
-	// Seed seeds Env.Rand for nondeterministic objects. The source is
-	// built on the first draw, so a run that never draws never seeds.
+	// Seed seeds Env.Rand for nondeterministic objects: its draws are
+	// those of rand.New(rand.NewSource(Seed)). Seeding is O(1) (see
+	// Source), so a run pays only for the draws its objects make.
 	Seed int64
 	// Choice, when non-nil, replaces the seeded Env.Rand so callers (in
 	// particular the model checker) can control or enumerate the choices
@@ -219,12 +220,13 @@ func Run(cfg Config) (*Result, error) {
 	// unwinds the processes still parked so their workers return to the
 	// pool.
 	defer rt.abortAll()
-	if cfg.Choice == nil {
-		// Env.Rand is built only when no Choice override is present (the
-		// engines always script their choices), and its source is seeded
-		// on the first draw: few objects draw, and seeding costs 4.9 KB.
-		rt.lazy.seed = cfg.Seed
-		rt.rng = rand.New(&rt.lazy)
+	rt.choice = cfg.Choice
+	if rt.choice == nil {
+		// Env.Rand and its source live in the runtime, so seeding them
+		// allocates nothing. rand.New inlines, and its result is copied.
+		rt.src.Seed(cfg.Seed)
+		rt.rng = *rand.New(&rt.src)
+		rt.choice = &rt.rng
 	}
 	if o, ok := sched.(Observer); ok {
 		rt.obs = o
@@ -301,8 +303,7 @@ func contains(xs []int, x int) bool {
 
 type runtime struct {
 	cfg      Config
-	rng      *rand.Rand    // nil when cfg.Choice overrides it
-	lazy     lazySource    // rng's source
+	choice   RandSource    // Env.Rand: cfg.Choice, or else &rng
 	obs      Observer      // scheduler's event tap, if it implements Observer
 	injector FaultInjector // scheduler's fault channel, if it implements FaultInjector
 	procs    []procState
@@ -319,26 +320,10 @@ type runtime struct {
 	// surfaces as Result.Enabled.
 	enabledIDs []int
 	crashed    []int
+	// Env.Rand when cfg.Choice is nil, and its source.
+	rng rand.Rand
+	src Source
 }
-
-// lazySource is Env.Rand's source: it calls rand.NewSource(seed) on the
-// first draw, so every draw is the one the seeded source makes and a run
-// that never draws never seeds.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-func (l *lazySource) source() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
-	}
-	return l.src
-}
-
-func (l *lazySource) Int63() int64    { return l.source().Int63() }
-func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
-func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 func (rt *runtime) enabled() []int {
 	ids := rt.enabledIDs[:0]
@@ -456,13 +441,9 @@ func (rt *runtime) step(id int) error {
 	if !ok {
 		return fmt.Errorf("%w: %q (process %d)", ErrUnknownObject, m.obj, id)
 	}
-	choice := rt.cfg.Choice
-	if choice == nil {
-		choice = rt.rng
-	}
 	// The Env is rebuilt in place instead of allocated per step; Apply
 	// must not retain it (see the Object contract).
-	rt.env = Env{Proc: id, Step: rt.steps, Rand: choice}
+	rt.env = Env{Proc: id, Step: rt.steps, Rand: rt.choice}
 	resp, err := applyObject(obj, &rt.env, m)
 	if err != nil {
 		return err

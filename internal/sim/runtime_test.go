@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -646,21 +647,67 @@ func TestEnvRandMatchesSeededSource(t *testing.T) {
 	}
 }
 
-// TestRunSeedsEnvRandOnFirstDraw: the source behind Env.Rand is seeded
-// on its first draw, so a run whose objects never draw does not pay for
-// seeding it.
-func TestRunSeedsEnvRandOnFirstDraw(t *testing.T) {
-	allocs := func(bounds []int) float64 {
+// TestRunSeedsEnvRandInPlace: Env.Rand and its Source live in the run's
+// runtime and seed in O(1), so a run that draws inside the Source's
+// closed-form prefix (2 draws) allocates exactly as many objects as a run
+// that never draws, and a run that draws past it (300 draws) allocates
+// exactly one more: the register, built once on draw 274. The random
+// scheduler's Source holds no register either: NewRandom plus 64 draws
+// allocates a small fraction of a seeded math/rand source's 5,376 bytes.
+func TestRunSeedsEnvRandInPlace(t *testing.T) {
+	allocs := func(draws int) float64 {
+		bounds := make([]int, draws/2)
+		for i := range bounds {
+			bounds[i] = 2 + i
+		}
+		got := make([]int, 0, draws)
 		return testing.AllocsPerRun(50, func() {
-			d := &drawer{bounds: bounds, got: make([]int, 0, 2)}
+			d := &drawer{bounds: bounds, got: got}
 			cfg := Config{Objects: map[string]Object{"R": d}, Programs: []Program{drawTwice}, Seed: 1}
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
+			if len(d.got) != draws {
+				t.Fatalf("%d draws, want %d", len(d.got), draws)
+			}
 		})
 	}
-	without, with := allocs(nil), allocs([]int{2})
-	if with < without+1 {
-		t.Errorf("a run that draws allocates %v, one that never draws %v; want the draw to pay for the seeding", with, without)
+	never := allocs(0)
+	if short := allocs(2); short != never {
+		t.Errorf("a run that draws 2 values allocates %v objects, one that never draws %v", short, never)
 	}
+	if long := allocs(300); long != never+1 {
+		t.Errorf("a run that draws 300 values allocates %v objects, one that never draws %v; want exactly one more, the register", long, never)
+	}
+
+	enabled := View{Enabled: []int{0, 1, 2, 3, 4}}
+	bytes := bytesPerRun(100, func() {
+		r := NewRandom(7)
+		for i := 0; i < 64; i++ {
+			r.Next(enabled)
+		}
+		schedSink = r
+	})
+	if bytes >= 256 {
+		t.Errorf("NewRandom plus 64 draws allocates %d bytes, want under 256", bytes)
+	}
+}
+
+// schedSink keeps the scheduler TestRunSeedsEnvRandInPlace builds on the
+// heap, where NewRandom's callers keep theirs.
+var schedSink Scheduler
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	f()
+	var m goruntime.MemStats
+	goruntime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	goruntime.ReadMemStats(&m)
+	return (m.TotalAlloc - before) / uint64(runs)
 }

@@ -121,8 +121,8 @@ type Env struct {
 	Step int
 	// Rand is a deterministic source for nondeterministic objects. It is
 	// never nil during a run. Without a Config.Choice it is a *rand.Rand
-	// whose source is rand.NewSource(Config.Seed), built on the first
-	// draw.
+	// over a Source seeded with Config.Seed, so its draws are those of
+	// rand.New(rand.NewSource(Config.Seed)) and seeding it costs O(1).
 	Rand RandSource
 }
 
