@@ -2,19 +2,23 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-sarif lint-full lint-recovery lint-parallel race test test-short bench bench-smoke experiments fuzz chaos clean
+.PHONY: all check build vet fmt lint lint-sarif lint-full lint-recovery race test test-short bench bench-smoke experiments fuzz chaos clean
 
 all: build vet lint test
 
 # The full pre-merge gate: static analysis and the race detector in one
-# invocation, alongside the build, vet and the test suite.
-check: build vet lint race test
+# invocation, alongside the build, vet, gofmt and the test suite.
+check: build vet fmt lint race test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fail on any file gofmt would rewrite, as CI's Gofmt step does.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Run the determinism & model-integrity analyzer suite (see README
 # "Static analysis"; `go run ./cmd/detlint -list-rules` prints the
@@ -29,12 +33,6 @@ lint:
 # mirror of CI's recovery-gate job.
 lint-recovery:
 	$(GO) run ./cmd/detlint -no-cache -rules persistsplit,recoveryreads,journaldiscipline,restartcoverage ./...
-
-# Just the parallel-determinism rules (the par.ForEach slot/merge/sink/
-# seed contract), cache-free — the local mirror of CI's parallel-gate
-# job.
-lint-parallel:
-	$(GO) run ./cmd/detlint -no-cache -parallel ./...
 
 # Same suite, also writing a SARIF 2.1.0 log for code-scanning upload.
 lint-sarif:

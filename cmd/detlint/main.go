@@ -27,12 +27,7 @@
 // boxing, arenaready), whose allocation findings are capped by the
 // committed per-function budgets in .detlint.hot — each hot rule judges
 // only its own budget entries, so a run that skips a rule says nothing
-// about that rule's budgets. -parallel runs just the
-// parallel-determinism rules (slotdiscipline, mergeorder, sharedsink,
-// seedflow; v6), which statically enforce internal/par's ForEach
-// contract: workers write only index-derived slots, merges reduce in
-// index order, shared sinks match documented shapes, and worker inputs
-// are pure functions of the index. -hotreport=<path> additionally
+// about that rule's budgets. -hotreport=<path> additionally
 // writes a byte-stable JSON ranking of hot functions by static
 // allocation score, cross-referencing the newest BENCH_*.json
 // allocs/op figures; when no parsable BENCH_*.json exists the report
@@ -69,7 +64,6 @@ func main() {
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
 	noCache := flag.Bool("no-cache", false, "ignore and do not write the result cache")
 	hot := flag.Bool("hot", false, "run only the hot-path rules (hotalloc, boxing, arenaready)")
-	parallel := flag.Bool("parallel", false, "run only the parallel-determinism rules (slotdiscipline, mergeorder, sharedsink, seedflow)")
 	hotReport := flag.String("hotreport", "", "write a JSON ranking of hot functions by allocation score to the given path")
 	flag.Parse()
 
@@ -88,17 +82,11 @@ func main() {
 	}
 
 	analyzers := lint.Analyzers()
-	if (*hot || *parallel) && *rules != "" {
-		fatal(fmt.Errorf("detlint: -hot/-parallel and -rules are mutually exclusive"))
-	}
-	if *hot && *parallel {
-		fatal(fmt.Errorf("detlint: -hot and -parallel are mutually exclusive"))
+	if *hot && *rules != "" {
+		fatal(fmt.Errorf("detlint: -hot and -rules are mutually exclusive"))
 	}
 	if *hot {
 		analyzers = lint.HotAnalyzers()
-	}
-	if *parallel {
-		analyzers = lint.ParallelAnalyzers()
 	}
 	if *rules != "" {
 		want := make(map[string]bool)

@@ -283,16 +283,21 @@ func (s *Stall) Next(v sim.View) int {
 // in the critical window of an operation. All choices draw from its own
 // seeded source, so a (seed, configuration) pair is one execution.
 type Adaptive struct {
-	rng    *rand.Rand
+	src    sim.Source
+	rng    rand.Rand
 	report *Report
 	steps  []int
 	last   int
 	burst  int
 }
 
-// NewAdaptive returns the adaptive adversary with the given seed.
+// NewAdaptive returns the adaptive adversary with the given seed. Its
+// source and rand.Rand live in the adversary, as in sim.NewRandom.
 func NewAdaptive(seed int64, r *Report) *Adaptive {
-	return &Adaptive{rng: rand.New(sim.NewSource(seed)), report: r, last: -1}
+	a := &Adaptive{report: r, last: -1}
+	a.src.Seed(seed)
+	a.rng = *rand.New(&a.src)
+	return a
 }
 
 // Observe implements sim.Observer: it maintains the per-process step

@@ -168,7 +168,8 @@ func (c *RepeatedCrashRestart) Faults(v sim.View) []sim.Fault {
 // crashes are issued across all processes; crashed processes are always
 // restarted eventually, so the adversary never strands the run.
 type AdaptiveRestart struct {
-	rng        *rand.Rand
+	src        sim.Source
+	rng        rand.Rand
 	inner      sim.Scheduler
 	report     *Report
 	maxCrashes int
@@ -181,14 +182,17 @@ type AdaptiveRestart struct {
 }
 
 // NewAdaptiveRestart returns the adaptive amnesiac-restart adversary
-// with the given seed and total crash budget.
+// with the given seed and total crash budget. Its source and rand.Rand
+// live in the adversary, as in sim.NewRandom.
 func NewAdaptiveRestart(inner sim.Scheduler, r *Report, seed int64, maxCrashes int) *AdaptiveRestart {
-	return &AdaptiveRestart{
-		rng:        rand.New(sim.NewSource(seed)),
+	a := &AdaptiveRestart{
 		inner:      innerOf(inner),
 		report:     r,
 		maxCrashes: maxCrashes,
 	}
+	a.src.Seed(seed)
+	a.rng = *rand.New(&a.src)
+	return a
 }
 
 // grow extends the per-process tracking slices to cover id.

@@ -47,7 +47,6 @@ func TestHotBudgetSuppresses(t *testing.T) {
 		pos: token.Position{Filename: "<injected>", Line: 1},
 	})
 	defer restore()
-	defer func() { fixtureDiags = Run(fixtureMod, Analyzers()) }()
 	budgeted := Run(fixtureMod, []*Analyzer{AnalyzerHotAlloc()})
 	for _, d := range inFile(budgeted, "hotallocbad") {
 		if strings.Contains(d.Msg, "reachable from hotallocbad.Explore") {
@@ -73,7 +72,6 @@ func TestHotBudgetExceededAndStale(t *testing.T) {
 			pos: token.Position{Filename: "<injected>", Line: 3}},
 	)
 	defer restore()
-	defer func() { fixtureDiags = Run(fixtureMod, Analyzers()) }()
 	diags := Run(fixtureMod, []*Analyzer{AnalyzerHotAlloc()})
 	var exceeded, shrink, stale bool
 	for _, d := range diags {
@@ -109,7 +107,6 @@ func TestHotBudgetPartialRun(t *testing.T) {
 			pos: token.Position{Filename: "<injected>", Line: 2}},
 	)
 	defer restore()
-	defer func() { fixtureDiags = Run(fixtureMod, Analyzers()) }()
 	// Neither hot rule runs: both stale entries must go unjudged.
 	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerSharedState()})
 	for _, d := range unjudged {

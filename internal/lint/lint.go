@@ -40,6 +40,11 @@
 //     taint-traced through the SSA-lite value graph back to wall
 //     clocks, randomness, map order, channel scheduling, and
 //     unsynchronized reads.
+//   - hotalloc, boxing: no new heap-allocation sites or boxing
+//     interface conversions in loops reachable from the hot
+//     entrypoints, beyond the per-function budgets in .detlint.hot.
+//   - arenaready: types nominated //detlint:arena are flat all the way
+//     down, or declare a justified //detlint:encoder per exception.
 //   - persistsplit: every field of a sim.Recoverable implementor is
 //     declared //detlint:durable or //detlint:volatile, and OnCrash
 //     wipes exactly the volatile set — a wiped durable field is
@@ -53,19 +58,10 @@
 //   - restartcoverage: test packages arming amnesiac restart
 //     adversaries target recoverable objects, or carry a
 //     negative-control allow.
-//   - slotdiscipline: par.ForEach workers write captured state only
-//     through index-derived slots (an SSA-lite proof that the subscript
-//     derives from the worker index), sync/atomic, or a mutex.
-//   - mergeorder: code consuming per-index results after a ForEach
-//     reduces in index order — no map-range merges with order-sensitive
-//     bodies, no completion-order channel receives, no unstable sorts
-//     keyed off the index.
-//   - sharedsink: shared accumulators captured by workers match a
-//     documented shape (atomic counter, one-mutex sink, index slots),
-//     and post-spawn reads carry a proven happens-before.
-//   - seedflow: worker inputs — seeds, configs, slot values — are pure
-//     functions of the worker index, never wall clocks, shared RNG
-//     draws, map order, or channel receives.
+//   - slotdiscipline: par.ForEach workers write captured state only as
+//     root[i] (i the worker index) or through a local bound to
+//     &root[i], and use no channels or go statements — a syntactic
+//     check over non-test and test files alike.
 //   - allowaudit: every justified //detlint:allow must still suppress a
 //     finding; stale annotations are findings themselves.
 //
@@ -73,7 +69,8 @@
 // per-function control-flow graph (cfg.go), a conservative module
 // callgraph with a shared-access dataflow summary (callgraph.go), an
 // SSA-lite per-function value graph (ssa.go), and a path-sensitive
-// must-hold lockset (lockset.go).
+// must-hold lockset (lockset.go). The rules that read _test.go files
+// share one parse of them per load (Module.testFiles).
 //
 // A finding can be suppressed with an inline escape comment on the same
 // or preceding line:
@@ -137,22 +134,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerJournalDiscipline(),
 		AnalyzerRestartCoverage(),
 		AnalyzerSlotDiscipline(),
-		AnalyzerMergeOrder(),
-		AnalyzerSharedSink(),
-		AnalyzerSeedFlow(),
 		AnalyzerAllowAudit(),
-	}
-}
-
-// ParallelAnalyzers returns the parallel-determinism rule subset behind
-// the CI parallel-gate job: the par.ForEach slot/merge/sink/seed
-// contract.
-func ParallelAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		AnalyzerSlotDiscipline(),
-		AnalyzerMergeOrder(),
-		AnalyzerSharedSink(),
-		AnalyzerSeedFlow(),
 	}
 }
 

@@ -21,51 +21,45 @@ func loadFixtures(t *testing.T) []Diagnostic {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		m, err := LoadWithExtra("../..", map[string]string{
-			"detobj/internal/lintfixture/nodetbad":    "testdata/src/nodetbad",
-			"detobj/internal/lintfixture/nodetok":     "testdata/src/nodetok",
-			"detobj/internal/lintfixture/puritybad":   "testdata/src/puritybad",
-			"detobj/internal/lintfixture/purityok":    "testdata/src/purityok",
-			"detobj/internal/lintfixture/hangbad":     "testdata/src/hangbad",
-			"detobj/internal/lintfixture/hangok":      "testdata/src/hangok",
-			"detobj/internal/lintfixture/schedbad":    "testdata/src/schedbad",
-			"detobj/internal/lintfixture/schedok":     "testdata/src/schedok",
-			"detobj/internal/lintfixture/boundedbad":  "testdata/src/boundedbad",
-			"detobj/internal/lintfixture/boundedok":   "testdata/src/boundedok",
-			"detobj/internal/lintfixture/sharedbad":   "testdata/src/sharedbad",
-			"detobj/internal/lintfixture/sharedok":    "testdata/src/sharedok",
-			"detobj/internal/lintfixture/injectbad":   "testdata/src/injectbad",
-			"detobj/internal/lintfixture/injectok":    "testdata/src/injectok",
-			"detobj/internal/lintfixture/restartbad":  "testdata/src/restartbad",
-			"detobj/internal/lintfixture/restartok":   "testdata/src/restartok",
-			"detobj/internal/lintfixture/lockbad":     "testdata/src/lockbad",
-			"detobj/internal/lintfixture/lockok":      "testdata/src/lockok",
-			"detobj/internal/lintfixture/flowbad":     "testdata/src/flowbad",
-			"detobj/internal/lintfixture/flowok":      "testdata/src/flowok",
-			"detobj/internal/lintfixture/auditbad":    "testdata/src/auditbad",
-			"detobj/internal/lintfixture/auditok":     "testdata/src/auditok",
-			"detobj/internal/lintfixture/embedbad":    "testdata/src/embedbad",
-			"detobj/internal/lintfixture/hotallocbad": "testdata/src/hotallocbad",
-			"detobj/internal/lintfixture/hotallocok":  "testdata/src/hotallocok",
-			"detobj/internal/lintfixture/boxbad":      "testdata/src/boxbad",
-			"detobj/internal/lintfixture/boxok":       "testdata/src/boxok",
-			"detobj/internal/lintfixture/arenabad":    "testdata/src/arenabad",
-			"detobj/internal/lintfixture/arenaok":     "testdata/src/arenaok",
-			"detobj/internal/lintfixture/persistbad":  "testdata/src/persistbad",
-			"detobj/internal/lintfixture/persistok":   "testdata/src/persistok",
-			"detobj/internal/lintfixture/recreadbad":  "testdata/src/recreadbad",
-			"detobj/internal/lintfixture/recreadok":   "testdata/src/recreadok",
-			"detobj/internal/lintfixture/journalbad":  "testdata/src/journalbad",
-			"detobj/internal/lintfixture/journalok":   "testdata/src/journalok",
+			"detobj/internal/lintfixture/nodetbad":      "testdata/src/nodetbad",
+			"detobj/internal/lintfixture/nodetok":       "testdata/src/nodetok",
+			"detobj/internal/lintfixture/puritybad":     "testdata/src/puritybad",
+			"detobj/internal/lintfixture/purityok":      "testdata/src/purityok",
+			"detobj/internal/lintfixture/hangbad":       "testdata/src/hangbad",
+			"detobj/internal/lintfixture/hangok":        "testdata/src/hangok",
+			"detobj/internal/lintfixture/schedbad":      "testdata/src/schedbad",
+			"detobj/internal/lintfixture/schedok":       "testdata/src/schedok",
+			"detobj/internal/lintfixture/boundedbad":    "testdata/src/boundedbad",
+			"detobj/internal/lintfixture/boundedok":     "testdata/src/boundedok",
+			"detobj/internal/lintfixture/sharedbad":     "testdata/src/sharedbad",
+			"detobj/internal/lintfixture/sharedok":      "testdata/src/sharedok",
+			"detobj/internal/lintfixture/injectbad":     "testdata/src/injectbad",
+			"detobj/internal/lintfixture/injectok":      "testdata/src/injectok",
+			"detobj/internal/lintfixture/restartbad":    "testdata/src/restartbad",
+			"detobj/internal/lintfixture/restartok":     "testdata/src/restartok",
+			"detobj/internal/lintfixture/lockbad":       "testdata/src/lockbad",
+			"detobj/internal/lintfixture/lockok":        "testdata/src/lockok",
+			"detobj/internal/lintfixture/flowbad":       "testdata/src/flowbad",
+			"detobj/internal/lintfixture/flowok":        "testdata/src/flowok",
+			"detobj/internal/lintfixture/auditbad":      "testdata/src/auditbad",
+			"detobj/internal/lintfixture/auditok":       "testdata/src/auditok",
+			"detobj/internal/lintfixture/embedbad":      "testdata/src/embedbad",
+			"detobj/internal/lintfixture/hotallocbad":   "testdata/src/hotallocbad",
+			"detobj/internal/lintfixture/hotallocok":    "testdata/src/hotallocok",
+			"detobj/internal/lintfixture/boxbad":        "testdata/src/boxbad",
+			"detobj/internal/lintfixture/boxok":         "testdata/src/boxok",
+			"detobj/internal/lintfixture/arenabad":      "testdata/src/arenabad",
+			"detobj/internal/lintfixture/arenaok":       "testdata/src/arenaok",
+			"detobj/internal/lintfixture/persistbad":    "testdata/src/persistbad",
+			"detobj/internal/lintfixture/persistok":     "testdata/src/persistok",
+			"detobj/internal/lintfixture/recreadbad":    "testdata/src/recreadbad",
+			"detobj/internal/lintfixture/recreadok":     "testdata/src/recreadok",
+			"detobj/internal/lintfixture/journalbad":    "testdata/src/journalbad",
+			"detobj/internal/lintfixture/journalok":     "testdata/src/journalok",
 			"detobj/internal/lintfixture/restartcovbad": "testdata/src/restartcovbad",
 			"detobj/internal/lintfixture/restartcovok":  "testdata/src/restartcovok",
 			"detobj/internal/lintfixture/slotbad":       "testdata/src/slotbad",
 			"detobj/internal/lintfixture/slotok":        "testdata/src/slotok",
-			"detobj/internal/lintfixture/mergebad":      "testdata/src/mergebad",
-			"detobj/internal/lintfixture/mergeok":       "testdata/src/mergeok",
-			"detobj/internal/lintfixture/sinkbad":       "testdata/src/sinkbad",
-			"detobj/internal/lintfixture/sinkok":        "testdata/src/sinkok",
-			"detobj/internal/lintfixture/seedbad":       "testdata/src/seedbad",
-			"detobj/internal/lintfixture/seedok":        "testdata/src/seedok",
 		})
 		if err != nil {
 			fixtureErr = err
@@ -174,28 +168,17 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"journalbad", "journaldiscipline", "journaled type journalbad.Empty nominates no //detlint:journal fields"},
 		{"journalbad", "journaldiscipline", "field j of journalbad.Unnominated is marked //detlint:journal but the type carries no //detlint:journaled nomination"},
 		{"restartcovbad", "restartcoverage", "arms the amnesiac restart adversary NewRepeatedCrashRestart but never touches a recoverable constructor"},
-		{"slotbad", "slotdiscipline", `assignment to captured variable "total"`},
-		{"slotbad", "slotdiscipline", `write into captured map "out"`},
-		{"slotbad", "slotdiscipline", `write to captured "slots" at a subscript not derived from the worker index`},
-		{"slotbad", "slotdiscipline", `write to field count of captured "t"`},
-		{"slotbad", "slotdiscipline", `write through captured pointer "p"`},
-		{"slotbad", "slotdiscipline", `write through "s", which aliases captured state`},
-		{"slotbad", "slotdiscipline", `test worker assigns captured variable "total"`},
-		{"slotbad", "slotdiscipline", `test worker writes captured "slots" at a subscript not derived`},
-		{"mergebad", "mergeorder", `worker-filled map "hist" with an order-sensitive body`},
-		{"mergebad", "mergeorder", `collects "keys" in iteration order but never sorts it`},
-		{"mergebad", "mergeorder", `range over channel "results" collects worker results in completion order`},
-		{"mergebad", "mergeorder", `receive from "results" collects worker results in completion order`},
-		{"mergebad", "mergeorder", `unstable sort of worker-produced "recs" keyed on cost`},
-		{"sinkbad", "sharedsink", `writes captured "count" outside any documented shape`},
-		{"sinkbad", "sharedsink", `captured "hits" is written under different locks; a shared sink needs one common mutex`},
-		{"sinkbad", "sharedsink", `read of worker-written "total" with no proven happens-before`},
-		{"sinkbad", "sharedsink", `captured "sum" is written under different locks across par.ForEach workers`},
-		{"seedbad", "seedflow", "time.Now (wall clock)"},
-		{"seedbad", "seedflow", "rand.Int63 (global random source)"},
-		{"seedbad", "seedflow", `a draw from shared RNG "rng"`},
-		{"seedbad", "seedflow", "map iteration order"},
-		{"seedbad", "seedflow", "a channel receive (completion order)"},
+		{"slotbad.go", "slotdiscipline", `assignment to captured variable "total"`},
+		{"slotbad.go", "slotdiscipline", `write into captured map "out"`},
+		{"slotbad.go", "slotdiscipline", `write to captured "slots" at a subscript other than the worker index`},
+		{"slotbad.go", "slotdiscipline", `write to field count of captured "t"`},
+		{"slotbad.go", "slotdiscipline", `write through captured pointer "p"`},
+		{"slotbad.go", "slotdiscipline", `write through "s", which aliases captured "slots"`},
+		{"slotbad.go", "slotdiscipline", "channel send in a par.ForEach worker"},
+		{"slotbad.go", "slotdiscipline", "channel receive in a par.ForEach worker"},
+		{"slotbad.go", "slotdiscipline", "go statement in a par.ForEach worker"},
+		{"slotbad_test.go", "slotdiscipline", `assignment to captured variable "total"`},
+		{"slotbad_test.go", "slotdiscipline", `write to captured "slots" at a subscript other than the worker index`},
 	}
 	for _, want := range expect {
 		found := false
@@ -213,7 +196,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "sharedok", "injectok", "restartok", "lockok", "flowok", "auditok", "hotallocok", "boxok", "arenaok", "persistok", "recreadok", "journalok", "restartcovok", "slotok", "mergeok", "sinkok", "seedok"} {
+	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "sharedok", "injectok", "restartok", "lockok", "flowok", "auditok", "hotallocok", "boxok", "arenaok", "persistok", "recreadok", "journalok", "restartcovok", "slotok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}
@@ -248,8 +231,6 @@ func TestPartialRunStaleJudgment(t *testing.T) {
 			t.Errorf("subset without nodeterminism judged a mark anyway: %s", d)
 		}
 	}
-	// Restore the shared fixture diagnostics' used-marks for later tests.
-	fixtureDiags = Run(fixtureMod, Analyzers())
 }
 
 func TestRealTreeIsClean(t *testing.T) {

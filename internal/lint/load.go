@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -57,11 +58,8 @@ type Module struct {
 	// persist caches the persistence classification of sim.Recoverable
 	// implementors (persist.go) across the recovery-safety rules.
 	persist *persistInfo
-	// testAllowFiles records the test files whose //detlint:allow
-	// comments are already indexed, so the rules that parse test files
-	// themselves (schedulecoverage, restartcoverage) never double-count
-	// a mark across rules or repeated runs.
-	testAllowFiles map[string]bool
+	// tests caches each package's parsed _test.go files (testFiles).
+	tests map[*Package][]*ast.File
 	// budgets caches the parsed .detlint.hot allocation budgets
 	// (hotbudget.go); budgetsLoaded distinguishes "no file" from
 	// "not read yet".
@@ -106,6 +104,7 @@ func LoadWithExtra(root string, extra map[string]string) (*Module, error) {
 		Fset:   token.NewFileSet(),
 		byPath: make(map[string]*Package),
 		allows: make(map[string][]*allowMark),
+		tests:  make(map[*Package][]*ast.File),
 	}
 	l := &loader{
 		m:       m,
@@ -160,6 +159,61 @@ func (m *Module) InScope(pkg *Package, tops ...string) bool {
 		}
 	}
 	return false
+}
+
+// testFiles returns pkg's _test.go files in file-name order, parsed on
+// first use and then cached for the life of the load, with their
+// //detlint:allow comments indexed once. The typed load leaves test
+// files out, so the rules that read them (schedulecoverage,
+// restartcoverage, slotdiscipline) work on syntax alone. A file that
+// does not parse is skipped: that is the compiler's finding, not ours.
+func (m *Module) testFiles(pkg *Package) []*ast.File {
+	if files, ok := m.tests[pkg]; ok {
+		return files
+	}
+	var files []*ast.File
+	// The directory was read moments ago by the load; if it has gone
+	// since, there are no test files to read.
+	entries, _ := os.ReadDir(pkg.Dir)
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(m.Fset, filepath.Join(pkg.Dir, e.Name()), nil, parser.ParseComments)
+		if err != nil {
+			continue
+		}
+		m.indexAllows(f)
+		files = append(files, f)
+	}
+	m.tests[pkg] = files
+	return files
+}
+
+// indexAllows records every //detlint:allow comment of one file.
+func (m *Module) indexAllows(f *ast.File) {
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			rest, ok := strings.CutPrefix(text, "detlint:allow")
+			if !ok {
+				continue
+			}
+			fields := strings.Fields(rest)
+			mark := &allowMark{
+				pos:   m.Fset.Position(c.Pos()),
+				rules: make(map[string]bool),
+			}
+			mark.line = mark.pos.Line
+			if len(fields) > 0 {
+				for _, r := range strings.Split(fields[0], ",") {
+					mark.rules[r] = true
+				}
+				mark.justified = len(fields) > 1
+			}
+			m.allows[mark.pos.Filename] = append(m.allows[mark.pos.Filename], mark)
+		}
+	}
 }
 
 // isFixture reports whether pkg is a grafted test fixture whose import

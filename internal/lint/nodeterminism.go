@@ -288,7 +288,7 @@ func (c *rangeChecker) safeAssignTarget(l ast.Expr) bool {
 		}
 		return c.locals[c.pkg.Info.Uses[l]]
 	case *ast.SelectorExpr:
-		if root := rootOf(l.X); root != nil {
+		if root, _ := rootOf(l.X); root != nil {
 			return c.locals[c.pkg.Info.Uses[root]]
 		}
 	case *ast.IndexExpr:
@@ -300,7 +300,7 @@ func (c *rangeChecker) safeAssignTarget(l ast.Expr) bool {
 			return c.safeExpr(l.X) && c.safeExpr(l.Index)
 		}
 	case *ast.StarExpr:
-		if root := rootOf(l.X); root != nil {
+		if root, _ := rootOf(l.X); root != nil {
 			return c.locals[c.pkg.Info.Uses[root]]
 		}
 	}
@@ -343,7 +343,7 @@ func (c *rangeChecker) sliceVar(e ast.Expr) *types.Var {
 		}
 		return v
 	case *ast.SelectorExpr:
-		root := rootOf(e.X)
+		root, _ := rootOf(e.X)
 		if root == nil {
 			return nil
 		}
@@ -360,22 +360,23 @@ func (c *rangeChecker) sliceVar(e ast.Expr) *types.Var {
 }
 
 // rootOf returns the leftmost identifier of a selector/index/star
-// chain, or nil.
-func rootOf(e ast.Expr) *ast.Ident {
+// chain and the step applied directly to it: the index, field or
+// dereference expression whose operand is the root, or nil for a plain
+// identifier. A chain that does not start at an identifier (a call
+// result, say) yields nil, nil.
+func rootOf(e ast.Expr) (root *ast.Ident, step ast.Expr) {
 	for {
-		switch x := e.(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
-			return x
+			return x, step
 		case *ast.SelectorExpr:
-			e = x.X
+			step, e = x, x.X
 		case *ast.IndexExpr:
-			e = x.X
+			step, e = x, x.X
 		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
+			step, e = x, x.X
 		default:
-			return nil
+			return nil, nil
 		}
 	}
 }

@@ -126,6 +126,4 @@ func TestRecoveryRulesPartialRun(t *testing.T) {
 			t.Errorf("recovery-subset run produced no %s findings; the bad fixtures seed some", rule)
 		}
 	}
-	// Restore the shared fixture diagnostics' used-marks for later tests.
-	fixtureDiags = Run(fixtureMod, Analyzers())
 }

@@ -11,8 +11,8 @@ package lint
 // constructor unless they carry a //detlint:allow restartcoverage with
 // the control's justification.
 //
-// Like schedulecoverage, the rule parses each package's test files
-// itself (the loader excludes them) and works syntactically; the
+// Like schedulecoverage, the rule reads each package's test files
+// (Module.testFiles; the typed load excludes them) syntactically; the
 // recoverable-constructor set, however, comes from the typed layer: it
 // is every exported module function from which the construction of a
 // sim.Recoverable implementor (persist.go) is reachable, computed as a
@@ -24,12 +24,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // AnalyzerRestartCoverage returns the restartcoverage rule.
@@ -60,31 +55,14 @@ func runRestartCoverage(m *Module) []Diagnostic {
 	return out
 }
 
-// checkPackageRestarts parses pkg's test files and reports whether the
+// checkPackageRestarts reads pkg's test files and reports whether the
 // package arms a restart adversary against registered objects without
 // ever touching a recoverable constructor.
 func checkPackageRestarts(m *Module, pkg *Package, ctors map[string]bool) (Diagnostic, bool) {
-	entries, err := os.ReadDir(pkg.Dir)
-	if err != nil {
-		return Diagnostic{}, false
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	var firstArm *Diagnostic
 	armed := ""
 	registers, recoverable := false, false
-	for _, name := range names {
-		path := filepath.Join(pkg.Dir, name)
-		f, err := parser.ParseFile(m.Fset, path, nil, parser.ParseComments)
-		if err != nil {
-			continue // a broken test file is the compiler's finding, not ours
-		}
-		collectFileAllows(m, f)
+	for _, f := range m.testFiles(pkg) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:

@@ -3,11 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // AnalyzerScheduleCoverage returns the schedulecoverage rule. A
@@ -22,8 +17,8 @@ import (
 // modelcheck.Explore.
 //
 // The module loader deliberately excludes _test.go files (tests may use
-// wall clocks and ad-hoc randomness), so this rule parses each
-// package's test files itself, syntactically; their //detlint:allow
+// wall clocks and ad-hoc randomness), so this rule reads each package's
+// test files syntactically (Module.testFiles); their //detlint:allow
 // comments are honoured like any other.
 func AnalyzerScheduleCoverage() *Analyzer {
 	return &Analyzer{
@@ -68,29 +63,12 @@ func runScheduleCoverage(m *Module) []Diagnostic {
 	return out
 }
 
-// checkPackageSchedules parses pkg's test files and reports whether the
+// checkPackageSchedules reads pkg's test files and reports whether the
 // package runs simulations without any schedule diversity.
 func checkPackageSchedules(m *Module, pkg *Package) (Diagnostic, bool) {
-	entries, err := os.ReadDir(pkg.Dir)
-	if err != nil {
-		return Diagnostic{}, false
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	var firstRun *Diagnostic
 	runs, diverse := 0, false
-	for _, name := range names {
-		path := filepath.Join(pkg.Dir, name)
-		f, err := parser.ParseFile(m.Fset, path, nil, parser.ParseComments)
-		if err != nil {
-			continue // a broken test file is the compiler's finding, not ours
-		}
-		collectFileAllows(m, f)
+	for _, f := range m.testFiles(pkg) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -132,43 +110,4 @@ func isSimRunCall(call *ast.CallExpr) bool {
 	}
 	id, ok := sel.X.(*ast.Ident)
 	return ok && (id.Name == "sim" || id.Name == "detobj")
-}
-
-// collectFileAllows indexes a test file's //detlint:allow comments so
-// suppression works for findings the rule anchors in test files. It is
-// idempotent per file: several rules parse the same test files (and the
-// driver can run more than once on one Module), and a duplicated mark
-// would read as stale to allowaudit — suppression only marks the first
-// match used.
-func collectFileAllows(m *Module, f *ast.File) {
-	name := m.Fset.Position(f.Pos()).Filename
-	if m.testAllowFiles[name] {
-		return
-	}
-	if m.testAllowFiles == nil {
-		m.testAllowFiles = make(map[string]bool)
-	}
-	m.testAllowFiles[name] = true
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			rest, ok := strings.CutPrefix(text, "detlint:allow")
-			if !ok {
-				continue
-			}
-			fields := strings.Fields(rest)
-			mark := &allowMark{
-				pos:   m.Fset.Position(c.Pos()),
-				rules: make(map[string]bool),
-			}
-			mark.line = mark.pos.Line
-			if len(fields) > 0 {
-				for _, r := range strings.Split(fields[0], ",") {
-					mark.rules[r] = true
-				}
-				mark.justified = len(fields) > 1
-			}
-			m.allows[mark.pos.Filename] = append(m.allows[mark.pos.Filename], mark)
-		}
-	}
 }

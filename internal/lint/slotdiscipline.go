@@ -1,364 +1,272 @@
 package lint
 
-// slotdiscipline enforces the write half of internal/par's contract:
-// a worker closure handed to par.ForEach may write captured state only
-// through an index-derived slot — a subscript the SSA-lite value graph
-// proves derives from the worker's index parameter — or under a mutex
-// (whose shape sharedsink then validates), or via sync/atomic (method
-// calls, which are not assignment targets and so never trip this rule).
-// Everything else — plain assignments to captured variables, writes into
-// captured maps, subscripts the index does not reach, stores through
-// captured pointers or aliases of captured storage — is a finding,
-// because two workers can reach the same cell and the final value
-// becomes an accident of scheduling that the race detector can even
-// miss (mutex-serialized but order-dependent writes).
+// slotdiscipline holds internal/par's one idiom: worker i writes slot i,
+// and the caller folds the slots in index order after ForEach returns.
+// Every function literal passed as par.ForEach's third argument is a
+// worker (inside package par an unqualified ForEach counts too), in
+// non-test and _test.go files alike, and the check is syntactic: the
+// parser's own identifier resolution tells a literal-local name from a
+// captured one, so one code path serves both kinds of file.
 //
-// The same discipline is checked syntactically in _test.go files (the
-// module loader excludes them from the typed load): a lenient scan that
-// flags free-variable writes in ForEach worker literals unless the
-// subscript mentions an index-derived name or the literal carries a
-// Lock/Unlock pair.
+// A write whose root is declared outside the literal must be root[i]…,
+// where i is the literal's index parameter, or go through a local bound
+// to &root[i]…. Anything else lets two workers reach one cell, and the
+// final value becomes an accident of scheduling — even when a mutex
+// serializes the writes, which is why no lock shape is accepted. Where
+// the typed load knows the root is a map, root[i] is a finding too:
+// map entries are not per-index slots. A channel operation or a go
+// statement inside a worker orders results by completion, so each is a
+// finding as well.
+//
+// The parallel hazards this check leaves out have other guards; see
+// DESIGN.md §9.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // AnalyzerSlotDiscipline returns the slotdiscipline rule.
 func AnalyzerSlotDiscipline() *Analyzer {
 	return &Analyzer{
 		Name: "slotdiscipline",
-		Doc:  "par.ForEach workers may write captured state only through index-derived slots, sync/atomic, or a mutex",
+		Doc:  "par.ForEach workers write captured state only as root[i] or through a local bound to &root[i], and use no channels or go statements",
 		Run:  runSlotDiscipline,
 	}
 }
 
 func runSlotDiscipline(m *Module) []Diagnostic {
-	var out []Diagnostic
-	for _, n := range m.CallGraph().sortedNodes() {
-		if !m.InScope(n.Pkg, "internal", "cmd") {
-			continue
-		}
-		for _, w := range parWorkers(m, n) {
-			out = append(out, checkWorkerSlots(m, w)...)
-		}
-	}
-	out = append(out, slotTestScan(m)...)
-	return out
-}
-
-// checkWorkerSlots audits one worker literal's captured writes.
-func checkWorkerSlots(m *Module, w parWorker) []Diagnostic {
-	pkg := w.node.Pkg
-	ssa := BuildLitSSA(pkg, w.lit)
-	captured := capturedVars(pkg, w.lit)
-	der := newIdxDeriver(pkg, ssa, w.idx)
-	for v := range atomicClaimVars(pkg, w.lit) {
-		der.extra[v] = true
-	}
-	locks := ComputeLockFacts(pkg, ssa.CFG)
-
-	var out []Diagnostic
-	flag := func(n ast.Node, format string, args ...any) {
-		out = append(out, Diagnostic{
-			Pos: m.Fset.Position(n.Pos()),
-			Msg: fmt.Sprintf(format, args...) +
-				"; par.ForEach workers may touch only their own index-derived slot (or use sync/atomic / a mutex-guarded sink)",
-		})
-	}
-	for _, wr := range litWrites(pkg, w.lit) {
-		if !captured[wr.rootVar] {
-			// A write through a literal-local handle: flag only when the
-			// handle provably aliases captured storage without an
-			// index-derived subscript (s := slots; s[j] = v).
-			if _, plain := ast.Unparen(wr.lhs).(*ast.Ident); plain {
-				continue
-			}
-			cls := der.classifyAlias(ssa.BindingAt(wr.stmt, wr.rootVar), captured)
-			if cls == aliasShared {
-				flag(wr.lhs, "write through %q, which aliases captured state without an index-derived subscript", wr.root.Name)
-			}
-			continue
-		}
-		// Mutex-guarded writes are sharedsink's business (shape check).
-		if held := locks.Before[wr.stmt]; len(held) > 0 {
-			continue
-		}
-		step := firstStep(wr.lhs, wr.root)
-		switch step := step.(type) {
-		case nil: // plain identifier: x = v, x += v, x++
-			flag(wr.lhs, "assignment to captured variable %q", wr.root.Name)
-		case *ast.IndexExpr:
-			if t := pkg.Info.TypeOf(wr.root); t != nil {
-				if _, isMap := t.Underlying().(*types.Map); isMap {
-					flag(wr.lhs, "write into captured map %q (maps have no index-derived slots)", wr.root.Name)
-					continue
-				}
-			}
-			if !der.derived(step.Index, wr.stmt) {
-				flag(wr.lhs, "write to captured %q at a subscript not derived from the worker index", wr.root.Name)
-			}
-		case *ast.SelectorExpr:
-			flag(wr.lhs, "write to field %s of captured %q", step.Sel.Name, wr.root.Name)
-		case *ast.StarExpr:
-			flag(wr.lhs, "write through captured pointer %q", wr.root.Name)
-		}
-	}
-	return out
-}
-
-// firstStep returns the innermost path operation applied directly to the
-// root identifier of an assignment target: the IndexExpr/SelectorExpr/
-// StarExpr whose operand is the root. A plain identifier target returns
-// nil.
-func firstStep(lhs ast.Expr, root *ast.Ident) ast.Expr {
-	var step ast.Expr
-	e := ast.Unparen(lhs)
-	for {
-		var inner ast.Expr
-		switch x := e.(type) {
-		case *ast.Ident:
-			if x == root {
-				return step
-			}
-			return nil
-		case *ast.SelectorExpr:
-			inner = x.X
-		case *ast.IndexExpr:
-			inner = x.X
-		case *ast.StarExpr:
-			inner = x.X
-		case *ast.ParenExpr:
-			e = x.X
-			continue
-		default:
-			return nil
-		}
-		step = e
-		e = ast.Unparen(inner)
-	}
-}
-
-// ---- Syntactic _test.go scan ------------------------------------------
-
-// slotTestScan applies a lenient, purely syntactic version of the slot
-// discipline to test files of in-scope packages (plus the module root,
-// where the soak and bench harnesses live).
-func slotTestScan(m *Module) []Diagnostic {
+	parPath := m.Path + "/internal/par"
 	var out []Diagnostic
 	for _, pkg := range m.Pkgs {
-		if !m.InScope(pkg, "internal", "cmd") && pkg.Path != m.Path {
-			continue
-		}
-		entries, err := os.ReadDir(pkg.Dir)
-		if err != nil {
-			continue
-		}
-		var names []string
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), "_test.go") {
-				names = append(names, e.Name())
-			}
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			f, err := parser.ParseFile(m.Fset, filepath.Join(pkg.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				continue // a broken test file is the compiler's finding
-			}
-			collectFileAllows(m, f)
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
+		for _, files := range [][]*ast.File{pkg.Files, m.testFiles(pkg)} {
+			for _, f := range files {
+				qual := parImportName(f, parPath)
+				bare := qual == "." || pkg.Path == parPath
+				ast.Inspect(f, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if lit := forEachWorker(call, qual, bare); lit != nil {
+							out = append(out, checkWorker(m, pkg, lit)...)
+						}
+					}
 					return true
-				}
-				if lit, idx := testForEachLit(call); lit != nil {
-					out = append(out, scanTestWorker(m, lit, idx)...)
-				}
-				return true
-			})
+				})
+			}
 		}
 	}
 	return out
 }
 
-// testForEachLit matches par.ForEach(n, w, func(i int) ... ) (or a
-// dot-imported ForEach) syntactically and returns the literal and the
-// index parameter name.
-func testForEachLit(call *ast.CallExpr) (*ast.FuncLit, string) {
-	name := ""
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	case *ast.Ident:
-		name = fun.Name
+// parImportName returns the name f imports internal/par under ("." for
+// a dot import), or "" when f does not import it.
+func parImportName(f *ast.File, parPath string) string {
+	for _, imp := range f.Imports {
+		if imp.Path.Value != strconv.Quote(parPath) {
+			continue
+		}
+		if imp.Name != nil {
+			return imp.Name.Name
+		}
+		return "par"
 	}
-	if name != "ForEach" || len(call.Args) != 3 {
-		return nil, ""
-	}
-	lit, ok := ast.Unparen(call.Args[2]).(*ast.FuncLit)
-	if !ok || lit.Type.Params == nil || len(lit.Type.Params.List) == 0 ||
-		len(lit.Type.Params.List[0].Names) == 0 {
-		return nil, ""
-	}
-	return lit, lit.Type.Params.List[0].Names[0].Name
+	return ""
 }
 
-// scanTestWorker flags free-variable writes inside one test worker
-// literal.
-func scanTestWorker(m *Module, lit *ast.FuncLit, idx string) []Diagnostic {
-	locals := map[string]bool{"_": true}
-	var collectLocals func(n ast.Node)
-	collectLocals = func(root ast.Node) {
-		ast.Inspect(root, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				if n.Tok == token.DEFINE {
-					for _, l := range n.Lhs {
-						if id, ok := l.(*ast.Ident); ok {
-							locals[id.Name] = true
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for _, id := range n.Names {
-					locals[id.Name] = true
-				}
-			case *ast.RangeStmt:
-				if n.Tok == token.DEFINE {
-					for _, e := range []ast.Expr{n.Key, n.Value} {
-						if id, ok := e.(*ast.Ident); ok {
-							locals[id.Name] = true
-						}
-					}
-				}
-			case *ast.FuncLit:
-				if n.Type.Params != nil {
-					for _, f := range n.Type.Params.List {
-						for _, id := range f.Names {
-							locals[id.Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
+// forEachWorker returns the worker literal of a ForEach(n, workers,
+// func(i int) error {...}) call: qualified by the par import name, or
+// unqualified where bare is set.
+func forEachWorker(call *ast.CallExpr, qual string, bare bool) *ast.FuncLit {
+	if len(call.Args) != 3 {
+		return nil
 	}
-	collectLocals(lit.Body)
-	if lit.Type.Params != nil {
-		for _, f := range lit.Type.Params.List {
-			for _, id := range f.Names {
-				locals[id.Name] = true
-			}
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		// A package name resolves to no local object.
+		x, ok := fun.X.(*ast.Ident)
+		if !ok || x.Obj != nil || x.Name != qual || fun.Sel.Name != "ForEach" {
+			return nil
 		}
+	case *ast.Ident:
+		if !bare || fun.Name != "ForEach" {
+			return nil
+		}
+	default:
+		return nil
 	}
+	lit, _ := ast.Unparen(call.Args[2]).(*ast.FuncLit)
+	return lit
+}
 
-	// Index-derived names, to a fixpoint: the index itself, anything
-	// defined from an expression mentioning a derived name, and atomic
-	// .Add claim results.
-	derived := map[string]bool{idx: true}
-	mentions := func(e ast.Expr, set map[string]bool) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && set[id.Name] {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	hasAtomicAdd := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, l := range as.Lhs {
-				id, ok := l.(*ast.Ident)
-				if !ok || derived[id.Name] {
-					continue
-				}
-				if mentions(as.Rhs[i], derived) || hasAtomicAdd(as.Rhs[i]) {
-					derived[id.Name] = true
-					changed = true
-				}
-			}
-			return true
-		})
-	}
+// worker is one ForEach literal under audit.
+type worker struct {
+	m   *Module
+	pkg *Package
+	lit *ast.FuncLit
+	// idx is the index parameter's object; nil when it is unnamed.
+	idx *ast.Object
+	out []Diagnostic
+}
 
-	// A literal carrying a Lock/Unlock pair is treated as a mutex-guarded
-	// sink wholesale — the typed rules validate shapes; the test scan
-	// only wants the glaring misses.
-	mutexed := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if sel.Sel.Name == "Lock" {
-				mutexed = true
-			}
-		}
-		return !mutexed
-	})
-
-	var out []Diagnostic
-	flag := func(n ast.Node, format string, args ...any) {
-		out = append(out, Diagnostic{
-			Pos: m.Fset.Position(n.Pos()),
-			Msg: fmt.Sprintf(format, args...) +
-				"; test workers must follow the par.ForEach slot discipline too",
-		})
-	}
-	check := func(st ast.Stmt, l ast.Expr) {
-		root := rootOf(l)
-		if root == nil || locals[root.Name] {
-			return
-		}
-		switch step := firstStep(l, root).(type) {
-		case nil:
-			if !mutexed {
-				flag(l, "test worker assigns captured variable %q", root.Name)
-			}
-		case *ast.IndexExpr:
-			if !mentions(step.Index, derived) {
-				flag(l, "test worker writes captured %q at a subscript not derived from the worker index", root.Name)
-			}
-		case *ast.SelectorExpr, *ast.StarExpr:
-			if !mutexed {
-				flag(l, "test worker writes through captured %q", root.Name)
-			}
-		}
+func checkWorker(m *Module, pkg *Package, lit *ast.FuncLit) []Diagnostic {
+	w := &worker{m: m, pkg: pkg, lit: lit}
+	if ps := lit.Type.Params.List; len(ps) > 0 && len(ps[0].Names) > 0 {
+		w.idx = ps[0].Names[0].Obj
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if n.Tok == token.DEFINE {
-				return true
-			}
-			for _, l := range n.Lhs {
-				check(n, l)
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					w.write(lhs)
+				}
 			}
 		case *ast.IncDecStmt:
-			check(n, n.X)
+			w.write(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				w.write(n.Key)
+				w.write(n.Value)
+			}
+		case *ast.SendStmt:
+			w.order(n, "channel send")
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				w.order(n, "channel receive")
+			}
+		case *ast.SelectStmt:
+			w.order(n, "select")
+		case *ast.GoStmt:
+			w.order(n, "go statement")
 		}
 		return true
 	})
-	return out
+	return w.out
+}
+
+// order flags a construct that hands results over in completion order.
+func (w *worker) order(n ast.Node, what string) {
+	w.out = append(w.out, Diagnostic{
+		Pos: w.m.Fset.Position(n.Pos()),
+		Msg: what + " in a par.ForEach worker makes results depend on completion order; write slot i and fold the slots in index order after ForEach returns",
+	})
+}
+
+// write audits one assignment target inside the worker.
+func (w *worker) write(lhs ast.Expr) {
+	if lhs == nil {
+		return
+	}
+	root, step := rootOf(lhs)
+	if root == nil || root.Name == "_" {
+		return
+	}
+	if w.local(root) {
+		// A plain local is free; a path through one is free unless the
+		// local was bound to captured storage other than a slot handle.
+		if step != nil {
+			if src := w.aliased(root); src != nil {
+				w.flag(lhs, "write through %q, which aliases captured %q", root.Name, src.Name)
+			}
+		}
+		return
+	}
+	if w.slot(lhs) {
+		return
+	}
+	switch step := step.(type) {
+	case nil:
+		w.flag(lhs, "assignment to captured variable %q", root.Name)
+	case *ast.IndexExpr:
+		if w.isMap(root) {
+			w.flag(lhs, "write into captured map %q (map entries are not per-index slots)", root.Name)
+		} else {
+			w.flag(lhs, "write to captured %q at a subscript other than the worker index", root.Name)
+		}
+	case *ast.SelectorExpr:
+		w.flag(lhs, "write to field %s of captured %q", step.Sel.Name, root.Name)
+	case *ast.StarExpr:
+		w.flag(lhs, "write through captured pointer %q", root.Name)
+	}
+}
+
+func (w *worker) flag(n ast.Node, format string, args ...any) {
+	w.out = append(w.out, Diagnostic{
+		Pos: w.m.Fset.Position(n.Pos()),
+		Msg: fmt.Sprintf(format, args...) +
+			"; a par.ForEach worker writes captured state only as root[i], i its index parameter, or through a local bound to &root[i]",
+	})
+}
+
+// local reports whether id is declared inside the worker literal, its
+// parameters included. Unresolved names (package-level state from
+// another file) count as captured.
+func (w *worker) local(id *ast.Ident) bool {
+	return id.Obj != nil && w.lit.Pos() <= id.Obj.Pos() && id.Obj.Pos() < w.lit.End()
+}
+
+// slot reports whether e is a path into the worker's own slot: a
+// captured, non-map root whose first step is [i] with i the index
+// parameter.
+func (w *worker) slot(e ast.Expr) bool {
+	root, step := rootOf(e)
+	ix, ok := step.(*ast.IndexExpr)
+	if !ok || w.local(root) || w.isMap(root) {
+		return false
+	}
+	id, ok := ast.Unparen(ix.Index).(*ast.Ident)
+	return ok && w.idx != nil && id.Obj == w.idx
+}
+
+// isMap reports whether the typed load knows root to be a map. Test
+// files are outside the typed load, so there it is always false.
+func (w *worker) isMap(root *ast.Ident) bool {
+	t := w.pkg.Info.TypeOf(root)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// aliased returns the captured root a literal-local handle was bound to
+// at its declaration (h := root, h := root[j:], h := &root.f, ...), or
+// nil when the binding is local storage or a &root[i] slot handle.
+func (w *worker) aliased(h *ast.Ident) *ast.Ident {
+	var names []*ast.Ident
+	var values []ast.Expr
+	switch d := h.Obj.Decl.(type) {
+	case *ast.AssignStmt:
+		for _, l := range d.Lhs {
+			id, _ := l.(*ast.Ident)
+			names = append(names, id)
+		}
+		values = d.Rhs
+	case *ast.ValueSpec:
+		names, values = d.Names, d.Values
+	}
+	if len(names) != len(values) {
+		return nil
+	}
+	for i, id := range names {
+		if id == nil || id.Obj != h.Obj {
+			continue
+		}
+		v := ast.Unparen(values[i])
+		if u, ok := v.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if w.slot(u.X) {
+				return nil
+			}
+			v = u.X
+		}
+		if s, ok := ast.Unparen(v).(*ast.SliceExpr); ok {
+			v = s.X
+		}
+		if src, _ := rootOf(v); src != nil && !w.local(src) {
+			return src
+		}
+	}
+	return nil
 }

@@ -132,33 +132,17 @@ type phiKey struct {
 // function literals are opaque (their bodies are separate CFGs and are
 // not modeled).
 func BuildSSA(pkg *Package, decl *ast.FuncDecl) *FuncSSA {
-	return buildSSA(pkg, decl.Recv, decl.Type, decl.Body)
-}
-
-// BuildLitSSA builds the value graph for one function literal's body:
-// the literal's parameters are the entry values, and a captured
-// variable — declared outside the literal — has no reaching definition
-// inside it, so lookups return OpaqueVal, which is exactly the "cannot
-// prove anything about the enclosing frame" answer the parallel rules
-// need. The capture layer (closure.go) links captured identities back
-// to the enclosing function where a proof demands it.
-func BuildLitSSA(pkg *Package, lit *ast.FuncLit) *FuncSSA {
-	return buildSSA(pkg, nil, lit.Type, lit.Body)
-}
-
-// buildSSA is the shared builder behind BuildSSA and BuildLitSSA.
-func buildSSA(pkg *Package, recv *ast.FieldList, typ *ast.FuncType, body *ast.BlockStmt) *FuncSSA {
 	s := &FuncSSA{
 		Pkg:    pkg,
-		CFG:    BuildCFG(body),
+		CFG:    BuildCFG(decl.Body),
 		loc:    make(map[ast.Stmt]stmtLoc),
 		defs:   make(map[*Block][]ssaDef),
 		opaque: make(map[*types.Var]bool),
 		params: make(map[*types.Var]bool),
 		phis:   make(map[phiKey]*PhiVal),
 	}
-	s.collectParams(recv, typ)
-	s.collectOpaque(body)
+	s.collectParams(decl.Recv, decl.Type)
+	s.collectOpaque(decl.Body)
 	for _, b := range s.CFG.Blocks {
 		for i, st := range b.Stmts {
 			if _, seen := s.loc[st]; !seen {

@@ -1,78 +1,37 @@
-// Package slotbad seeds the captured-write shapes the slotdiscipline
-// rule must flag: a plain assignment to a captured variable, a write
-// into a captured map, a subscript the worker index does not reach, a
-// field store on captured state, a store through a captured pointer,
-// and a write through a local alias of captured storage.
+// Package slotbad seeds the worker shapes slotdiscipline must flag.
 package slotbad
 
 import "detobj/internal/par"
 
-type tally struct {
-	count int
-}
+type tally struct{ count int }
 
-// RaceTotal accumulates into a captured int with no mutex: last writer
-// wins, and the race detector may even miss it on a 1-core box.
-func RaceTotal(n, workers int) int {
-	total := 0
-	par.ForEach(n, workers, func(i int) error {
-		total += i
-		return nil
-	})
-	return total
-}
-
-// FillMap writes into a captured map: maps have no index-derived slots,
-// so two workers can collide on the bucket.
-func FillMap(n, workers int) map[int]int {
-	out := make(map[int]int)
-	par.ForEach(n, workers, func(i int) error {
-		out[i] = i * i
-		return nil
-	})
-	return out
-}
-
-// HotCell funnels every worker into slot zero: the subscript is a
-// constant, not derived from the worker index.
-func HotCell(n, workers int) int {
-	slots := make([]int, n)
-	par.ForEach(n, workers, func(i int) error {
-		slots[0] = i
-		return nil
-	})
-	return slots[0]
-}
-
-// FieldStore mutates one captured struct from every worker.
-func FieldStore(n, workers int) tally {
-	var t tally
-	par.ForEach(n, workers, func(i int) error {
-		t.count = i
-		return nil
-	})
-	return t
-}
-
-// PointerStore writes through a captured pointer shared by all workers.
-func PointerStore(n, workers int) int {
-	v := 0
+// Writes lets every worker reach one shared cell: a captured variable,
+// a captured map, a constant subscript, a field, a pointer target, and
+// a cell reached through a local alias of the captured slice.
+func Writes(n int) (int, map[int]int, []int, tally, int) {
+	total, out, slots, t, v := 0, make(map[int]int), make([]int, n), tally{}, 0
 	p := &v
-	par.ForEach(n, workers, func(i int) error {
+	par.ForEach(n, 4, func(i int) error {
+		total += i
+		out[i] = i
+		slots[0] = i
+		t.count = i
 		*p = i
+		s := slots
+		s[1] = i
 		return nil
 	})
-	return v
+	return total, out, slots, t, v
 }
 
-// AliasStore rebinds the captured slice to a literal-local name and
-// writes a constant cell through the alias.
-func AliasStore(n, workers int) int {
-	slots := make([]int, n)
-	par.ForEach(n, workers, func(i int) error {
-		s := slots
-		s[0] = i
+// Completion hands results over in completion order.
+func Completion(n int) int {
+	ch := make(chan int, n)
+	par.ForEach(n, 4, func(i int) error {
+		ch <- i
+		<-ch
+		go func() {}()
 		return nil
 	})
-	return slots[0]
+	return len(ch)
 }

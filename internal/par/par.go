@@ -24,10 +24,12 @@
 // Thread-safety contract for callers: fn(i) and fn(j) run concurrently,
 // so each index must touch only its own slot plus data that is
 // read-only for the duration of the loop (see the sim package's
-// "Concurrency contract" for what that means for simulator runs). The
-// slot/merge/sink/seed halves of this contract are machine-checked by
-// detlint's parallel-determinism rules — slotdiscipline, mergeorder,
-// sharedsink, seedflow (see README.md "Static analysis").
+// "Concurrency contract" for what that means for simulator runs), and
+// the caller folds the slots in index order once ForEach returns.
+// detlint's slotdiscipline rule checks the worker side of that idiom:
+// a worker writes captured state only as slots[i] or through a local
+// bound to &slots[i], and uses no channels or go statements (see
+// README.md "Static analysis" and DESIGN.md §9).
 package par
 
 import (

@@ -652,8 +652,9 @@ func TestEnvRandMatchesSeededSource(t *testing.T) {
 // closed-form prefix (2 draws) allocates exactly as many objects as a run
 // that never draws, and a run that draws past it (300 draws) allocates
 // exactly one more: the register, built once on draw 274. The random
-// scheduler's Source holds no register either: NewRandom plus 64 draws
-// allocates a small fraction of a seeded math/rand source's 5,376 bytes.
+// scheduler's Source holds no register either, and it and the rand.Rand
+// live in the scheduler: NewRandom plus 64 draws allocates one object, a
+// small fraction of a seeded math/rand source's 5,376 bytes.
 func TestRunSeedsEnvRandInPlace(t *testing.T) {
 	allocs := func(draws int) float64 {
 		bounds := make([]int, draws/2)
@@ -681,14 +682,17 @@ func TestRunSeedsEnvRandInPlace(t *testing.T) {
 	}
 
 	enabled := View{Enabled: []int{0, 1, 2, 3, 4}}
-	bytes := bytesPerRun(100, func() {
+	seeded := func() {
 		r := NewRandom(7)
 		for i := 0; i < 64; i++ {
 			r.Next(enabled)
 		}
 		schedSink = r
-	})
-	if bytes >= 256 {
+	}
+	if objects := testing.AllocsPerRun(100, seeded); objects != 1 {
+		t.Errorf("NewRandom plus 64 draws allocates %v objects, want 1: the scheduler, holding its Source and rand.Rand", objects)
+	}
+	if bytes := bytesPerRun(100, seeded); bytes >= 256 {
 		t.Errorf("NewRandom plus 64 draws allocates %d bytes, want under 256", bytes)
 	}
 }

@@ -111,14 +111,20 @@ func (r *RoundRobin) Next(v View) int {
 // own deterministic source, so a (seed, configuration) pair identifies a
 // unique execution.
 type Random struct {
-	rng *rand.Rand
+	src Source
+	rng rand.Rand
 }
 
 // NewRandom returns a random scheduler with the given seed. Its draws are
 // those of rand.New(rand.NewSource(seed)), but its source is a Source, so
-// seeding it is O(1) and allocates no register.
+// seeding it is O(1) and allocates no register. The source and the
+// rand.Rand live in the scheduler, which is its one allocation; rand.New
+// inlines, and its result is copied.
 func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(NewSource(seed))}
+	r := new(Random)
+	r.src.Seed(seed)
+	r.rng = *rand.New(&r.src)
+	return r
 }
 
 // Next implements Scheduler.

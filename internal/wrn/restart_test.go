@@ -34,8 +34,8 @@ func TestAlg5NotRestartSafe(t *testing.T) {
 		}
 		r := chaos.NewReport(int64(crashAt))
 		res, err := sim.Run(sim.Config{
-			Objects:      objects,
-			Programs:     progs,
+			Objects:  objects,
+			Programs: progs,
 			//detlint:allow restartcoverage deliberate negative control: restarting plain Algorithm 5 proves it loses its power under amnesia, the contrast E19 depends on
 			Scheduler:    chaos.NewCrashRestart(sim.NewRoundRobin(), r, 0, crashAt, 0),
 			MaxSteps:     1 << 16,
