@@ -41,7 +41,7 @@ lint-sarif:
 # The nightly slow path (.github/workflows/nightly.yml): vet plus the
 # full suite with the result cache bypassed, so a cache-layer bug cannot
 # mask a regression. Run a subset with `go run ./cmd/detlint -rules
-# lockorder,decisionflow ./...` — the cache key covers the rule set.
+# lockorder,sharedstate ./...` — the cache key covers the rule set.
 lint-full: vet
 	$(GO) run ./cmd/detlint -no-cache -sarif detlint.sarif ./...
 

@@ -18,8 +18,7 @@
 // comment on the same or the preceding line; the justification is
 // mandatory, and the allowaudit rule reports any justified allow that
 // no longer suppresses a finding. See README.md "Static analysis" for
-// the rule catalogue; v3 adds the SSA-lite/lockset-backed lockorder and
-// decisionflow rules.
+// the rule catalogue; -list-rules prints it.
 //
 // -rules=<comma-list> runs a subset of the suite (allowaudit only
 // judges allows whose rules all ran, so a partial run cannot declare an
@@ -58,7 +57,6 @@ import (
 func main() {
 	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	rootFlag := flag.String("root", "", "module root (default: nearest go.mod above the working directory)")
-	list := flag.Bool("list", false, "alias for -list-rules")
 	listRules := flag.Bool("list-rules", false, "print the available rules (name and one-line doc, byte-stable order) and exit")
 	jsonOut := flag.Bool("json", false, "print the report as JSON instead of text")
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
@@ -67,7 +65,7 @@ func main() {
 	hotReport := flag.String("hotreport", "", "write a JSON ranking of hot functions by allocation score to the given path")
 	flag.Parse()
 
-	if *list || *listRules {
+	if *listRules {
 		os.Stdout.WriteString(ruleList())
 		return
 	}

@@ -39,11 +39,6 @@ type Block struct {
 	Stmts []ast.Stmt
 	// Succs are the possible next blocks.
 	Succs []*Block
-	// Preds are the blocks this one can be entered from, in edge-creation
-	// order. A block with two or more predecessors is a join point: the
-	// SSA-lite builder (ssa.go) places φ-nodes there, and the lockset
-	// analysis (lockset.go) intersects the incoming must-hold sets.
-	Preds []*Block
 }
 
 // Loop describes one for or range statement.
@@ -115,7 +110,6 @@ func link(from, to *Block) {
 		return
 	}
 	from.Succs = append(from.Succs, to)
-	to.Preds = append(to.Preds, from)
 }
 
 // terminate ends the current block with no fallthrough successor; the

@@ -1,8 +1,8 @@
 package lint
 
-// escape.go is a demand-driven may-escape analysis over the SSA-lite
-// layer's level of ambition: per function, which local variables may
-// have their storage outlive the frame. The hotalloc rule uses it to
+// escape.go is a demand-driven, syntactic may-escape analysis: per
+// function, which local variables may have their storage outlive the
+// frame. The hotalloc rule uses it to
 // separate real heap traffic from compiler-stack-allocatable noise — a
 // composite literal bound to a local that never escapes is free, the
 // same literal stored into a map is a per-iteration allocation.

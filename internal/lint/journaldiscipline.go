@@ -17,14 +17,16 @@ package lint
 // is the set of durable non-journal write sites not yet followed by a
 // journal write on some path (union joins); any such site still pending
 // at a return is a finding, and a return of sim.Respond(x) after a
-// durable mutation must pass a journal field, a constant, or a value
-// the SSA-lite graph proves identical to one stored into the journal.
+// durable mutation must pass a journal field, a constant, or a variable
+// that is stored into the journal and keeps its one value throughout
+// the method (singleAssigned).
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // AnalyzerJournalDiscipline returns the journaldiscipline rule.
@@ -145,20 +147,12 @@ func sortJwrites(set []jwrite) {
 	}
 }
 
-// journalStore is one statement assigning a plain identifier into a
-// journal field — the value the response may legitimately return.
-type journalStore struct {
-	stmt ast.Stmt
-	v    *types.Var
-}
-
 // journalFlowInMethod runs the pending-writes dataflow over one method
 // of a journaled type.
 func journalFlowInMethod(m *Module, pt *persistType, journal []*types.Var, n *FuncNode) []Diagnostic {
 	body := n.Decl.Body
 	cfg := BuildCFG(body)
-	ssa := BuildSSA(n.Pkg, n.Decl)
-	stores := collectJournalStores(n.Pkg, pt, journal, body)
+	stored := journalStored(n.Pkg, journal, body)
 
 	in := make(map[*Block]jstate)
 	reached := map[*Block]bool{cfg.Entry: true}
@@ -203,7 +197,7 @@ func journalFlowInMethod(m *Module, pt *persistType, journal []*types.Var, n *Fu
 				}, w.pos)
 			}
 			if st.mutated {
-				if d, bad := checkJournalResponse(m, n, pt, journal, ssa, stores, ret); bad {
+				if d, bad := checkJournalResponse(m, n, pt, journal, stored, ret); bad {
 					emit(d, ret.Pos())
 				}
 			}
@@ -216,21 +210,13 @@ func journalFlowInMethod(m *Module, pt *persistType, journal []*types.Var, n *Fu
 // invoking atReturn (when non-nil) for every return statement with the
 // state reaching it.
 func journalTransfer(pkg *Package, pt *persistType, journal []*types.Var, b *Block, st jstate, atReturn func(*ast.ReturnStmt, jstate)) jstate {
-	isJournal := func(f *types.Var) bool {
-		for _, j := range journal {
-			if j == f {
-				return true
-			}
-		}
-		return false
-	}
 	apply := func(e ast.Expr) {
 		f, _ := fieldTarget(pkg, e)
 		pf := pt.byVar[f]
 		if pf == nil {
 			return
 		}
-		if isJournal(f) {
+		if slices.Contains(journal, f) {
 			st.pending = nil // the append commits everything written so far
 			st.mutated = true
 			return
@@ -270,18 +256,11 @@ func journalTransfer(pkg *Package, pt *persistType, journal []*types.Var, b *Blo
 	return st
 }
 
-// collectJournalStores gathers the statements that store a plain
-// identifier into a journal field, in source order.
-func collectJournalStores(pkg *Package, pt *persistType, journal []*types.Var, body *ast.BlockStmt) []journalStore {
-	isJournal := func(f *types.Var) bool {
-		for _, j := range journal {
-			if j == f {
-				return true
-			}
-		}
-		return false
-	}
-	var out []journalStore
+// journalStored returns the variables a plain `field = v` statement
+// stores into a journal field: the values a response may legitimately
+// return.
+func journalStored(pkg *Package, journal []*types.Var, body *ast.BlockStmt) map[*types.Var]bool {
+	out := make(map[*types.Var]bool)
 	ast.Inspect(body, func(x ast.Node) bool {
 		as, ok := x.(*ast.AssignStmt)
 		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
@@ -289,15 +268,13 @@ func collectJournalStores(pkg *Package, pt *persistType, journal []*types.Var, b
 		}
 		for i, l := range as.Lhs {
 			f, _ := fieldTarget(pkg, l)
-			if f == nil || !isJournal(f) {
+			if f == nil || !slices.Contains(journal, f) {
 				continue
 			}
-			id, ok := ast.Unparen(as.Rhs[i]).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
-				out = append(out, journalStore{stmt: as, v: v})
+			if id, ok := ast.Unparen(as.Rhs[i]).(*ast.Ident); ok {
+				if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
+					out[v] = true
+				}
 			}
 		}
 		return true
@@ -308,10 +285,10 @@ func collectJournalStores(pkg *Package, pt *persistType, journal []*types.Var, b
 // checkJournalResponse decides whether a return after a durable
 // mutation answers from the journal. Accepted shapes: a non-Respond
 // return (not an op response), a constant or nil argument, an argument
-// mentioning a journal field, or a plain identifier whose SSA-lite
-// binding at the return equals its binding at a journal store (the
-// `r := ...; journal = r; return Respond(r)` idiom).
-func checkJournalResponse(m *Module, n *FuncNode, pt *persistType, journal []*types.Var, ssa *FuncSSA, stores []journalStore, ret *ast.ReturnStmt) (Diagnostic, bool) {
+// mentioning a journal field, or a plain identifier that is stored into
+// the journal and never rebound in the method (the `r := ...;
+// journal = r; return Respond(r)` idiom).
+func checkJournalResponse(m *Module, n *FuncNode, pt *persistType, journal []*types.Var, stored map[*types.Var]bool, ret *ast.ReturnStmt) (Diagnostic, bool) {
 	if len(ret.Results) != 1 {
 		return Diagnostic{}, false
 	}
@@ -329,13 +306,8 @@ func checkJournalResponse(m *Module, n *FuncNode, pt *persistType, journal []*ty
 	}
 	mentionsJournal := false
 	ast.Inspect(arg, func(x ast.Node) bool {
-		if sel, ok := x.(*ast.SelectorExpr); ok {
-			f := selectedField(n.Pkg, sel)
-			for _, j := range journal {
-				if f == j {
-					mentionsJournal = true
-				}
-			}
+		if sel, ok := x.(*ast.SelectorExpr); ok && slices.Contains(journal, selectedField(n.Pkg, sel)) {
+			mentionsJournal = true
 		}
 		return !mentionsJournal
 	})
@@ -343,13 +315,8 @@ func checkJournalResponse(m *Module, n *FuncNode, pt *persistType, journal []*ty
 		return Diagnostic{}, false
 	}
 	if id, ok := arg.(*ast.Ident); ok {
-		if v, ok := n.Pkg.Info.Uses[id].(*types.Var); ok {
-			atRet := ssa.BindingAt(ret, v)
-			for _, s := range stores {
-				if s.v == v && sameBinding(ssa.BindingAt(s.stmt, v), atRet) {
-					return Diagnostic{}, false
-				}
-			}
+		if v, ok := n.Pkg.Info.Uses[id].(*types.Var); ok && stored[v] && singleAssigned(n.Pkg, n.Decl.Body, v) {
+			return Diagnostic{}, false
 		}
 	}
 	return Diagnostic{
@@ -359,23 +326,32 @@ func checkJournalResponse(m *Module, n *FuncNode, pt *persistType, journal []*ty
 	}, true
 }
 
-// sameBinding compares two SSA-lite values for definite identity.
-// Opaque and merge values never count — when the graph cannot prove the
-// bindings equal, the response check stays a finding.
-func sameBinding(a, b Value) bool {
-	switch av := a.(type) {
-	case ExprVal:
-		bv, ok := b.(ExprVal)
-		return ok && av == bv
-	case ParamVal:
-		bv, ok := b.(ParamVal)
-		return ok && av == bv
-	case RangeVal:
-		bv, ok := b.(RangeVal)
-		return ok && av == bv
-	case *PhiVal:
-		bv, ok := b.(*PhiVal)
-		return ok && av == bv
+// singleAssigned reports whether v, a parameter or local of the
+// function whose body is given, holds one value for the whole body: no
+// assignment, op-assign, ++/--, range clause or short redeclaration
+// writes it after its declaration, and nothing takes its address.
+// Package-level variables never qualify; other functions write them.
+func singleAssigned(pkg *Package, body *ast.BlockStmt, v *types.Var) bool {
+	if isPackageScoped(v) {
+		return false
 	}
-	return false
+	isV := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && pkg.Info.Uses[id] == v
+	}
+	rebound := false
+	ast.Inspect(body, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.AssignStmt:
+			rebound = rebound || slices.ContainsFunc(x.Lhs, isV)
+		case *ast.RangeStmt:
+			rebound = rebound || isV(x.Key) || isV(x.Value)
+		case *ast.IncDecStmt:
+			rebound = rebound || isV(x.X)
+		case *ast.UnaryExpr:
+			rebound = rebound || (x.Op == token.AND && isV(x.X))
+		}
+		return !rebound
+	})
+	return !rebound
 }

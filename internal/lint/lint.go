@@ -8,9 +8,10 @@
 // exploration. The analyzers here make those assumptions checkable on
 // every build:
 //
-//   - nodeterminism: no wall clocks, unseeded randomness, multi-channel
-//     selects, goroutine spawns, or order-sensitive map iteration inside
-//     internal/ and cmd/.
+//   - nodeterminism: no wall clocks, unseeded randomness or
+//     order-sensitive map iteration inside internal/, cmd/ and native/,
+//     and no multi-channel selects or goroutine spawns inside internal/
+//     and cmd/ (native.BoundedDo spawns and selects by design).
 //   - objectpurity: sim.Object implementations neither retain Invocation
 //     argument slices, nor mutate package-level state, nor perform I/O in
 //     Apply.
@@ -29,17 +30,12 @@
 //     so wait-freedom is checkable, not aspirational.
 //   - sharedstate: struct fields of native types that are mutable after
 //     construction and reachable from exported operations go through
-//     sync/atomic or a held mutex.
+//     sync/atomic or a held mutex; no field is guarded by disjoint
+//     locks, and none mixes sync/atomic calls with plain access.
 //   - injectionpurity: chaos injection decisions (anything returning
 //     native.Fault) are pure functions of (seed, site, visit).
 //   - lockorder: the module-wide lock-acquisition-order graph is
-//     acyclic, no sync mutex is re-acquired while held, no field is
-//     guarded by disjoint locks, and no field mixes atomic and plain
-//     access.
-//   - decisionflow: every value returned from a decision method is
-//     taint-traced through the SSA-lite value graph back to wall
-//     clocks, randomness, map order, channel scheduling, and
-//     unsynchronized reads.
+//     acyclic, and no sync mutex is re-acquired while held.
 //   - hotalloc, boxing: no new heap-allocation sites or boxing
 //     interface conversions in loops reachable from the hot
 //     entrypoints, beyond the per-function budgets in .detlint.hot.
@@ -67,10 +63,9 @@
 //
 // The interprocedural rules ride on a typed load (typeload.go), a
 // per-function control-flow graph (cfg.go), a conservative module
-// callgraph with a shared-access dataflow summary (callgraph.go), an
-// SSA-lite per-function value graph (ssa.go), and a path-sensitive
-// must-hold lockset (lockset.go). The rules that read _test.go files
-// share one parse of them per load (Module.testFiles).
+// callgraph with a shared-access dataflow summary (callgraph.go), and a
+// path-sensitive must-hold lockset (lockset.go). The rules that read
+// _test.go files share one parse of them per load (Module.testFiles).
 //
 // A finding can be suppressed with an inline escape comment on the same
 // or preceding line:
@@ -125,7 +120,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerSharedState(),
 		AnalyzerInjectionPurity(),
 		AnalyzerLockOrder(),
-		AnalyzerDecisionFlow(),
 		AnalyzerHotAlloc(),
 		AnalyzerBoxing(),
 		AnalyzerArenaReady(),

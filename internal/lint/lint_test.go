@@ -39,8 +39,6 @@ func loadFixtures(t *testing.T) []Diagnostic {
 			"detobj/internal/lintfixture/restartok":     "testdata/src/restartok",
 			"detobj/internal/lintfixture/lockbad":       "testdata/src/lockbad",
 			"detobj/internal/lintfixture/lockok":        "testdata/src/lockok",
-			"detobj/internal/lintfixture/flowbad":       "testdata/src/flowbad",
-			"detobj/internal/lintfixture/flowok":        "testdata/src/flowok",
 			"detobj/internal/lintfixture/auditbad":      "testdata/src/auditbad",
 			"detobj/internal/lintfixture/auditok":       "testdata/src/auditok",
 			"detobj/internal/lintfixture/embedbad":      "testdata/src/embedbad",
@@ -60,6 +58,10 @@ func loadFixtures(t *testing.T) []Diagnostic {
 			"detobj/internal/lintfixture/restartcovok":  "testdata/src/restartcovok",
 			"detobj/internal/lintfixture/slotbad":       "testdata/src/slotbad",
 			"detobj/internal/lintfixture/slotok":        "testdata/src/slotok",
+			// Grafted under native/, where nodeterminism leaves go and
+			// select alone.
+			"detobj/native/lintfixture/nativebad": "testdata/src/nativebad",
+			"detobj/native/lintfixture/nativeok":  "testdata/src/nativeok",
 		})
 		if err != nil {
 			fixtureErr = err
@@ -126,12 +128,12 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"restartbad", "schedulecoverage", "only under the default round-robin schedule"},
 		{"lockbad", "lockorder", "lock-order cycle among"},
 		{"lockbad", "lockorder", "acquired in lockbad.(Cell).Again while already held"},
-		{"lockbad", "lockorder", "field m of lockbad.Pair is guarded by"},
-		{"lockbad", "lockorder", "mixed atomic/plain"},
-		{"flowbad", "decisionflow", "time.Now (wall clock) (via flowbad.stampNow)"},
-		{"flowbad", "decisionflow", "map iteration order"},
-		{"flowbad", "decisionflow", "unsynchronized read of field grade"},
-		{"flowbad", "decisionflow", "channel receive"},
+		{"lockbad", "sharedstate", "field m of lockbad.Pair is guarded by"},
+		{"lockbad", "sharedstate", "mixed atomic/plain"},
+		{"nativebad", "nodeterminism", "time.Now"},
+		{"nativebad", "nodeterminism", "time.Until"},
+		{"nativebad", "nodeterminism", "rand.Intn"},
+		{"nativebad", "nodeterminism", "order-sensitive body"},
 		{"auditbad", "allowaudit", "stale detlint:allow (nodeterminism)"},
 		{"embedbad", "boundedloop", "reachable from embedbad.(Obj).Propose"},
 		{"hotallocbad", "hotalloc", "make(map[int]bool) in hot loop"},
@@ -164,6 +166,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"recreadbad", "recoveryreads", "recovery code reachable from"},
 		{"journalbad", "journaldiscipline", "durable write to field count of journalbad.Log"},
 		{"journalbad", "journaldiscipline", "response of journalbad.(Log).Aside does not derive from the journal"},
+		{"journalbad", "journaldiscipline", "response of journalbad.(Log).Rebind does not derive from the journal"},
 		{"journalbad", "journaldiscipline", "journal field rec of journalbad.Wiped is volatile"},
 		{"journalbad", "journaldiscipline", "journaled type journalbad.Empty nominates no //detlint:journal fields"},
 		{"journalbad", "journaldiscipline", "field j of journalbad.Unnominated is marked //detlint:journal but the type carries no //detlint:journaled nomination"},
@@ -179,6 +182,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"slotbad.go", "slotdiscipline", "go statement in a par.ForEach worker"},
 		{"slotbad_test.go", "slotdiscipline", `assignment to captured variable "total"`},
 		{"slotbad_test.go", "slotdiscipline", `write to captured "slots" at a subscript other than the worker index`},
+		{"slotbad_test.go", "slotdiscipline", `write into captured map "seen"`},
 	}
 	for _, want := range expect {
 		found := false
@@ -196,7 +200,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "sharedok", "injectok", "restartok", "lockok", "flowok", "auditok", "hotallocok", "boxok", "arenaok", "persistok", "recreadok", "journalok", "restartcovok", "slotok"} {
+	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "sharedok", "injectok", "restartok", "lockok", "auditok", "hotallocok", "boxok", "arenaok", "persistok", "recreadok", "journalok", "restartcovok", "slotok", "nativeok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}

@@ -1,21 +1,17 @@
 package lint
 
 // lockorder is the deadlock-freedom half of what sharedstate starts:
-// sharedstate proves accesses are guarded, lockorder proves the guards
-// themselves cannot wedge. It builds the module-wide lock-acquisition-
-// order graph — an edge A→B whenever some function acquires B while the
-// must-hold lockset says A is held, directly or through any callee —
-// and reports three shapes of trouble:
+// sharedstate proves accesses are guarded, and guarded consistently;
+// lockorder proves the guards themselves cannot wedge. It builds the
+// module-wide lock-acquisition-order graph — an edge A→B whenever some
+// function acquires B while the must-hold lockset says A is held,
+// directly or through any callee — and reports two shapes of trouble:
 //
 //   - a cycle in the order graph: two concurrent callers can each hold
 //     one lock of the cycle and block forever on the next;
 //   - a re-acquisition of a lock already held (directly, or by calling
 //     a function that takes it): sync.Mutex is not reentrant, so the
-//     goroutine deadlocks against itself;
-//   - a mutable field accessed under *different* locks in different
-//     functions, or through old-style sync/atomic calls in one place
-//     and plain loads/stores in another — discipline that looks
-//     guarded but excludes nothing.
+//     goroutine deadlocks against itself.
 //
 // Lock identity is instance-abstracted (the mutex's declaring field or
 // variable, see lockset.go), so the graph is small and the verdicts are
@@ -26,7 +22,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -37,7 +32,7 @@ import (
 func AnalyzerLockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
-		Doc:  "lock-acquisition-order cycles, non-reentrant re-acquisition, and inconsistent lock/atomic discipline on shared fields",
+		Doc:  "lock-acquisition-order cycles and non-reentrant re-acquisition, module-wide",
 		Run:  runLockOrder,
 	}
 }
@@ -113,7 +108,7 @@ func runLockOrder(m *Module) []Diagnostic {
 					out = append(out, Diagnostic{
 						Pos: m.Fset.Position(a.Pos), Rule: "lockorder",
 						Msg: fmt.Sprintf("%s is acquired in %s while already held; sync mutexes are not reentrant, so the goroutine deadlocks against itself",
-							lockLabel(m, a.Lock), label),
+							lockLabel(a.Lock), label),
 					})
 					continue
 				}
@@ -131,7 +126,7 @@ func runLockOrder(m *Module) []Diagnostic {
 							out = append(out, Diagnostic{
 								Pos: m.Fset.Position(lc.Call.Pos()), Rule: "lockorder",
 								Msg: fmt.Sprintf("%s calls %s, which acquires %s while %s already holds it; sync mutexes are not reentrant, so the goroutine deadlocks against itself",
-									label, funcLabel(callee), lockLabel(m, l), label),
+									label, funcLabel(callee), lockLabel(l), label),
 							})
 							continue
 						}
@@ -144,14 +139,7 @@ func runLockOrder(m *Module) []Diagnostic {
 		}
 	}
 
-	out = append(out, lockCycles(m, edges)...)
-	for _, pkg := range m.Pkgs {
-		if !m.InScope(pkg, "native") && !m.isFixture(pkg, "lockok", "lockbad") {
-			continue
-		}
-		out = append(out, lockDiscipline(m, g, pkg)...)
-	}
-	return out
+	return append(out, lockCycles(m, edges)...)
 }
 
 // lockCycles finds strongly connected components of the order graph and
@@ -237,13 +225,13 @@ func lockCycles(m *Module, edges map[[2]*types.Var]*lockEdge) []Diagnostic {
 		}
 		labels := make([]string, 0, len(scc))
 		for _, v := range scc {
-			labels = append(labels, lockLabel(m, v))
+			labels = append(labels, lockLabel(v))
 		}
 		sort.Strings(labels)
 		parts := make([]string, 0, len(witnesses))
 		for _, e := range witnesses {
 			parts = append(parts, fmt.Sprintf("%s acquires %s while holding %s",
-				e.fn, lockLabel(m, e.to), lockLabel(m, e.from)))
+				e.fn, lockLabel(e.to), lockLabel(e.from)))
 		}
 		sort.Strings(parts)
 		out = append(out, Diagnostic{
@@ -251,120 +239,6 @@ func lockCycles(m *Module, edges map[[2]*types.Var]*lockEdge) []Diagnostic {
 			Msg: fmt.Sprintf("lock-order cycle among %s: %s; two concurrent callers can deadlock",
 				strings.Join(labels, ", "), strings.Join(parts, "; ")),
 		})
-	}
-	return out
-}
-
-// lockDiscipline flags mutable fields of one package accessed under
-// disjoint locks, or mixed between sync/atomic calls and plain
-// loads/stores.
-func lockDiscipline(m *Module, g *CallGraph, pkg *Package) []Diagnostic {
-	facts := packageFieldFacts(g, pkg)
-	if len(facts) == 0 {
-		return nil
-	}
-
-	type access struct {
-		held []*types.Var
-		fn   string
-	}
-	guardsByField := make(map[*types.Var][]access)
-	atomicBy := make(map[*types.Var]string) // field -> first fn using atomic.* on it
-	plainBy := make(map[*types.Var]string)  // field -> first fn with a plain access
-	var fieldOrder []*types.Var
-	noteField := func(f *types.Var) {
-		if _, ok := guardsByField[f]; !ok {
-			guardsByField[f] = nil
-			fieldOrder = append(fieldOrder, f)
-		}
-	}
-
-	for _, n := range g.sortedNodes() {
-		if n.Pkg != pkg || isConstructor(n.Decl) {
-			continue
-		}
-		label := funcLabel(n)
-		// Selectors handed to sync/atomic package functions (&f.x) use
-		// atomic discipline; every other selector is a plain access.
-		atomicSel := make(map[*ast.SelectorExpr]bool)
-		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := resolvedFunc(n.Pkg, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
-				fn.Type().(*types.Signature).Recv() != nil {
-				return true
-			}
-			for _, arg := range call.Args {
-				u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if f := selectedField(pkg, sel); f != nil && facts[f] != nil {
-					atomicSel[sel] = true
-					noteField(f)
-					if _, ok := atomicBy[f]; !ok {
-						atomicBy[f] = label
-					}
-				}
-			}
-			return true
-		})
-		guards := guardedSelectors(pkg, n.Decl)
-		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
-			sel, ok := x.(*ast.SelectorExpr)
-			if !ok || atomicSel[sel] {
-				return true
-			}
-			f := selectedField(pkg, sel)
-			if f == nil || facts[f] == nil || atomicField(f) || syncField(f) {
-				return true
-			}
-			noteField(f)
-			if _, ok := plainBy[f]; !ok {
-				plainBy[f] = label
-			}
-			if held := guards[sel]; len(held) > 0 {
-				guardsByField[f] = append(guardsByField[f], access{held: held, fn: label})
-			}
-			return true
-		})
-	}
-
-	var out []Diagnostic
-	for _, f := range fieldOrder {
-		if fieldDeclAllowed(m, f, "lockorder") {
-			continue
-		}
-		pos := m.Fset.Position(f.Pos())
-		if a, ok := atomicBy[f]; ok {
-			if p, ok := plainBy[f]; ok {
-				out = append(out, Diagnostic{Pos: pos, Rule: "lockorder",
-					Msg: fmt.Sprintf("field %s of %s goes through sync/atomic in %s but is accessed plainly in %s; mixed atomic/plain discipline excludes nothing",
-						f.Name(), ownerTypeName(f), a, p)})
-				continue
-			}
-		}
-		if facts[f] == nil || !facts[f].mutated {
-			continue
-		}
-		accs := guardsByField[f]
-		for i := 1; i < len(accs); i++ {
-			if len(intersectLocks(accs[0].held, accs[i].held)) == 0 {
-				out = append(out, Diagnostic{Pos: pos, Rule: "lockorder",
-					Msg: fmt.Sprintf("field %s of %s is guarded by %s in %s but by %s in %s; disjoint locks do not exclude concurrent access",
-						f.Name(), ownerTypeName(f),
-						lockSetLabel(m, accs[0].held), accs[0].fn,
-						lockSetLabel(m, accs[i].held), accs[i].fn)})
-				break
-			}
-		}
 	}
 	return out
 }
@@ -381,7 +255,7 @@ func sortedLocks(set map[*types.Var]bool) []*types.Var {
 
 // lockLabel renders a lock variable for diagnostics: the declaring
 // struct field (pkg.Type.field) or the plain variable name.
-func lockLabel(m *Module, v *types.Var) string {
+func lockLabel(v *types.Var) string {
 	if v.IsField() {
 		return ownerTypeName(v) + "." + v.Name()
 	}
@@ -389,12 +263,4 @@ func lockLabel(m *Module, v *types.Var) string {
 		return v.Pkg().Name() + "." + v.Name()
 	}
 	return v.Name()
-}
-
-func lockSetLabel(m *Module, set []*types.Var) string {
-	parts := make([]string, 0, len(set))
-	for _, v := range set {
-		parts = append(parts, lockLabel(m, v))
-	}
-	return strings.Join(parts, "+")
 }

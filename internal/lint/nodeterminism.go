@@ -7,29 +7,38 @@ import (
 	"go/types"
 )
 
-// AnalyzerNoDeterminism returns the nodeterminism rule. Inside internal/
-// and cmd/ — the simulator, the algorithms, the checkers and the table
-// emitters — it flags the constructs that make a run, a trace, or a
-// printed table depend on anything but (configuration, seed):
+// AnalyzerNoDeterminism returns the nodeterminism rule. Inside internal/,
+// cmd/ and native/ — the simulator, the algorithms, the checkers, the
+// table emitters and the goroutine-safe objects — it flags the
+// constructs that make a run, a trace, a printed table or a returned
+// value depend on anything but (configuration, seed, schedule):
 //
-//   - time.Now / time.Since: wall clocks leak real time into decisions;
+//   - time.Now / time.Since / time.Until: wall clocks leak real time
+//     into decisions;
 //   - the global math/rand source (rand.Intn et al.): unseeded, shared,
 //     and irreproducible — use rand.New(rand.NewSource(seed));
-//   - select over multiple channels: the runtime picks a ready case
-//     pseudo-randomly;
-//   - go statements: spawned goroutines race unless the surrounding code
-//     serializes them (the simulator's lockstep handshake is the one
-//     justified, annotated case);
 //   - range over a map whose body is order-sensitive: iteration order is
 //     randomized, so anything accumulated in order (appends that are
 //     never sorted, early returns, printing) changes from run to run.
 //     Commutative bodies — counter updates, writes into another map,
 //     deletes, and key-collection followed by an explicit sort in the
 //     same function — pass.
+//
+// Inside internal/ and cmd/ only, where every run is simulated, it
+// also flags:
+//
+//   - select over multiple channels: the runtime picks a ready case
+//     pseudo-randomly;
+//   - go statements: spawned goroutines race unless the surrounding code
+//     serializes them (the simulator's lockstep handshake is the one
+//     justified, annotated case).
+//
+// native/ runs on real goroutines, and native.BoundedDo spawns and
+// selects by design, so there those two constructs pass.
 func AnalyzerNoDeterminism() *Analyzer {
 	return &Analyzer{
 		Name: "nodeterminism",
-		Doc:  "flags wall clocks, global randomness, selects, goroutines and order-sensitive map iteration in internal/ and cmd/",
+		Doc:  "flags wall clocks, global randomness and order-sensitive map iteration in internal/, cmd/ and native/, and selects and goroutines in internal/ and cmd/",
 		Run:  runNoDeterminism,
 	}
 }
@@ -49,9 +58,10 @@ var globalRandFuncs = map[string]bool{
 func runNoDeterminism(m *Module) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range m.Pkgs {
-		if !m.InScope(pkg, "internal", "cmd") {
+		if !m.InScope(pkg, "internal", "cmd", "native") {
 			continue
 		}
+		simulated := m.InScope(pkg, "internal", "cmd")
 		for _, f := range pkg.Files {
 			parents := parentMap(f)
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -61,17 +71,19 @@ func runNoDeterminism(m *Module) []Diagnostic {
 						out = append(out, d)
 					}
 				case *ast.SelectStmt:
-					if len(n.Body.List) > 1 {
+					if simulated && len(n.Body.List) > 1 {
 						out = append(out, Diagnostic{
 							Pos: m.Fset.Position(n.Pos()),
 							Msg: "select over multiple channels: the runtime chooses a ready case pseudo-randomly",
 						})
 					}
 				case *ast.GoStmt:
-					out = append(out, Diagnostic{
-						Pos: m.Fset.Position(n.Pos()),
-						Msg: "goroutine spawn: concurrent execution is unschedulable by the simulator",
-					})
+					if simulated {
+						out = append(out, Diagnostic{
+							Pos: m.Fset.Position(n.Pos()),
+							Msg: "goroutine spawn: concurrent execution is unschedulable by the simulator",
+						})
+					}
 				case *ast.RangeStmt:
 					out = append(out, checkMapRange(m, pkg, n, parents)...)
 				}
@@ -90,7 +102,7 @@ func runNoDeterminism(m *Module) []Diagnostic {
 func checkDetSelector(m *Module, pkg *Package, sel *ast.SelectorExpr) (Diagnostic, bool) {
 	fn, _ := pkg.Info.Uses[sel.Sel].(*types.Func)
 	switch {
-	case isFunc(fn, "time", "Now", "Since"):
+	case isFunc(fn, "time", "Now", "Since", "Until"):
 		return Diagnostic{
 			Pos: m.Fset.Position(sel.Pos()),
 			Msg: fmt.Sprintf("time.%s: wall-clock reads break deterministic replay", fn.Name()),

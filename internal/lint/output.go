@@ -45,7 +45,7 @@ type Report struct {
 
 // detlintVersion names the analyzer release in reports and cache keys.
 // Bump it when rules change behavior so stale caches self-invalidate.
-const detlintVersion = "detlint/8.0.0"
+const detlintVersion = "detlint/9.0.0"
 
 // NewReport converts Run's diagnostics into report form, relativizing
 // file names against the module root.

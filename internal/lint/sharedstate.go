@@ -11,8 +11,16 @@ package lint
 // function, or by an explicit justified annotation. Fields written only
 // during construction are published by the happens-before edge of
 // handing the object to other goroutines and need no protection.
+//
+// The same per-field pass checks that the protection is consistent:
+// a mutable field guarded by disjoint locks in different functions
+// (two mutexes each believing they guard it), or a field passed by
+// address to a sync/atomic function in one place and accessed plainly
+// in another (the plain side races whatever the atomic side does),
+// excludes nothing and is a finding at the field's declaration.
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -31,7 +39,7 @@ import (
 func AnalyzerSharedState() *Analyzer {
 	return &Analyzer{
 		Name: "sharedstate",
-		Doc:  "mutable native struct fields reached by concurrent operations need sync/atomic, a held mutex, or a justified allow",
+		Doc:  "mutable native struct fields reached by concurrent operations need sync/atomic or a held mutex, guarded consistently",
 		Run:  runSharedState,
 	}
 }
@@ -39,7 +47,7 @@ func AnalyzerSharedState() *Analyzer {
 func runSharedState(m *Module) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range m.Pkgs {
-		if !m.InScope(pkg, "native") && !m.isFixture(pkg, "sharedok", "sharedbad") {
+		if !m.InScope(pkg, "native") && !m.isFixture(pkg, "sharedok", "sharedbad", "lockok", "lockbad") {
 			continue
 		}
 		out = append(out, sharedStateForPackage(m, pkg)...)
@@ -85,45 +93,138 @@ func sharedStateForPackage(m *Module, pkg *Package) []Diagnostic {
 	}
 	sort.Slice(checked, func(i, j int) bool { return checked[i].Fn.Pos() < checked[j].Fn.Pos() })
 
-	// Pass 3: flag unprotected accesses to mutated fields. The guard
-	// check is the lockset analysis: an access counts as protected only
-	// when a mutex is held on every path reaching it (lockset.go), not
-	// merely when a Lock call appears earlier in the source text.
+	// Pass 3: flag unprotected accesses to mutated fields, and record
+	// how every field is accessed for the per-field consistency checks.
+	// The guard check is the lockset analysis: an access counts as
+	// protected only when a mutex is held on every path reaching it
+	// (lockset.go), not merely when a Lock call appears earlier in the
+	// source text.
+	uses := make(map[*types.Var]*fieldUse)
+	var order []*types.Var
+	useOf := func(f *types.Var) *fieldUse {
+		if uses[f] == nil {
+			uses[f] = &fieldUse{}
+			order = append(order, f)
+		}
+		return uses[f]
+	}
 	var out []Diagnostic
 	for _, n := range checked {
+		label := funcLabel(n)
+		// A constructor reached from an operation runs before its
+		// object is shared: its accesses are not the field's discipline.
+		ctor := isConstructor(n.Decl)
 		guards := guardedSelectors(pkg, n.Decl)
 		exempt := headerReads(pkg, n.Decl.Body, facts)
+		atomic := atomicArgs(pkg, n.Decl.Body)
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 			sel, ok := x.(*ast.SelectorExpr)
 			if !ok || exempt[sel] {
 				return true
 			}
 			f := selectedField(pkg, sel)
-			if f == nil {
+			if f == nil || facts[f] == nil || atomicField(f) || syncField(f) {
 				return true
 			}
-			ff := facts[f]
-			if ff == nil || !ff.mutated {
-				return true
+			held := guards[sel]
+			if !ctor {
+				useOf(f).note(atomic[sel], held, label)
 			}
-			if atomicField(f) || syncField(f) {
-				return true
-			}
-			pos := m.Fset.Position(sel.Pos())
-			if len(guards[sel]) > 0 {
-				return true
-			}
-			if fieldDeclAllowed(m, f, "sharedstate") {
+			if atomic[sel] || len(held) > 0 || !facts[f].mutated || fieldDeclAllowed(m, f, "sharedstate") {
 				return true
 			}
 			out = append(out, Diagnostic{
-				Pos: pos,
+				Pos: m.Fset.Position(sel.Pos()),
 				Msg: fmt.Sprintf("field %s of %s is written outside its constructor and accessed in %s without sync/atomic or a held mutex; concurrent operations can race on it",
-					f.Name(), ownerTypeName(f), funcLabel(n)),
+					f.Name(), ownerTypeName(f), label),
 			})
 			return true
 		})
 	}
+	for _, f := range order {
+		if d, ok := inconsistentGuard(m, f, facts[f], uses[f]); ok {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// fieldUse records how a package's operations access one field.
+type fieldUse struct {
+	// atomicIn and plainIn name the first function passing the field
+	// by address to a sync/atomic function, and the first accessing it
+	// any other way.
+	atomicIn, plainIn string
+	// guarded lists the accesses made under a nonempty must-hold set.
+	guarded []guardedAccess
+}
+
+type guardedAccess struct {
+	held []*types.Var
+	fn   string
+}
+
+// note records one access that fn makes outside a constructor.
+func (u *fieldUse) note(atomic bool, held []*types.Var, fn string) {
+	if atomic {
+		u.atomicIn = cmp.Or(u.atomicIn, fn)
+		return
+	}
+	u.plainIn = cmp.Or(u.plainIn, fn)
+	if len(held) > 0 {
+		u.guarded = append(u.guarded, guardedAccess{held: held, fn: fn})
+	}
+}
+
+// inconsistentGuard reports a field whose protection excludes nothing:
+// mixed between sync/atomic calls and plain access, or, when mutable,
+// guarded by disjoint locks in two functions.
+func inconsistentGuard(m *Module, f *types.Var, ff *fieldFacts, u *fieldUse) (Diagnostic, bool) {
+	if fieldDeclAllowed(m, f, "sharedstate") {
+		return Diagnostic{}, false
+	}
+	pos := m.Fset.Position(f.Pos())
+	if u.atomicIn != "" && u.plainIn != "" {
+		return Diagnostic{Pos: pos,
+			Msg: fmt.Sprintf("field %s of %s goes through sync/atomic in %s but is accessed plainly in %s; mixed atomic/plain discipline excludes nothing",
+				f.Name(), ownerTypeName(f), u.atomicIn, u.plainIn)}, true
+	}
+	if !ff.mutated {
+		return Diagnostic{}, false
+	}
+	for i := 1; i < len(u.guarded); i++ {
+		if first, a := u.guarded[0], u.guarded[i]; len(intersectLocks(first.held, a.held)) == 0 {
+			return Diagnostic{Pos: pos,
+				Msg: fmt.Sprintf("field %s of %s is guarded by %s in %s but by %s in %s; disjoint locks do not exclude concurrent access",
+					f.Name(), ownerTypeName(f), lockSetLabel(first.held), first.fn, lockSetLabel(a.held), a.fn)}, true
+		}
+	}
+	return Diagnostic{}, false
+}
+
+// atomicArgs collects the field selectors passed by address to a
+// sync/atomic package function (atomic.AddInt64(&x.n, 1)).
+func atomicArgs(pkg *Package, body *ast.BlockStmt) map[*ast.SelectorExpr]bool {
+	out := make(map[*ast.SelectorExpr]bool)
+	ast.Inspect(body, func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := resolvedFunc(pkg, call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+			fn.Type().(*types.Signature).Recv() != nil {
+			return true
+		}
+		for _, arg := range call.Args {
+			if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
+				if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
+					out[sel] = true
+				}
+			}
+		}
+		return true
+	})
 	return out
 }
 
@@ -135,9 +236,9 @@ func isConstructor(fd *ast.FuncDecl) bool {
 }
 
 // packageFieldFacts classifies every struct field declared in pkg and
-// marks the ones written outside constructors. Shared by sharedstate
-// and lockorder: both rules only care about fields that change after
-// the object is built.
+// marks the ones written outside constructors: the only fields whose
+// accesses sharedstate judges, since nothing else changes after the
+// object is built.
 func packageFieldFacts(g *CallGraph, pkg *Package) map[*types.Var]*fieldFacts {
 	facts := make(map[*types.Var]*fieldFacts)
 	scope := pkg.Types.Scope()
@@ -307,4 +408,14 @@ func ownerTypeName(f *types.Var) string {
 		}
 	}
 	return f.Pkg().Name() + ".?"
+}
+
+// lockSetLabel renders a held set for diagnostics: its locks' labels
+// joined by "+".
+func lockSetLabel(set []*types.Var) string {
+	parts := make([]string, 0, len(set))
+	for _, v := range set {
+		parts = append(parts, lockLabel(v))
+	}
+	return strings.Join(parts, "+")
 }

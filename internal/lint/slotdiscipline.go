@@ -12,9 +12,9 @@ package lint
 // where i is the literal's index parameter, or go through a local bound
 // to &root[i]…. Anything else lets two workers reach one cell, and the
 // final value becomes an accident of scheduling — even when a mutex
-// serializes the writes, which is why no lock shape is accepted. Where
-// the typed load knows the root is a map, root[i] is a finding too:
-// map entries are not per-index slots. A channel operation or a go
+// serializes the writes, which is why no lock shape is accepted. When
+// the root is a map, root[i] is a finding too: map entries are not
+// per-index slots. A channel operation or a go
 // statement inside a worker orders results by completion, so each is a
 // finding as well.
 //
@@ -220,14 +220,25 @@ func (w *worker) slot(e ast.Expr) bool {
 	return ok && w.idx != nil && id.Obj == w.idx
 }
 
-// isMap reports whether the typed load knows root to be a map. Test
-// files are outside the typed load, so there it is always false.
+// isMap reports whether root is a map: by its type where the typed
+// load knows it, and otherwise (in test files, which the typed load
+// leaves out) by its declaration: a map type, a map literal or a
+// make(map…).
 func (w *worker) isMap(root *ast.Ident) bool {
-	t := w.pkg.Info.TypeOf(root)
-	if t == nil {
-		return false
+	if t := w.pkg.Info.TypeOf(root); t != nil {
+		_, ok := t.Underlying().(*types.Map)
+		return ok
 	}
-	_, ok := t.Underlying().(*types.Map)
+	typ, v := declaredAs(root)
+	switch v := v.(type) {
+	case *ast.CompositeLit:
+		typ = v.Type
+	case *ast.CallExpr:
+		if fn, ok := v.Fun.(*ast.Ident); ok && fn.Name == "make" && len(v.Args) > 0 {
+			typ = v.Args[0]
+		}
+	}
+	_, ok := typ.(*ast.MapType)
 	return ok
 }
 
@@ -235,38 +246,46 @@ func (w *worker) isMap(root *ast.Ident) bool {
 // at its declaration (h := root, h := root[j:], h := &root.f, ...), or
 // nil when the binding is local storage or a &root[i] slot handle.
 func (w *worker) aliased(h *ast.Ident) *ast.Ident {
+	_, v := declaredAs(h)
+	if u, ok := v.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		if w.slot(u.X) {
+			return nil
+		}
+		v = u.X
+	}
+	if s, ok := ast.Unparen(v).(*ast.SliceExpr); ok {
+		v = s.X
+	}
+	if src, _ := rootOf(v); src != nil && !w.local(src) {
+		return src
+	}
+	return nil
+}
+
+// declaredAs returns the type and the value the parser resolved a name's
+// declaration to; either is nil when the declaration has none.
+func declaredAs(id *ast.Ident) (typ, value ast.Expr) {
+	if id.Obj == nil {
+		return nil, nil
+	}
 	var names []*ast.Ident
 	var values []ast.Expr
-	switch d := h.Obj.Decl.(type) {
+	switch d := id.Obj.Decl.(type) {
 	case *ast.AssignStmt:
 		for _, l := range d.Lhs {
-			id, _ := l.(*ast.Ident)
-			names = append(names, id)
+			n, _ := l.(*ast.Ident)
+			names = append(names, n)
 		}
 		values = d.Rhs
 	case *ast.ValueSpec:
-		names, values = d.Names, d.Values
+		names, typ, values = d.Names, d.Type, d.Values
+	case *ast.Field:
+		typ = d.Type
 	}
-	if len(names) != len(values) {
-		return nil
-	}
-	for i, id := range names {
-		if id == nil || id.Obj != h.Obj {
-			continue
-		}
-		v := ast.Unparen(values[i])
-		if u, ok := v.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			if w.slot(u.X) {
-				return nil
-			}
-			v = u.X
-		}
-		if s, ok := ast.Unparen(v).(*ast.SliceExpr); ok {
-			v = s.X
-		}
-		if src, _ := rootOf(v); src != nil && !w.local(src) {
-			return src
+	for i, n := range names {
+		if n != nil && n.Obj == id.Obj && len(values) == len(names) {
+			return typ, ast.Unparen(values[i])
 		}
 	}
-	return nil
+	return typ, nil
 }

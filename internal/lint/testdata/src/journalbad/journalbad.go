@@ -1,8 +1,8 @@
 // Package journalbad seeds the journaldiscipline findings: a durable
 // write left pending after the journal append, a response computed off
-// to the side of the journal, a volatile journal field, a journaled
-// nomination with no journal, and a journal mark on an unnominated
-// type.
+// to the side of the journal or rebound after the append, a volatile
+// journal field, a journaled nomination with no journal, and a journal
+// mark on an unnominated type.
 package journalbad
 
 import "detobj/internal/sim"
@@ -45,6 +45,16 @@ func (l *Log) Aside(env *sim.Env, inv sim.Invocation) sim.Response {
 }
 
 func stamp(proc int) sim.Value { return proc*2 + 1 }
+
+// Rebind journals r, then rebinds it before responding: the response
+// names the journaled variable but no longer holds the journaled value.
+func (l *Log) Rebind(env *sim.Env, inv sim.Invocation) sim.Response {
+	r := l.cell
+	l.cell = inv.Arg(0)
+	l.last[env.Proc] = r
+	r = inv.Arg(0)
+	return sim.Respond(r)
+}
 
 // Wiped nominates a journal the crash erases — useless for
 // idempotence.
