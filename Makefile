@@ -32,7 +32,7 @@ lint:
 # Just the persistence & recovery-safety rules, cache-free — the local
 # mirror of CI's recovery-gate job.
 lint-recovery:
-	$(GO) run ./cmd/detlint -no-cache -rules persistsplit,recoveryreads,journaldiscipline,restartcoverage ./...
+	$(GO) run ./cmd/detlint -no-cache -recovery ./...
 
 # Same suite, also writing a SARIF 2.1.0 log for code-scanning upload.
 lint-sarif:
@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAlg2Schedules -fuzztime 30s ./internal/wrn/
 	$(GO) test -fuzz FuzzCheckAgainstBruteForce -fuzztime 30s ./internal/linearize/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz FuzzRewindMatchesFreshRun -fuzztime 30s ./internal/sim/
 
 clean:
 	$(GO) clean -testcache

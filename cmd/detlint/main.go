@@ -26,7 +26,9 @@
 // boxing, arenaready), whose allocation findings are capped by the
 // committed per-function budgets in .detlint.hot — each hot rule judges
 // only its own budget entries, so a run that skips a rule says nothing
-// about that rule's budgets. -hotreport=<path> additionally
+// about that rule's budgets. -recovery runs just the persistence and
+// recovery-safety rules (persistsplit, recoveryreads,
+// journaldiscipline, restartcoverage), the CI recovery gate. -hotreport=<path> additionally
 // writes a byte-stable JSON ranking of hot functions by static
 // allocation score, cross-referencing the newest BENCH_*.json
 // allocs/op figures; when no parsable BENCH_*.json exists the report
@@ -62,6 +64,7 @@ func main() {
 	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
 	noCache := flag.Bool("no-cache", false, "ignore and do not write the result cache")
 	hot := flag.Bool("hot", false, "run only the hot-path rules (hotalloc, boxing, arenaready)")
+	recovery := flag.Bool("recovery", false, "run only the persistence and recovery-safety rules (persistsplit, recoveryreads, journaldiscipline, restartcoverage)")
 	hotReport := flag.String("hotreport", "", "write a JSON ranking of hot functions by allocation score to the given path")
 	flag.Parse()
 
@@ -79,34 +82,9 @@ func main() {
 		}
 	}
 
-	analyzers := lint.Analyzers()
-	if *hot && *rules != "" {
-		fatal(fmt.Errorf("detlint: -hot and -rules are mutually exclusive"))
-	}
-	if *hot {
-		analyzers = lint.HotAnalyzers()
-	}
-	if *rules != "" {
-		want := make(map[string]bool)
-		for _, r := range strings.Split(*rules, ",") {
-			want[strings.TrimSpace(r)] = true
-		}
-		var selected []*lint.Analyzer
-		for _, a := range analyzers {
-			if want[a.Name] {
-				selected = append(selected, a)
-				delete(want, a.Name)
-			}
-		}
-		unknown := make([]string, 0, len(want))
-		for r := range want {
-			unknown = append(unknown, r)
-		}
-		sort.Strings(unknown)
-		if len(unknown) > 0 {
-			fatal(fmt.Errorf("detlint: unknown rule(s) %s", strings.Join(unknown, ", ")))
-		}
-		analyzers = selected
+	analyzers, err := selectAnalyzers(*hot, *recovery, *rules)
+	if err != nil {
+		fatal(err)
 	}
 
 	var key string
@@ -177,6 +155,42 @@ func main() {
 		fmt.Fprintf(os.Stderr, "detlint: %d finding(s)\n", len(report.Findings))
 		os.Exit(1)
 	}
+}
+
+// selectAnalyzers returns the rules a run selects: the -hot or the
+// -recovery subset, the -rules list, or else the whole suite. The three
+// selections are mutually exclusive.
+func selectAnalyzers(hot, recovery bool, rules string) ([]*lint.Analyzer, error) {
+	switch {
+	case hot && recovery, (hot || recovery) && rules != "":
+		return nil, fmt.Errorf("detlint: -hot, -recovery and -rules are mutually exclusive")
+	case hot:
+		return lint.HotAnalyzers(), nil
+	case recovery:
+		return lint.RecoveryAnalyzers(), nil
+	case rules == "":
+		return lint.Analyzers(), nil
+	}
+	want := make(map[string]bool)
+	for _, r := range strings.Split(rules, ",") {
+		want[strings.TrimSpace(r)] = true
+	}
+	var selected []*lint.Analyzer
+	for _, a := range lint.Analyzers() {
+		if want[a.Name] {
+			selected = append(selected, a)
+			delete(want, a.Name)
+		}
+	}
+	unknown := make([]string, 0, len(want))
+	for r := range want {
+		unknown = append(unknown, r)
+	}
+	sort.Strings(unknown)
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("detlint: unknown rule(s) %s", strings.Join(unknown, ", "))
+	}
+	return selected, nil
 }
 
 // ruleList renders the registered rule set for -list-rules: one

@@ -62,3 +62,45 @@ func TestREADMERuleTable(t *testing.T) {
 		}
 	}
 }
+
+// ruleNames lists the analyzers' names in order.
+func ruleNames(as []*lint.Analyzer) []string {
+	names := make([]string, len(as))
+	for i, a := range as {
+		names[i] = a.Name
+	}
+	return names
+}
+
+// TestSelectAnalyzers: -recovery and -hot select exactly the library's
+// recovery and hot-path subsets, -rules the named rules, and no flag the
+// whole suite; combining them is an error.
+func TestSelectAnalyzers(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		hot, recovery bool
+		rules         string
+		want          []*lint.Analyzer
+	}{
+		{"default", false, false, "", lint.Analyzers()},
+		{"-hot", true, false, "", lint.HotAnalyzers()},
+		{"-recovery", false, true, "", lint.RecoveryAnalyzers()},
+		{"-rules", false, false, "boxing, nodeterminism", []*lint.Analyzer{lint.AnalyzerNoDeterminism(), lint.AnalyzerBoxing()}},
+	} {
+		got, err := selectAnalyzers(c.hot, c.recovery, c.rules)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if g, w := strings.Join(ruleNames(got), ","), strings.Join(ruleNames(c.want), ","); g != w {
+			t.Errorf("%s selects %s, want %s", c.name, g, w)
+		}
+	}
+	for _, c := range []struct {
+		hot, recovery bool
+		rules         string
+	}{{true, true, ""}, {true, false, "boxing"}, {false, true, "persistsplit"}, {false, false, "nosuchrule"}} {
+		if _, err := selectAnalyzers(c.hot, c.recovery, c.rules); err == nil {
+			t.Errorf("hot=%v recovery=%v rules=%q: no error", c.hot, c.recovery, c.rules)
+		}
+	}
+}

@@ -16,9 +16,15 @@ package lint
 // the call sites along the chain, with hot roots at depth zero. A call
 // at loop depth 2 inside a function at depth 1 puts the callee at
 // depth ≤ 3. Depths are capped at maxHotDepth so recursion through a
-// loop converges. Function literals do not reset the loop depth: a
-// literal declared under a loop is conservatively assumed to run under
-// it (the par.ForEach worker bodies are exactly this shape).
+// loop converges. A function that calls itself from inside a loop is a
+// loop of its own: the depth-first searches of the model checker visit
+// one tree node per call, so every call such a function makes is
+// charged one more loop level than its site has. Without that, the
+// shallowest chain runs through the search's root call, and everything
+// a node does once (step the run, apply an object) would rank as if it
+// ran once per engine call. Function literals do not reset the loop
+// depth: a literal declared under a loop is conservatively assumed to
+// run under it (the par.ForEach worker bodies are exactly this shape).
 
 import (
 	"go/ast"
@@ -131,9 +137,15 @@ func buildHotInfo(m *Module) *hotInfo {
 				}
 			}
 		})
+		// A call of n itself at loop depth ≥ 1 makes n's recursion the
+		// loop around all of its calls.
+		recursion := 0
+		if d, ok := min[n]; ok && d >= 1 {
+			recursion = 1
+		}
 		out := make([]edge, 0, len(min))
 		for c, d := range min {
-			out = append(out, edge{c, d})
+			out = append(out, edge{c, d + recursion})
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].callee.Fn.Pos() < out[j].callee.Fn.Pos() })
 		edges[n] = out

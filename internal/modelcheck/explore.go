@@ -39,12 +39,13 @@ var ErrScriptDivergence = errors.New("modelcheck: replayed choice script diverge
 // Factory produces a fresh configuration (fresh objects, same programs).
 // When every object has a Reset method, which returns it in place to
 // its constructed state, the engine calls f once per engine call and
-// resets the objects before each run it starts from the root, reusing
-// the programs as the replay contract allows; otherwise it calls f once
-// more per such run. The engine overrides Scheduler and Choice, sets
-// Arena, sets OnStep when the transposition table is on, and sets
-// DisableTrace unless the call has a visit callback (so VerifyReplay
-// checks only traced runs).
+// resets the objects before it starts its run from the root and before
+// each rewind, reusing the programs as the replay contract allows;
+// otherwise it calls f once more per start and per rewind, and a rewind
+// adopts only the new configuration's objects. The engine overrides
+// Scheduler and Choice, sets OnStep when the transposition table is on,
+// and sets DisableTrace unless the call has a visit callback (so
+// VerifyReplay checks only traced runs, at their leaves).
 type Factory func() sim.Config
 
 // Execution is one complete run discovered by Explore.
@@ -79,7 +80,7 @@ type scriptSource struct {
 }
 
 // reset re-arms the source to replay script from its start, reusing the
-// receiver (runDriver keeps one source for all its runs).
+// receiver (the reducer keeps one source for all its runs and rewinds).
 func (s *scriptSource) reset(script []int) {
 	s.script = script
 	s.pos = 0
@@ -131,8 +132,8 @@ func errLimitExceeded(limit int) error {
 }
 
 // decodeRunError converts the control-signal panics the explorers plant
-// in their scripted runs back into typed errors; other errors pass
-// through untouched.
+// in their scripted runs back into typed errors as the error leaves the
+// engine; other errors, nil included, pass through untouched.
 func decodeRunError(err error) error {
 	var ope *sim.ObjectPanicError
 	if !errors.As(err, &ope) {

@@ -446,6 +446,13 @@ func runEarlyExits(t *testing.T, cases []struct {
 	}
 }
 
+// liveParked reports whether the reducer's live run is parked at an
+// internal node, with processes enabled, rather than ended at a leaf.
+func liveParked(red *reducer) bool {
+	enabled, err := red.run.Enabled()
+	return err == nil && len(enabled) > 0
+}
+
 // exploreReducedTrip runs ExploreReduced's search and reports whether
 // the run was parked at the last node the engine signed. A budget trip
 // at a transposition hit on an internal node returns with that run
@@ -455,7 +462,7 @@ func exploreReducedTrip(f Factory, r Reduced, limit int) (parked bool, err error
 	if err != nil {
 		return false, err
 	}
-	red.onSign = func([]byte) { parked = red.d.parked }
+	red.onSign = func([]byte) { parked = liveParked(red) }
 	_, err = red.explore(nil)
 	return parked, err
 }

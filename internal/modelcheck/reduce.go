@@ -35,18 +35,18 @@ package modelcheck
 //     (SymmetryReport.Deduped reports which) and only symmetry
 //     quotienting applies.
 //
-//   - Carried arena runs. The engines drive their runs through the
-//     runDriver of driver.go: a node's run parks at the end of its
-//     prefix and carries into the node's first canonical child, so
-//     only later siblings and choice branches start a fresh run. Every
-//     fresh run draws its scratch from one sim.RunArena per engine
-//     call (the driver keeps at most one run live), and stabilizers
-//     live in per-depth scratch, so steady-state exploration does not
-//     allocate per run. A parked node is signed with the status bytes
-//     a replay stopped there would report (see signature).
+//   - Rewound runs. One live run per engine call, a sim.Stepper the
+//     engine drives step by step, walks the tree: it steps from a node
+//     into the node's first canonical child, and later siblings and
+//     choice branches rewind it to their branch point (see rewind).
+//     The stepper reuses its buffers from run to run, and stabilizers
+//     and the enabled sets on the search path live in scratch, so
+//     steady-state exploration does not allocate per node. A node is
+//     signed with the status bytes a run stopped there would report
+//     (see signature).
 //
 // Runs record their trace exactly when the call has a visit callback;
-// copyExecution copies it out of the arena.
+// copyExecution copies it out of the live run.
 //
 // Documented divergences of a nontrivial group or the table from
 // exhaustive mode (verdicts are still equal; see DESIGN.md):
@@ -112,7 +112,9 @@ type SymmetryReport struct {
 	ReducedConfigs int
 	// Hits and Misses count transposition-table lookups.
 	Hits, Misses int
-	// Runs is the number of simulator runs performed.
+	// Runs counts the runs the engine started from the root plus its
+	// rewinds: one per run a search replaying every later sibling and
+	// choice branch from the root would start.
 	Runs int
 	// Deduped reports whether the transposition table was active
 	// (every object supported signatures and NoDedup was false).
@@ -356,11 +358,15 @@ type reducer struct {
 	objOrder []string
 	objects  map[string]sim.Object // the live run's objects
 
-	d              *runDriver
+	run            sim.Stepper // the live run, at the node sched and choices name or below it
 	sched, choices []int
-	arena          sim.RunArena
+	src            scriptSource                            // the choice script, re-armed per run from the root and per rewind
+	res            *sim.Result                             // the result of the leaf the live run ended at
+	enab           []int                                   // the enabled sets of the nodes on the search path, stacked
 	trace          bool                                    // record traces, for visit
 	wrap           func(inner sim.Scheduler) sim.Scheduler // AnalyzeValencyUnder's adversary
+	adv            sim.Scheduler                           // wrap's adversary of the live run
+	pick           picker                                  // the scheduler adv wraps
 	onStep         func(proc int, out sim.Value, hang bool)
 	hist           [][]byte
 	hung           []bool
@@ -381,7 +387,7 @@ type reducer struct {
 
 // newReducer probes the factory once for the process count and object
 // set, validates the group, and decides re-arm and dedup capability.
-// The caller creates the run driver once every check has passed.
+// The caller starts the live run once every check has passed.
 func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 	if limit <= 0 {
 		limit = 1 << 20
@@ -444,12 +450,13 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 	return red, nil
 }
 
-// factory is the Factory the reducer's run driver builds every fresh
-// run from: the re-armed probe, or else f's next configuration, traced
-// only for visit, on the shared arena and, with dedup, feeding fresh
-// response histories. Reset and arena are safe because the driver ends
-// the previous run before it starts the next.
-func (r *reducer) factory() sim.Config {
+// config returns the configuration a run from the root starts from,
+// and a rewind re-applies its steps to: the re-armed probe, or else f's
+// next configuration. It adopts the configuration's objects for the
+// signature, clears the response histories and re-arms the choice
+// script, and it counts the run in SymmetryReport.Runs. Resetting the
+// probe in place is safe because only one run is live.
+func (r *reducer) config() sim.Config {
 	cfg := r.probe
 	if !r.rearm {
 		cfg = r.f()
@@ -458,26 +465,84 @@ func (r *reducer) factory() sim.Config {
 		o.Reset()
 	}
 	r.objects = cfg.Objects
-	if !r.trace {
-		cfg.DisableTrace = true
-	}
-	cfg.Arena = &r.arena
 	if r.dedup {
 		for i := range r.hist {
 			r.hist[i] = r.hist[i][:0]
 		}
 		clear(r.hung)
-		cfg.OnStep = r.onStep
 	}
+	r.src.reset(r.choices)
 	r.rep.Runs++
 	return cfg
 }
 
+// start starts the live run from the root: traced only for visit,
+// under the choice script, with wrap's adversary when there is one and,
+// with dedup, feeding the response histories.
+func (r *reducer) start() error {
+	cfg := r.config()
+	if !r.trace {
+		cfg.DisableTrace = true
+	}
+	cfg.Choice = &r.src
+	cfg.Scheduler = nil
+	if r.wrap != nil {
+		r.adv = r.wrap(&r.pick)
+		cfg.Scheduler = r.adv
+	}
+	if r.dedup {
+		cfg.OnStep = r.onStep
+	}
+	return r.run.Start(cfg)
+}
+
+// rewind returns the live run to the configuration that the current
+// choice script reaches after the first t steps of sched. No log
+// captures an adversary's state, so under wrap the run starts again
+// from the root, with a new adversary, and steps sched[:t] afresh, as a
+// run from the root does.
+func (r *reducer) rewind(t int) error {
+	if r.wrap != nil {
+		if err := r.start(); err != nil {
+			return err
+		}
+		for _, id := range r.sched[:t] {
+			if err := r.step(id); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return r.run.Rewind(t, r.config().Objects)
+}
+
+// step advances the live run by process id. Under wrap the pick goes
+// through the adversary's Next, as Run's loop asks its scheduler, and
+// the run steps what Next answers.
+func (r *reducer) step(id int) error {
+	if r.adv != nil {
+		enabled, err := r.run.Enabled()
+		if err != nil {
+			return err
+		}
+		r.pick = picker(id)
+		id = r.adv.Next(sim.View{Step: r.run.Steps(), Enabled: enabled})
+	}
+	return r.run.Step(id)
+}
+
+// picker is the inner scheduler wrap's adversary wraps: it answers
+// every Next with the engine's pick.
+type picker int
+
+// Next implements sim.Scheduler.
+func (p *picker) Next(sim.View) int { return int(*p) }
+
 // signature packs the canonical signature of the live run's
 // configuration: per process a status byte plus its length-prefixed
 // response history, then each object's length-prefixed state signature
-// in sorted name order. enabled is the parked round's enabled set, or
-// nil once the run has ended. The status byte is the one a replay of
+// in sorted name order. enabled is the node's enabled set, or nil once
+// the run has ended. The status byte is the one a replay of
 // the same prefix, stopped at this node, reports in Result.Status:
 // Stopped for an enabled process, Hung for one a step hung, and Done
 // otherwise (the reduced engines inject no faults, and a program panic
@@ -549,26 +614,47 @@ func (r *reducer) childStab(depth int, stab []int, id int) []int {
 	return cs
 }
 
-// reach drives the run to the node at the current prefix and returns
-// the node's enabled set: nil at a leaf, where the driver's enabled set
-// is still the last parked round's. With carry the node is the first
-// child of the parked run's node, which resume carries into with the
-// prefix's last id; otherwise the node starts fresh.
-func (r *reducer) reach(carry bool) []int {
-	if carry {
-		r.d.resume(r.sched[len(r.sched)-1])
+// reach brings the live run to the node at the current prefix and
+// returns the node's enabled set, or nil at a leaf, whose result it
+// keeps in r.res. With carry the live run is at the node's parent and
+// steps into the node; otherwise it rewinds to the parent first, or
+// starts from the root. The enabled set aliases the run's round buffer,
+// which the next step rewrites.
+func (r *reducer) reach(carry bool) ([]int, error) {
+	t := len(r.sched)
+	if t == 0 {
+		if err := r.start(); err != nil {
+			return nil, err
+		}
 	} else {
-		r.d.start(r.sched, r.choices)
+		if !carry {
+			if err := r.rewind(t - 1); err != nil {
+				return nil, err
+			}
+		}
+		if err := r.step(r.sched[t-1]); err != nil {
+			return nil, err
+		}
 	}
-	if !r.d.parked {
-		return nil
+	enabled, err := r.run.Enabled()
+	if err != nil || len(enabled) > 0 {
+		return enabled, err
 	}
-	return r.d.enabled
+	r.res, err = r.run.Result()
+	return nil, err
 }
 
-// copyExecution deep-copies the run outcome out of the arena (whose
-// buffers, trace events included, the next run reuses) into a
-// caller-owned Execution. No wrap reaches a visited run, so Restarts
+// push stacks a node's enabled set on r.enab, where it outlives the
+// rounds of the node's children, and returns its bounds.
+func (r *reducer) push(enabled []int) (lo, hi int) {
+	lo = len(r.enab)
+	r.enab = append(r.enab, enabled...)
+	return lo, len(r.enab)
+}
+
+// copyExecution deep-copies the run outcome out of the live run (whose
+// buffers, trace events included, its next step or rewind reuses) into
+// a caller-owned Execution. No wrap reaches a visited run, so Restarts
 // is nil.
 func copyExecution(sched, choices []int, res *sim.Result) Execution {
 	cp := &sim.Result{
@@ -604,26 +690,25 @@ func ExploreReduced(f Factory, r Reduced, limit int, visit func(e Execution, orb
 // stabilizer is the whole group, every index into perms.
 func (r *reducer) explore(visit func(e Execution, orbit int) error) (*SymmetryReport, error) {
 	r.trace = visit != nil
-	r.d = newRunDriver(r.factory, r.wrap)
-	defer r.d.stop()
+	defer r.run.Stop()
 	_, confW, err := r.exploreRec(0, identityPerm(len(r.perms)), false, visit)
 	r.rep.Executions = r.execs
 	r.rep.Configs = confW
-	return &r.rep, err
+	return &r.rep, decodeRunError(err)
 }
 
 // exploreRec explores the canonical subtree below the current prefix
 // and returns the subtree's execution and configuration weights
-// relative to the node's stabilizer (see redMemo). The node's run is
-// carried from its parent's when carry is set: only the first
-// canonical child carries, and later siblings and choice branches start
-// fresh. A transposition hit returns with the run still parked; the
-// next fresh start ends it.
+// relative to the node's stabilizer (see redMemo). The live run steps
+// into the node from its parent when carry is set: only the first
+// canonical child carries, and later siblings and choice branches
+// rewind to the parent first. A transposition hit returns with the run
+// parked at the node; the next rewind moves it.
 func (r *reducer) exploreRec(depth int, stab []int, carry bool, visit func(e Execution, orbit int) error) (execW, confW int, err error) {
-	enabled := r.reach(carry)
-	if r.d.err != nil {
+	enabled, err := r.reach(carry)
+	if err != nil {
 		var demand choiceDemand
-		if asDemand(r.d.err, &demand) {
+		if asDemand(err, &demand) {
 			// A nondeterministic object branch: same schedule prefix,
 			// same stabilizer, one child per choice value.
 			for c := 0; c < demand.n; c++ {
@@ -638,7 +723,7 @@ func (r *reducer) exploreRec(depth int, stab []int, carry bool, visit func(e Exe
 			}
 			return execW, confW, nil
 		}
-		return 0, 0, r.d.err
+		return 0, 0, err
 	}
 	orbit := len(r.perms) / len(stab)
 	var key string
@@ -664,7 +749,7 @@ func (r *reducer) exploreRec(depth int, stab []int, carry bool, visit func(e Exe
 		r.execs += orbit
 		r.rep.Representatives++
 		if visit != nil {
-			if verr := visit(copyExecution(r.sched, r.choices, r.d.res), orbit); verr != nil {
+			if verr := visit(copyExecution(r.sched, r.choices, r.res), orbit); verr != nil {
 				return 0, 0, verr
 			}
 		}
@@ -675,7 +760,9 @@ func (r *reducer) exploreRec(depth int, stab []int, carry bool, visit func(e Exe
 	}
 	confW = 1
 	first := true
-	for _, id := range enabled {
+	lo, hi := r.push(enabled)
+	for i := lo; i < hi; i++ {
+		id := r.enab[i]
 		if !canonicalStep(r.perms, stab, id) {
 			continue
 		}
@@ -691,6 +778,7 @@ func (r *reducer) exploreRec(depth int, stab []int, carry bool, visit func(e Exe
 		execW += cw * ratio
 		confW += cc * ratio
 	}
+	r.enab = r.enab[:lo]
 	if r.dedup {
 		r.memo[key] = &redMemo{execW: execW, confW: confW}
 	}
@@ -718,12 +806,11 @@ func AnalyzeValencyReduced(f Factory, r Reduced, limit int) (*ValencyReport, *Sy
 // valency runs AnalyzeValencyReduced's analysis from the root, whose
 // stabilizer is the whole group.
 func (r *reducer) valency() (*ValencyReport, *SymmetryReport, error) {
-	r.d = newRunDriver(r.factory, r.wrap)
-	defer r.d.stop()
+	defer r.run.Stop()
 	root, err := r.valRec(0, identityPerm(len(r.perms)), false)
 	r.rep.Executions = r.execs
 	if err != nil {
-		return nil, &r.rep, err
+		return nil, &r.rep, decodeRunError(err)
 	}
 	r.rep.Configs = root.confW
 	// A disagreeing root leaf has an empty schedule, which copies to
@@ -746,16 +833,17 @@ func (r *reducer) valency() (*ValencyReport, *SymmetryReport, error) {
 
 // valRec runs the valency analysis over the canonical subtree below the
 // current prefix, returning the node's valMemo (relative weights,
-// reduced value set, full-tree bivalence). The run is carried and a hit
-// leaves it parked, as in exploreRec.
+// reduced value set, full-tree bivalence). The run steps into the first
+// child and rewinds for the others, and a hit leaves it parked, as in
+// exploreRec.
 func (r *reducer) valRec(depth int, stab []int, carry bool) (*valMemo, error) {
-	enabled := r.reach(carry)
-	if r.d.err != nil {
+	enabled, err := r.reach(carry)
+	if err != nil {
 		var demand choiceDemand
-		if asDemand(r.d.err, &demand) {
-			return nil, errNondetValency(r.d.err)
+		if asDemand(err, &demand) {
+			return nil, errNondetValency(err)
 		}
-		return nil, r.d.err
+		return nil, err
 	}
 	orbit := len(r.perms) / len(stab)
 	var key string
@@ -775,7 +863,7 @@ func (r *reducer) valRec(depth int, stab []int, carry bool) (*valMemo, error) {
 	r.rep.ReducedConfigs++
 	node := &valMemo{confW: 1}
 	if enabled == nil {
-		res := r.d.res
+		res := r.res
 		r.execs += orbit
 		if r.execs > r.limit {
 			return nil, errLimitExceeded(r.limit)
@@ -804,7 +892,9 @@ func (r *reducer) valRec(depth int, stab []int, carry bool) (*valMemo, error) {
 	}
 	allUniv := true
 	first := true
-	for _, id := range enabled {
+	lo, hi := r.push(enabled)
+	for i := lo; i < hi; i++ {
+		id := r.enab[i]
 		if !canonicalStep(r.perms, stab, id) {
 			continue
 		}
@@ -835,6 +925,7 @@ func (r *reducer) valRec(depth int, stab []int, carry bool) (*valMemo, error) {
 			node.disagree = append([]int{id}, child.disagree...)
 		}
 	}
+	r.enab = r.enab[:lo]
 	node.bivFull = r.closedBivalent(node.vals, stab)
 	if node.bivFull {
 		node.bivW++

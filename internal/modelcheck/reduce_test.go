@@ -480,7 +480,7 @@ func TestReducedSignsLikeAStoppedReplay(t *testing.T) {
 			signed, hungParked, bad := 0, 0, 0
 			red.onSign = func(sig []byte) {
 				signed++
-				if red.d.parked && slices.Contains(red.hung, true) {
+				if liveParked(red) && slices.Contains(red.hung, true) {
 					hungParked++
 				}
 				want, err := signFromRoot(c.f, red.sched, red.choices)

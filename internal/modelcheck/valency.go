@@ -44,22 +44,24 @@ func AnalyzeValency(f Factory, limit int) (*ValencyReport, error) {
 }
 
 // AnalyzeValencyUnder is AnalyzeValency with an adversary interposed
-// between the engine's scripted schedules and the simulator: wrap
-// receives the sim.Fixed prefix scheduler of one run and returns the
-// scheduler the run actually uses — typically a chaos crash-restart
-// adversary delegating Next to the inner scheduler while injecting
-// sim.Fault directives of its own. wrap is invoked once per fresh run,
-// that is once for the root and once per later sibling; a first child
-// carries its parent's run, adversary included. A stateful adversary
-// must therefore be constructed inside wrap (not closed over) and
-// decide from the history it observes alone: a carried run then
-// reaches every configuration with the adversary state a fresh replay
-// of the same prefix would rebuild, under identical fault decisions,
-// which keeps the execution tree well-defined. The returned scheduler
-// must pass every Next view to the inner scheduler unchanged and return
-// its answer unchanged: the engine reads a node's children off the
-// enabled set at which the inner scheduler parks the run, so a wrap
-// that filters or overrides Next detaches the run from the tree.
+// between the engine's picks and the simulator: wrap receives the inner
+// scheduler of one run, whose Next answers with the step the engine
+// picked, and returns the scheduler the run actually uses — typically a
+// chaos crash-restart adversary delegating Next to the inner scheduler
+// while injecting sim.Fault directives of its own. No log captures the
+// adversary's state, so every rewind of the run is to the root: wrap is
+// invoked once per run from the root, that is once for the root and
+// once per later sibling, which re-steps its prefix under a new
+// adversary; a first child continues its parent's run, adversary
+// included. A stateful adversary must therefore be constructed inside
+// wrap (not closed over) and decide from the history it observes alone:
+// the run then reaches every configuration with the adversary state a
+// fresh replay of the same prefix would rebuild, under identical fault
+// decisions, which keeps the execution tree well-defined. The returned
+// scheduler must pass every Next view to the inner scheduler unchanged
+// and return its answer unchanged: the engine reads a node's children
+// off the enabled set of the round the run is in, so a wrap that
+// filters or overrides Next detaches the run from the tree.
 // Faults are the adversary's only lever. A nil wrap degenerates to
 // AnalyzeValency — the full-persistence baseline, since without fault
 // directives a crash-recovery pause keeps all state.

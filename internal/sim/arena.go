@@ -1,30 +1,19 @@
 package sim
 
-// arena.go provides RunArena, the run-buffer half of the model
-// checker's reduction layer: a DFS over an execution tree starts many
-// short runs, and without the arena every run pays for a fresh process
-// table, scheduling-round buffers and a fresh Result. With an arena
-// those live across runs and a steady-state run allocates only what
-// the run's programs and objects allocate themselves.
+// arena.go provides the run buffers a Stepper keeps across the runs it
+// starts: without them every run would pay for a fresh process table,
+// scheduling-round buffers, step log and Result. With them a
+// steady-state run allocates only what the run's programs and objects
+// allocate themselves.
 
-// RunArena recycles per-run scratch across consecutive calls to Run.
-// A caller that runs many configurations back-to-back (the model
-// checker's reduced engines) stores one arena in every Config it
-// builds; Run then reuses the previous run's process table, scratch
-// buffers and Result instead of allocating fresh ones.
-//
-// Constraints:
-//   - An arena serves one Run at a time. Concurrent Runs need one
-//     arena each (or none), exactly like Schedulers.
-//   - Each Run invalidates the previous Run's Result: Outputs, Status,
-//     Enabled and Trace.Events alias arena storage. Callers that keep a
-//     Result across runs must copy what they need first.
-//
-// Reuse is safe because Run never returns with a process still holding
-// a worker: every return path either observes the incarnation finished
-// or aborts it, and the worker goes back to the shared pool, not to the
-// arena.
-type RunArena struct {
+// runArena recycles per-run scratch across consecutive runs. It serves
+// one run at a time, and each run invalidates the previous run's
+// Result: Outputs, Status, Enabled and Trace.Events alias arena
+// storage. Reuse is safe because a run never ends with a process still
+// holding a worker: every way it ends either observes the incarnation
+// finished or aborts it, and the worker goes back to the shared pool,
+// not to the arena.
+type runArena struct {
 	procs   []procState
 	outputs []Value
 	status  []ProcStatus
@@ -34,9 +23,8 @@ type RunArena struct {
 }
 
 // newRuntime builds the per-run runtime state, drawing every reusable
-// piece from cfg.Arena when one is supplied.
-func newRuntime(cfg Config, n int) *runtime {
-	a := cfg.Arena
+// piece from a when it is not nil.
+func newRuntime(cfg Config, n int, a *runArena) *runtime {
 	if a == nil {
 		return &runtime{cfg: cfg, procs: make([]procState, n), enabledIDs: make([]int, 0, n)}
 	}
@@ -50,6 +38,7 @@ func newRuntime(cfg Config, n int) *runtime {
 		arena:      a,
 		enabledIDs: rt.enabledIDs[:0],
 		crashed:    rt.crashed[:0],
+		log:        rt.log[:0],
 	}
 	clear(rt.procs)
 	if !cfg.DisableTrace {

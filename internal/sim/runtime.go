@@ -100,10 +100,6 @@ type Config struct {
 	// response histories without recording a full Trace. The callback
 	// must not call back into the run.
 	OnStep func(proc int, out Value, hang bool)
-	// Arena, when non-nil, recycles run scratch (the process table,
-	// scheduling-round and result buffers) across consecutive Runs; see
-	// RunArena for the aliasing rules.
-	Arena *RunArena
 }
 
 // ProcStatus is the final status of a process after a run.
@@ -190,7 +186,8 @@ type procState struct {
 	status      ProcStatus
 	pending     bool // parked at an invocation, which is in w.msg
 	output      Value
-	incarnation int // number of crash-restarts applied so far
+	incarnation int  // number of crash-restarts applied so far
+	rewound     bool // a Stepper's rewind restarts this process
 }
 
 // Run executes one complete run of the configuration and returns its
@@ -204,10 +201,6 @@ func Run(cfg Config) (*Result, error) {
 	if sched == nil {
 		sched = NewRoundRobin()
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
 
 	// Coroutine switches never enter the Go scheduler, so a long run of
 	// them can starve the GC's background mark worker until the next
@@ -215,18 +208,44 @@ func Run(cfg Config) (*Result, error) {
 	// run keeps marking prompt (see DESIGN.md §5.1).
 	goruntime.Gosched()
 
-	rt := newRuntime(cfg, n)
+	rt := newRuntime(cfg, n, nil)
 	// Every return path, and a panic escaping a scheduler or callback,
 	// unwinds the processes still parked so their workers return to the
 	// pool.
 	defer rt.abortAll()
-	rt.choice = cfg.Choice
+	if err := rt.begin(sched); err != nil {
+		return nil, err
+	}
+	for {
+		enabled, err := rt.round()
+		if err != nil {
+			return nil, err
+		}
+		if len(enabled) == 0 {
+			return finish(cfg, rt.result(nil))
+		}
+		next := sched.Next(View{Step: rt.steps, Enabled: enabled})
+		if next == Stop {
+			rt.abortAll()
+			return finish(cfg, rt.result(enabled))
+		}
+		if err := rt.pick(next, enabled); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// begin seeds Env.Rand, taps sched's Observer and FaultInjector halves
+// (sched may be nil) and runs every process to its first invocation or
+// its end.
+func (rt *runtime) begin(sched Scheduler) error {
+	rt.maxSteps = rt.cfg.MaxSteps
+	if rt.maxSteps <= 0 {
+		rt.maxSteps = DefaultMaxSteps
+	}
+	rt.choice = rt.cfg.Choice
 	if rt.choice == nil {
-		// Env.Rand and its source live in the runtime, so seeding them
-		// allocates nothing. rand.New inlines, and its result is copied.
-		rt.src.Seed(cfg.Seed)
-		rt.rng = *rand.New(&rt.src)
-		rt.choice = &rt.rng
+		rt.seed()
 	}
 	if o, ok := sched.(Observer); ok {
 		rt.obs = o
@@ -234,52 +253,56 @@ func Run(cfg Config) (*Result, error) {
 	if fi, ok := sched.(FaultInjector); ok {
 		rt.injector = fi
 	}
-
-	// Run every process to its first invocation (or completion).
 	for i := range rt.procs {
 		if err := rt.start(i); err != nil {
-			return nil, err
+			return err
 		}
 	}
+	return nil
+}
 
+// seed points Env.Rand at the runtime's own source, seeded with
+// Config.Seed. Env.Rand and its source live in the runtime, so seeding
+// them allocates nothing. rand.New inlines, and its result is copied.
+func (rt *runtime) seed() {
+	rt.src.Seed(rt.cfg.Seed)
+	rt.rng = *rand.New(&rt.src)
+	rt.choice = &rt.rng
+}
+
+// round opens a scheduling round and returns its enabled set, which is
+// empty once the run has ended. It consults the fault channel before
+// the pick, applying each batch and re-opening the round, and it fails
+// a run with a process still enabled once the step budget is spent.
+func (rt *runtime) round() ([]int, error) {
 	for {
 		enabled := rt.enabled()
 		if rt.injector != nil {
-			// Consult the fault channel before the scheduling decision;
-			// an applied batch invalidates the view, so restart the round.
-			// This runs even with no process enabled: a restart directive
-			// is how a run whose survivors are all done resumes a crashed
-			// process (see FaultInjector in fault.go).
+			// An applied batch invalidates the view, so the round starts
+			// over. This runs even with no process enabled: a restart
+			// directive is how a run whose survivors are all done resumes
+			// a crashed process (see FaultInjector in fault.go).
 			faults := rt.injector.Faults(View{Step: rt.steps, Enabled: enabled, Crashed: rt.crashedIDs()})
 			if len(faults) > 0 {
-				if err := rt.applyFaults(faults, maxSteps); err != nil {
+				if err := rt.applyFaults(faults); err != nil {
 					return nil, err
 				}
 				continue
 			}
 		}
-		if len(enabled) == 0 {
-			break
+		if len(enabled) > 0 && rt.steps >= rt.maxSteps {
+			return nil, fmt.Errorf("%w (budget %d)", ErrMaxSteps, rt.maxSteps)
 		}
-		if rt.steps >= maxSteps {
-			return nil, fmt.Errorf("%w (budget %d)", ErrMaxSteps, maxSteps)
-		}
-		next := sched.Next(View{Step: rt.steps, Enabled: enabled})
-		if next == Stop {
-			for _, id := range enabled {
-				rt.procs[id].status = StatusStopped
-			}
-			rt.abortAll()
-			return finish(cfg, rt.result(enabled))
-		}
-		if !contains(enabled, next) {
-			return nil, fmt.Errorf("%w: process %d at step %d (enabled: %v)", ErrBadSchedule, next, rt.steps, enabled)
-		}
-		if err := rt.step(next); err != nil {
-			return nil, err
-		}
+		return enabled, nil
 	}
-	return finish(cfg, rt.result(nil))
+}
+
+// pick steps process next, which the round's enabled set must list.
+func (rt *runtime) pick(next int, enabled []int) error {
+	if !contains(enabled, next) {
+		return fmt.Errorf("%w: process %d at step %d (enabled: %v)", ErrBadSchedule, next, rt.steps, enabled)
+	}
+	return rt.step(next)
 }
 
 // finish applies the post-run verification pass, if configured.
@@ -307,12 +330,18 @@ type runtime struct {
 	obs      Observer      // scheduler's event tap, if it implements Observer
 	injector FaultInjector // scheduler's fault channel, if it implements FaultInjector
 	procs    []procState
-	arena    *RunArena // non-nil when run scratch is recycled
+	arena    *runArena // non-nil when run scratch is recycled
 	env      Env       // per-step Env, rebuilt in place (objects must not retain it)
+	maxSteps int
 	steps    int
 	seq      int
 	faults   int // fault directives applied, bounded by the step budget
 	trace    Trace
+	// The step log, one entry per applied step, kept only when a
+	// Stepper drives the run: what Rewind re-applies to the objects and
+	// fast-forwards restarted processes through.
+	logging  bool
+	log      []logged
 	recNames []string // sorted names of Recoverable objects, built lazily
 	recBuilt bool
 	// Scheduling-round buffers, rewritten every round: the views handed
@@ -352,14 +381,14 @@ func (rt *runtime) crashedIDs() []int {
 // applyFaults applies one directive batch in order. Each directive counts
 // against the step budget so an injector that crashes and restarts forever
 // fails the run instead of hanging it.
-func (rt *runtime) applyFaults(faults []Fault, maxSteps int) error {
+func (rt *runtime) applyFaults(faults []Fault) error {
 	for _, f := range faults {
 		if f.Proc < 0 || f.Proc >= len(rt.procs) {
 			return fmt.Errorf("%w: no process %d", ErrBadFault, f.Proc)
 		}
 		rt.faults++
-		if rt.faults > maxSteps {
-			return fmt.Errorf("%w (fault budget %d)", ErrMaxSteps, maxSteps)
+		if rt.faults > rt.maxSteps {
+			return fmt.Errorf("%w (fault budget %d)", ErrMaxSteps, rt.maxSteps)
 		}
 		var err error
 		switch f.Kind {
@@ -444,9 +473,12 @@ func (rt *runtime) step(id int) error {
 	// The Env is rebuilt in place instead of allocated per step; Apply
 	// must not retain it (see the Object contract).
 	rt.env = Env{Proc: id, Step: rt.steps, Rand: rt.choice}
-	resp, err := applyObject(obj, &rt.env, m)
+	resp, err := applyObject(obj, &rt.env, m.obj, m.inv)
 	if err != nil {
 		return err
+	}
+	if rt.logging {
+		rt.logStep(id, m, resp)
 	}
 	rt.steps++
 	p.pending = false
@@ -471,15 +503,15 @@ func (rt *runtime) step(id int) error {
 	return rt.settle(id)
 }
 
-// applyObject applies the invocation, converting an object panic into an
-// *ObjectPanicError.
-func applyObject(obj Object, env *Env, m *message) (resp Response, err error) {
+// applyObject applies the invocation to the object registered as name,
+// converting an object panic into an *ObjectPanicError.
+func applyObject(obj Object, env *Env, name string, inv Invocation) (resp Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &ObjectPanicError{Object: m.obj, Op: m.inv.Op, Value: r}
+			err = &ObjectPanicError{Object: name, Op: inv.Op, Value: r}
 		}
 	}()
-	resp = obj.Apply(env, m.inv)
+	resp = obj.Apply(env, inv)
 	return resp, nil
 }
 
@@ -563,6 +595,9 @@ func (rt *runtime) abortAll() {
 	}
 }
 
+// result builds the run's Result. The processes in enabledAtStop, the
+// final round's enabled set of a run its caller stopped, report
+// StatusStopped.
 func (rt *runtime) result(enabledAtStop []int) *Result {
 	var res *Result
 	if a := rt.arena; a != nil {
@@ -589,6 +624,9 @@ func (rt *runtime) result(enabledAtStop []int) *Result {
 	for i := range rt.procs {
 		res.Outputs = append(res.Outputs, rt.procs[i].output)
 		res.Status = append(res.Status, rt.procs[i].status)
+	}
+	for _, id := range enabledAtStop {
+		res.Status[id] = StatusStopped
 	}
 	if a := rt.arena; a != nil {
 		a.outputs = res.Outputs

@@ -715,3 +715,57 @@ func bytesPerRun(runs int, f func()) uint64 {
 	goruntime.ReadMemStats(&m)
 	return (m.TotalAlloc - before) / uint64(runs)
 }
+
+// TestRewindRefusals: a run whose scheduler observes events or injects
+// faults keeps scheduler state no log captures, so it refuses to
+// rewind; no run rewinds to a step it has not reached; and a refused
+// rewind leaves the run as it was.
+func TestRewindRefusals(t *testing.T) {
+	start := func(sched Scheduler) *Stepper {
+		st := &Stepper{}
+		err := st.Start(Config{
+			Objects:   map[string]Object{"C": &testCounter{}},
+			Programs:  []Program{incThenRead(1), incThenRead(1)},
+			Scheduler: sched,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int{0, 1} {
+			if err := st.Step(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	for _, sched := range []Scheduler{&observingScheduler{}, &onceInjector{}} {
+		st := start(sched)
+		err := st.Rewind(1, map[string]Object{"C": &testCounter{}})
+		st.Stop()
+		if !errors.Is(err, errRewindFaulty) {
+			t.Errorf("rewind under a %T: err = %v, want %v", sched, err, errRewindFaulty)
+		}
+	}
+	st := start(nil)
+	defer st.Stop()
+	for _, to := range []int{-1, 3} {
+		if err := st.Rewind(to, map[string]Object{"C": &testCounter{}}); !errors.Is(err, errRewindRange) {
+			t.Errorf("rewind of a 2-step run to %d: err = %v, want %v", to, err, errRewindRange)
+		}
+	}
+	if err := st.Rewind(1, map[string]Object{"C": &testCounter{}}); err != nil {
+		t.Fatalf("rewind to 1 after the refusals: %v", err)
+	}
+	for _, id := range []int{1, 0, 1} {
+		if err := st.Step(id); err != nil {
+			t.Fatalf("stepping %d after the rewind: %v", id, err)
+		}
+	}
+	res, err := st.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outputs[0] != 2 || res.Outputs[1] != 2 || res.Steps != 4 {
+		t.Fatalf("outputs %v after %d steps, want [2 2] after 4", res.Outputs, res.Steps)
+	}
+}

@@ -147,14 +147,6 @@ type Fixed struct {
 // NewFixed returns a scheduler that replays order and then stops.
 func NewFixed(order ...int) *Fixed { return &Fixed{Order: order} }
 
-// Reset re-arms the scheduler to replay order from its start, reusing
-// the receiver. The model checker's run driver starts thousands of
-// schedule prefixes through one Fixed instance per engine call.
-func (f *Fixed) Reset(order []int) {
-	f.Order = order
-	f.pos = 0
-}
-
 // Next implements Scheduler.
 func (f *Fixed) Next(v View) int {
 	for f.pos < len(f.Order) {

@@ -8,6 +8,9 @@
 // given the scheduler's decisions and the configuration seed, and every
 // atomic step is recorded in a Trace that downstream checkers (task
 // checkers, the linearizability checker, the model checker) consume.
+// Run asks a Scheduler for every step; a Stepper (stepper.go) lets its
+// caller pick each step and rewind the run to an earlier one, which is
+// how the model checker walks an execution tree.
 //
 // The simulator supports the paper's "hang the system in a manner that
 // cannot be detected" semantics: an object may respond to an illegal or

@@ -8,7 +8,9 @@ package sim
 // direct coroutine switch that bypasses the Go scheduler. A process
 // yields at every Invoke, BeginOp and EndOp with a message in its
 // worker's mailbox, and the driver (the runtime, or the replay verifier)
-// resumes it with a reply.
+// resumes it with a reply. A process a Stepper's rewind restarts is
+// fast-forwarded through its logged responses without yielding, until
+// it reaches the invocation it was parked at (see stepper.go).
 //
 // A fresh coroutine costs about a dozen allocations, so coroutines are
 // pooled: a worker runs one incarnation after another, and between
@@ -71,9 +73,10 @@ type worker struct {
 	recovery RecoveryProc
 	prog     Program
 
-	msg      message // set by the process before each yield
-	reply    Value   // set by the driver before each resume
-	aborting bool    // the driver unwinds the incarnation instead
+	msg      message  // set by the process before each yield
+	reply    Value    // set by the driver before each resume
+	aborting bool     // the driver unwinds the incarnation instead
+	ff       *forward // the log a rewound process is fast-forwarded through
 }
 
 // getWorker takes an idle worker from the pool, or makes one.
@@ -99,7 +102,7 @@ func putWorker(w *worker) {
 	if w.dead {
 		return
 	}
-	w.recovery, w.prog, w.reply = nil, nil, nil
+	w.recovery, w.prog, w.reply, w.ff = nil, nil, nil, nil
 	w.msg = message{}
 	pool.mu.Lock()
 	if len(pool.idle) < maxIdleWorkers {
