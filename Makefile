@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt lint lint-sarif lint-full lint-recovery race test test-short bench bench-smoke experiments fuzz chaos clean
+.PHONY: all check build vet fmt lint lint-sarif lint-recovery race test test-short bench bench-smoke experiments fuzz chaos clean
 
 all: build vet lint test
 
@@ -23,27 +23,19 @@ fmt:
 # Run the determinism & model-integrity analyzer suite (see README
 # "Static analysis"; `go run ./cmd/detlint -list-rules` prints the
 # catalogue), the v5 persistence/recovery rules included; nonzero exit
-# on any unannotated finding. Runs are incremental: an unchanged tree
-# replays the cached report from .detlint.cache ("detlint: cache hit");
-# use -no-cache to force a fresh run.
+# on any unannotated finding. Run a subset with `go run ./cmd/detlint
+# -rules lockorder,sharedstate ./...`.
 lint:
 	$(GO) run ./cmd/detlint ./...
 
-# Just the persistence & recovery-safety rules, cache-free — the local
-# mirror of CI's recovery-gate job.
+# Just the persistence & recovery-safety rules — the local mirror of
+# CI's recovery-gate job.
 lint-recovery:
-	$(GO) run ./cmd/detlint -no-cache -recovery ./...
+	$(GO) run ./cmd/detlint -recovery ./...
 
 # Same suite, also writing a SARIF 2.1.0 log for code-scanning upload.
 lint-sarif:
 	$(GO) run ./cmd/detlint -sarif detlint.sarif ./...
-
-# The nightly slow path (.github/workflows/nightly.yml): vet plus the
-# full suite with the result cache bypassed, so a cache-layer bug cannot
-# mask a regression. Run a subset with `go run ./cmd/detlint -rules
-# lockorder,sharedstate ./...` — the cache key covers the rule set.
-lint-full: vet
-	$(GO) run ./cmd/detlint -no-cache -sarif detlint.sarif ./...
 
 # Exercise everything — including the native (real-goroutine) package —
 # under the race detector.
@@ -100,4 +92,4 @@ fuzz:
 
 clean:
 	$(GO) clean -testcache
-	rm -f .detlint.cache detlint.sarif
+	rm -f detlint.sarif

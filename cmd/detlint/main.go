@@ -23,24 +23,13 @@
 // -rules=<comma-list> runs a subset of the suite (allowaudit only
 // judges allows whose rules all ran, so a partial run cannot declare an
 // annotation stale). -hot runs just the hot-path rules (hotalloc,
-// boxing, arenaready), whose allocation findings are capped by the
-// committed per-function budgets in .detlint.hot — each hot rule judges
-// only its own budget entries, so a run that skips a rule says nothing
-// about that rule's budgets. -recovery runs just the persistence and
+// boxing), whose allocation findings are capped by the committed
+// per-function budgets in .detlint.hot — each hot rule judges only its
+// own budget entries, so a run that skips a rule says nothing about
+// that rule's budgets. -recovery runs just the persistence and
 // recovery-safety rules (persistsplit, recoveryreads,
-// journaldiscipline, restartcoverage), the CI recovery gate. -hotreport=<path> additionally
-// writes a byte-stable JSON ranking of hot functions by static
-// allocation score, cross-referencing the newest BENCH_*.json
-// allocs/op figures; when no parsable BENCH_*.json exists the report
-// carries a note and the bench columns are simply absent.
-//
-// Runs are incremental: the result of a clean run is cached in
-// .detlint.cache at the module root, keyed by a content hash of every
-// .go file (tests included), go.mod, EXPERIMENTS.md, the rule set, and
-// the detlint version. An unchanged tree replays the cached report
-// ("detlint: cache hit" on stderr) without re-type-checking; -no-cache
-// forces a fresh run. -json prints the report as JSON; -sarif writes a
-// SARIF 2.1.0 log for code-scanning upload. Both formats are byte-stable
+// journaldiscipline, restartcoverage), the CI recovery gate. -sarif
+// writes a SARIF 2.1.0 log for code-scanning upload; it is byte-stable
 // across runs on an unchanged tree, and every finding carries a stable
 // ID independent of line numbers.
 package main
@@ -48,6 +37,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,20 +47,34 @@ import (
 )
 
 func main() {
-	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
-	rootFlag := flag.String("root", "", "module root (default: nearest go.mod above the working directory)")
-	listRules := flag.Bool("list-rules", false, "print the available rules (name and one-line doc, byte-stable order) and exit")
-	jsonOut := flag.Bool("json", false, "print the report as JSON instead of text")
-	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
-	noCache := flag.Bool("no-cache", false, "ignore and do not write the result cache")
-	hot := flag.Bool("hot", false, "run only the hot-path rules (hotalloc, boxing, arenaready)")
-	recovery := flag.Bool("recovery", false, "run only the persistence and recovery-safety rules (persistsplit, recoveryreads, journaldiscipline, restartcoverage)")
-	hotReport := flag.String("hotreport", "", "write a JSON ranking of hot functions by allocation score to the given path")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, analyzes the module,
+// prints findings to stdout and errors to stderr, and returns the exit
+// status: 0 clean, 1 findings or an error, 2 a malformed command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
+	rootFlag := fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
+	listRules := fs.Bool("list-rules", false, "print the available rules (name and one-line doc, byte-stable order) and exit")
+	sarifOut := fs.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
+	hot := fs.Bool("hot", false, "run only the hot-path rules (hotalloc, boxing)")
+	recovery := fs.Bool("recovery", false, "run only the persistence and recovery-safety rules (persistsplit, recoveryreads, journaldiscipline, restartcoverage)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if *listRules {
-		os.Stdout.WriteString(ruleList())
-		return
+		io.WriteString(stdout, ruleList())
+		return 0
 	}
 
 	root := *rootFlag
@@ -78,83 +82,37 @@ func main() {
 		var err error
 		root, err = findModuleRoot()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 
 	analyzers, err := selectAnalyzers(*hot, *recovery, *rules)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	var key string
-	var report *lint.Report
-	if !*noCache {
-		var err error
-		key, err = lint.CacheKey(root, analyzers)
-		if err != nil {
-			fatal(err)
-		}
-		if c := lint.LoadCache(root); c != nil && c.Key == key {
-			report = c.Report
-			fmt.Fprintln(os.Stderr, "detlint: cache hit")
-		}
+	mod, err := lint.Load(root)
+	if err != nil {
+		return fail(err)
 	}
-	var mod *lint.Module
-	if report == nil || *hotReport != "" {
-		m, err := lint.Load(root)
-		if err != nil {
-			fatal(err)
-		}
-		mod = m
-	}
-	if report == nil {
-		report = lint.NewReport(root, lint.Run(mod, analyzers))
-		if !*noCache {
-			if err := lint.SaveCache(root, &lint.CachedRun{Key: key, Report: report}); err != nil {
-				fmt.Fprintf(os.Stderr, "detlint: cache not written: %v\n", err)
-			}
-		}
-	}
-
-	if *hotReport != "" {
-		hr := lint.BuildHotReport(mod)
-		if hr.Note != "" {
-			fmt.Fprintf(os.Stderr, "detlint: hotreport: %s\n", hr.Note)
-		}
-		b, err := hr.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*hotReport, b, 0o644); err != nil {
-			fatal(err)
-		}
-	}
+	report := lint.NewReport(root, lint.Run(mod, analyzers))
 
 	if *sarifOut != "" {
 		b, err := report.SARIF(analyzers)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := os.WriteFile(*sarifOut, b, 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
-	if *jsonOut {
-		b, err := report.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(b)
-	} else {
-		for _, f := range report.Findings {
-			fmt.Printf("%s:%d:%d: %s: %s\n", filepath.FromSlash(f.File), f.Line, f.Col, f.Rule, f.Msg)
-		}
+	for _, f := range report.Findings {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", filepath.FromSlash(f.File), f.Line, f.Col, f.Rule, f.Msg)
 	}
 	if len(report.Findings) > 0 {
-		fmt.Fprintf(os.Stderr, "detlint: %d finding(s)\n", len(report.Findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "detlint: %d finding(s)\n", len(report.Findings))
+		return 1
 	}
+	return 0
 }
 
 // selectAnalyzers returns the rules a run selects: the -hot or the
@@ -221,9 +179,4 @@ func findModuleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

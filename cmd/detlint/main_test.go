@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -103,4 +105,115 @@ func TestSelectAnalyzers(t *testing.T) {
 			t.Errorf("hot=%v recovery=%v rules=%q: no error", c.hot, c.recovery, c.rules)
 		}
 	}
+}
+
+// TestRunListRules: -list-rules prints the catalogue and exits 0
+// without loading a module.
+func TestRunListRules(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-list-rules", "-root", t.TempDir()}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	if stdout.String() != ruleList() {
+		t.Errorf("-list-rules printed %q, want ruleList()", stdout.String())
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("-list-rules wrote to stderr: %q", stderr.String())
+	}
+}
+
+// TestRunRetiredFlags: the result cache, the hot report and the JSON
+// report are gone, so their flags are malformed command lines (exit 2)
+// rather than silently ignored.
+func TestRunRetiredFlags(t *testing.T) {
+	for _, f := range []string{"-no-cache", "-json", "-hotreport"} {
+		t.Run(f, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{f, "-list-rules"}, &stdout, &stderr); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if want := "flag provided but not defined: " + f; !strings.Contains(stderr.String(), want) {
+				t.Errorf("stderr %q does not say %q", stderr.String(), want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout %q, want nothing", stdout.String())
+			}
+		})
+	}
+}
+
+// writeModule lays out a throwaway module from file name to content.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestRunModule drives the command end to end over throwaway modules:
+// each run analyzes the tree afresh, a clean tree exits 0 silently, a
+// finding prints as file:line:col: rule: message with a count on stderr
+// and exit 1, -sarif writes the log, and conflicting selections are an
+// error.
+func TestRunModule(t *testing.T) {
+	const clock = "package clock\n\nimport \"time\"\n\nfunc Now() int64 { return time.Now().UnixNano() }\n"
+	const pure = "package clock\n\nfunc Now() int64 { return 0 }\n"
+	t.Run("clean", func(t *testing.T) {
+		dir := writeModule(t, map[string]string{"go.mod": "module scratch\n\ngo 1.22\n", "internal/clock/clock.go": pure})
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-root", dir}, &stdout, &stderr); code != 0 {
+			t.Errorf("exit %d, stdout %q, stderr %q", code, stdout.String(), stderr.String())
+		}
+		if stdout.Len() != 0 || stderr.Len() != 0 {
+			t.Errorf("clean run printed stdout %q, stderr %q", stdout.String(), stderr.String())
+		}
+	})
+	t.Run("finding", func(t *testing.T) {
+		dir := writeModule(t, map[string]string{"go.mod": "module scratch\n\ngo 1.22\n", "internal/clock/clock.go": pure})
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-root", dir, "-rules", "nodeterminism"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("pure tree: exit %d, stdout %q", code, stdout.String())
+		}
+		// The same root, edited: no earlier run's result may stand in.
+		if err := os.WriteFile(filepath.Join(dir, "internal", "clock", "clock.go"), []byte(clock), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sarif := filepath.Join(t.TempDir(), "detlint.sarif")
+		stdout.Reset()
+		if code := run([]string{"-root", dir, "-rules", "nodeterminism", "-sarif", sarif}, &stdout, &stderr); code != 1 {
+			t.Fatalf("exit %d, want 1; stdout %q", code, stdout.String())
+		}
+		want := filepath.FromSlash("internal/clock/clock.go") + ":5:"
+		if lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n"); len(lines) != 1 ||
+			!strings.HasPrefix(lines[0], want) || !strings.Contains(lines[0], ": nodeterminism: ") {
+			t.Errorf("stdout %q, want one %s... nodeterminism line", stdout.String(), want)
+		}
+		if stderr.String() != "detlint: 1 finding(s)\n" {
+			t.Errorf("stderr %q, want the finding count", stderr.String())
+		}
+		b, err := os.ReadFile(sarif)
+		if err != nil {
+			t.Fatalf("-sarif wrote no log: %v", err)
+		}
+		if !strings.Contains(string(b), `"ruleId": "nodeterminism"`) {
+			t.Errorf("SARIF log carries no nodeterminism result:\n%s", b)
+		}
+	})
+	t.Run("exclusive", func(t *testing.T) {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-root", t.TempDir(), "-hot", "-recovery"}, &stdout, &stderr); code != 1 {
+			t.Errorf("exit %d, want 1", code)
+		}
+		if !strings.Contains(stderr.String(), "mutually exclusive") {
+			t.Errorf("stderr %q does not name the conflict", stderr.String())
+		}
+	})
 }

@@ -133,137 +133,95 @@ func TestHotBudgetPartialRun(t *testing.T) {
 	}
 }
 
-// TestCacheKeyVersionBump: bumping the detlint version must change the
-// cache key of an otherwise untouched tree, so stale caches
-// self-invalidate on upgrade.
-func TestCacheKeyVersionBump(t *testing.T) {
+// TestRecursionChargesBody pins hotpath.go's recursion rule on a
+// throwaway module. A function that calls itself from inside a loop
+// visits one tree node per call, so its whole body runs one loop level
+// deeper than its hot depth: its own allocation outside the loop is a
+// depth-1 site, and so is a call it makes outside the loop. A function
+// that calls itself outside any loop is a chain, not a tree, and keeps
+// its depth, as does the root.
+func TestRecursionChargesBody(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module cachetest\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for name, content := range map[string]string{
+		"go.mod": "module scratch\n\ngo 1.22\n",
+		"internal/tree/tree.go": `package tree
+
+type Node struct{ ID int }
+
+//detlint:hot
+func Root(n int) (*Node, *Node) { return walk(n), chain(n) }
+
+func walk(n int) *Node {
+	node := &Node{ID: n}
+	for i := 0; i < n; i++ {
+		walk(n - 1)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte("package cachetest\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	analyzers := Analyzers()
-	current, err := CacheKey(dir, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, err := cacheKeyVersioned(dir, analyzers, detlintVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if current != pinned {
-		t.Error("CacheKey does not pin the current version")
-	}
-	old, err := cacheKeyVersioned(dir, analyzers, "detlint/3.0.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old == current {
-		t.Error("version bump did not change the cache key")
-	}
+	leaf(n)
+	return node
 }
 
-// TestCacheKeyCoversHotBudgets: editing .detlint.hot must invalidate
-// the cache — budgets change findings.
-func TestCacheKeyCoversHotBudgets(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module cachetest\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	analyzers := Analyzers()
-	before, err := CacheKey(dir, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry := []byte("hotalloc cachetest.f 1\n")
-	if err := os.WriteFile(filepath.Join(dir, HotBudgetFileName), entry, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	after, err := CacheKey(dir, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before == after {
-		t.Errorf("%s is not part of the cache key", HotBudgetFileName)
-	}
-}
+func leaf(n int) *Node { return &Node{ID: n} }
 
-// TestHotReportRanking: the report ranks the fixture offenders and is
-// byte-stable across builds.
-func TestHotReportRanking(t *testing.T) {
-	loadFixtures(t)
-	rep := BuildHotReport(fixtureMod)
-	if len(rep.Functions) == 0 {
-		t.Fatal("hot report is empty")
+func chain(n int) *Node {
+	if n == 0 {
+		return &Node{}
 	}
-	for i := 1; i < len(rep.Functions); i++ {
-		a, b := rep.Functions[i-1], rep.Functions[i]
-		if a.Score < b.Score || (a.Score == b.Score && a.Function > b.Function) {
-			t.Errorf("ranking out of order at %d: %s(%d) before %s(%d)", i, a.Function, a.Score, b.Function, b.Score)
+	return chain(n - 1)
+}
+`,
+	} {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	found := false
-	for _, f := range rep.Functions {
-		if f.Function == "detobj/internal/lintfixture/hotallocbad.Explore" {
-			found = true
-			if f.Score < 10 {
-				t.Errorf("Explore score = %d, want >= 10 (depth-1 sites)", f.Score)
-			}
+	m, err := Load(dir)
+	if err != nil {
+		t.Fatalf("loading scratch module: %v", err)
+	}
+	h := m.hotPaths()
+	byName := make(map[string]*FuncNode)
+	for _, n := range m.CallGraph().sortedNodes() {
+		byName[n.Decl.Name.Name] = n
+	}
+	for _, c := range []struct {
+		name      string
+		depth     int
+		recursive bool
+	}{
+		{"Root", 0, false},
+		{"walk", 1, true},
+		{"leaf", 1, false},
+		{"chain", 0, false},
+	} {
+		n := byName[c.name]
+		if n == nil {
+			t.Fatalf("no call-graph node for %s", c.name)
+		}
+		if d, ok := h.funcDepth(n); !ok || d != c.depth {
+			t.Errorf("funcDepth(%s) = %d, %v; want %d, true", c.name, d, ok, c.depth)
+		}
+		if h.recursive[n] != c.recursive {
+			t.Errorf("%s recursive = %v, want %v", c.name, h.recursive[n], c.recursive)
 		}
 	}
-	if !found {
-		t.Error("hotallocbad.Explore missing from the report")
+	var got []string
+	for _, d := range Run(m, []*Analyzer{AnalyzerHotAlloc()}) {
+		got = append(got, d.Msg)
 	}
-	b1, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
+	want := []string{
+		"escaping composite literal (Node) in hot loop in tree.walk (reachable from tree.Root) (depth 1,",
+		"escaping composite literal (Node) in hot loop in tree.leaf (reachable from tree.Root) (depth 1,",
 	}
-	b2, err := BuildHotReport(fixtureMod).JSON()
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(want) {
+		t.Fatalf("hotalloc findings = %q, want %d", got, len(want))
 	}
-	if string(b1) != string(b2) {
-		t.Error("hot report JSON is not byte-stable across builds")
-	}
-}
-
-// TestBenchAllocRefsDegradation: the bench cross-reference degrades
-// with an explanatory note instead of a silent hole — no BENCH_N.json,
-// garbage JSON, a file with no alloc figures — and stays note-free on
-// a healthy file. The newest-numbered file must win.
-func TestBenchAllocRefsDegradation(t *testing.T) {
-	dir := t.TempDir()
-	refs, note := benchAllocRefs(dir)
-	if refs != nil || !strings.Contains(note, "no committed BENCH_N.json") {
-		t.Errorf("empty dir: refs=%v note=%q, want nil refs and a missing-file note", refs, note)
-	}
-
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_3.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	refs, note = benchAllocRefs(dir)
-	if refs != nil || !strings.Contains(note, "BENCH_3.json is not parsable") {
-		t.Errorf("garbage file: refs=%v note=%q, want nil refs and a parse note", refs, note)
-	}
-
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_4.json"), []byte(`{"benchmarks":[{"name":"BenchmarkX","allocs_per_op":0}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	refs, note = benchAllocRefs(dir)
-	if refs != nil || !strings.Contains(note, "BENCH_4.json records no allocs/op") {
-		t.Errorf("zero-alloc file: refs=%v note=%q, want nil refs and an empty-figures note", refs, note)
-	}
-
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_10.json"), []byte(`{"benchmarks":[{"name":"BenchmarkY","allocs_per_op":7}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	refs, note = benchAllocRefs(dir)
-	if note != "" {
-		t.Errorf("healthy file: unexpected note %q", note)
-	}
-	if len(refs) != 1 || refs[0].Source != "BENCH_10.json" || refs[0].Name != "BenchmarkY" || refs[0].AllocsPerOp != 7 {
-		t.Errorf("healthy file: refs=%v, want one BENCH_10.json/BenchmarkY/7 ref", refs)
+	for i := range want {
+		if !strings.HasPrefix(got[i], want[i]) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
+		}
 	}
 }

@@ -2,11 +2,11 @@ package lint
 
 // hotalloc rides the hot-path and escape layers: every heap
 // allocation site at loop depth ≥ 1 under a hot entrypoint is a
-// finding, ranked by its static execution-count weight. The exhaustive
-// engines turn a single per-iteration allocation into millions of
-// allocations per run (BENCH_5: 4.9M allocs/op on the E4 explore), so
-// the rule's job is not to forbid allocation but to make every hot
-// site a deliberate, budgeted decision: fix it, budget it in
+// finding, reported with its static execution-count weight. The
+// exhaustive engines turn a single per-iteration allocation into
+// millions of allocations per run (BENCH_5: 4.9M allocs/op on the E4
+// explore), so the rule's job is not to forbid allocation but to make
+// every hot site a deliberate, budgeted decision: fix it, budget it in
 // .detlint.hot, or //detlint:allow it with a justification.
 //
 // Recognized site kinds:
@@ -25,7 +25,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 const hotAllocName = "hotalloc"
@@ -39,52 +38,22 @@ func AnalyzerHotAlloc() *Analyzer {
 	}
 }
 
-// allocSite is one recognized allocation at its total hot loop depth.
-type allocSite struct {
-	node  ast.Node
-	kind  string // rendered site description
-	depth int    // function depth + site loop depth, capped
-}
-
 func runHotAlloc(m *Module) []Diagnostic {
-	h := m.hotPaths()
-	ordered, sites := hotAllocSites(m)
-	var out []Diagnostic
-	for _, n := range ordered {
-		fn := sites[n]
-		diags := make([]Diagnostic, 0, len(fn))
-		for _, s := range fn {
-			via := ""
-			if w := h.witness[n]; w != nil && w != n {
-				via = fmt.Sprintf(" (reachable from %s)", funcLabel(w))
-			}
-			diags = append(diags, Diagnostic{
-				Pos: m.position(s.node),
-				Msg: fmt.Sprintf("%s in hot loop in %s%s (depth %d, weight %d, %d hot root(s)): hoist it, budget it in %s, or justify an allow",
-					s.kind, funcLabel(n), via, s.depth, hotWeight(s.depth), h.mult[n], HotBudgetFileName),
-			})
-		}
-		out = append(out, applyBudget(m, hotAllocName, n, diags)...)
-	}
-	return append(out, budgetProblems(m, hotAllocName)...)
-}
-
-// hotAllocSites collects every recognized allocation site of every
-// hot-reachable function at total depth ≥ 1, in deterministic order.
-// Shared by the hotalloc rule and the -hotreport ranking.
-func hotAllocSites(m *Module) ([]*FuncNode, map[*FuncNode][]allocSite) {
 	g := m.CallGraph()
 	h := m.hotPaths()
 	e := m.escapes()
-	var ordered []*FuncNode
-	sites := make(map[*FuncNode][]allocSite)
+	var out []Diagnostic
 	for _, n := range g.sortedNodes() {
 		fd, hot := h.funcDepth(n)
 		if !hot || !m.InScope(n.Pkg, "internal", "cmd") {
 			continue
 		}
+		via := ""
+		if w := h.witness[n]; w != nil && w != n {
+			via = fmt.Sprintf(" (reachable from %s)", funcLabel(w))
+		}
 		parents := parentsOf(m, n)
-		var fn []allocSite
+		var diags []Diagnostic
 		loopDepthWalk(n.Decl.Body, func(x ast.Node, sd int) {
 			total := fd + sd
 			if total > maxHotDepth {
@@ -96,15 +65,18 @@ func hotAllocSites(m *Module) ([]*FuncNode, map[*FuncNode][]allocSite) {
 				return
 			}
 			if kind, ok := classifyAllocSite(n.Pkg, n, e, parents, x); ok {
-				fn = append(fn, allocSite{node: x, kind: kind, depth: total})
+				diags = append(diags, Diagnostic{
+					Pos: m.position(x),
+					Msg: fmt.Sprintf("%s in hot loop in %s%s (depth %d, weight %d, %d hot root(s)): hoist it, budget it in %s, or justify an allow",
+						kind, funcLabel(n), via, total, hotWeight(total), h.mult[n], HotBudgetFileName),
+				})
 			}
 		})
-		if len(fn) > 0 {
-			ordered = append(ordered, n)
-			sites[n] = fn
+		if len(diags) > 0 {
+			out = append(out, applyBudget(m, hotAllocName, n, diags)...)
 		}
 	}
-	return ordered, sites
+	return append(out, budgetProblems(m, hotAllocName)...)
 }
 
 // parentsOf returns the parent map of the file declaring n.
@@ -204,15 +176,4 @@ func shortType(pkg *Package, x ast.Expr) string {
 
 func shortTypeOf(pkg *Package, x ast.Expr) string {
 	return shortType(pkg, x)
-}
-
-// sortedSiteFuncs orders the site map deterministically by position —
-// exported to hotreport.go via the shared site collection.
-func sortedSiteFuncs(sites map[*FuncNode][]allocSite) []*FuncNode {
-	out := make([]*FuncNode, 0, len(sites))
-	for n := range sites {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Fn.Pos() < out[j].Fn.Pos() })
-	return out
 }

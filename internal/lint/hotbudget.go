@@ -22,8 +22,7 @@ package lint
 // '#' starts a comment. Each hot rule judges only its own entries, so
 // a partial -rules run that skips a rule says nothing about that
 // rule's budgets — the same partial-run contract allowaudit gives
-// allows. The file is part of the cache key (cache.go): editing a
-// budget invalidates cached reports.
+// allows.
 
 import (
 	"fmt"

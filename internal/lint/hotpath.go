@@ -8,8 +8,7 @@ package lint
 // configuration, so a single allocation at loop depth d under a hot
 // root executes Θ(n^d) times per run — BENCH_5 measured the E4
 // explore at 4.9M allocs/op before the modelcheck triage. The hotalloc
-// and boxing rules and the -hotreport ranking all ride on the depth
-// map computed here.
+// and boxing rules ride on the depth map computed here.
 //
 // Depth is a static over-approximation: the depth of a function is the
 // minimum over all hot call chains of the sum of the loop depths of
@@ -18,13 +17,14 @@ package lint
 // depth ≤ 3. Depths are capped at maxHotDepth so recursion through a
 // loop converges. A function that calls itself from inside a loop is a
 // loop of its own: the depth-first searches of the model checker visit
-// one tree node per call, so every call such a function makes is
-// charged one more loop level than its site has. Without that, the
-// shallowest chain runs through the search's root call, and everything
-// a node does once (step the run, apply an object) would rank as if it
-// ran once per engine call. Function literals do not reset the loop
-// depth: a literal declared under a loop is conservatively assumed to
-// run under it (the par.ForEach worker bodies are exactly this shape).
+// one tree node per call, so its body, every site and every call in
+// it, is charged one more loop level than the function's depth.
+// Without that, the shallowest chain runs through the search's root
+// call, and everything a node does once (build its memo entry, step
+// the run, apply an object) would rank as if it ran once per engine
+// call. Function literals do not reset the loop depth: a literal
+// declared under a loop is conservatively assumed to run under it (the
+// par.ForEach worker bodies are exactly this shape).
 
 import (
 	"go/ast"
@@ -55,6 +55,9 @@ type hotInfo struct {
 	// depth maps each hot-reachable function to its minimum
 	// loop-depth-weighted distance from a root (roots are 0).
 	depth map[*FuncNode]int
+	// recursive holds the functions that call themselves from inside a
+	// loop; their bodies run one loop level deeper than their depth.
+	recursive map[*FuncNode]bool
 	// witness maps each hot-reachable function to the root its minimum
 	// depth was first established from, for diagnostic attribution.
 	witness map[*FuncNode]*FuncNode
@@ -106,9 +109,10 @@ func buildHotInfo(m *Module) *hotInfo {
 	g := m.CallGraph()
 	nodes := g.sortedNodes()
 	h := &hotInfo{
-		depth:   make(map[*FuncNode]int),
-		witness: make(map[*FuncNode]*FuncNode),
-		mult:    make(map[*FuncNode]int),
+		depth:     make(map[*FuncNode]int),
+		recursive: make(map[*FuncNode]bool),
+		witness:   make(map[*FuncNode]*FuncNode),
+		mult:      make(map[*FuncNode]int),
 	}
 	for _, n := range nodes {
 		if hotRoot(m, n) {
@@ -138,14 +142,13 @@ func buildHotInfo(m *Module) *hotInfo {
 			}
 		})
 		// A call of n itself at loop depth ≥ 1 makes n's recursion the
-		// loop around all of its calls.
-		recursion := 0
+		// loop around its whole body.
 		if d, ok := min[n]; ok && d >= 1 {
-			recursion = 1
+			h.recursive[n] = true
 		}
 		out := make([]edge, 0, len(min))
 		for c, d := range min {
-			out = append(out, edge{c, d + recursion})
+			out = append(out, edge{c, d})
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].callee.Fn.Pos() < out[j].callee.Fn.Pos() })
 		edges[n] = out
@@ -157,7 +160,7 @@ func buildHotInfo(m *Module) *hotInfo {
 	for changed := true; changed; {
 		changed = false
 		for _, n := range nodes {
-			dn, ok := h.depth[n]
+			dn, ok := h.funcDepth(n)
 			if !ok {
 				continue
 			}
@@ -183,10 +186,14 @@ func buildHotInfo(m *Module) *hotInfo {
 	return h
 }
 
-// funcDepth returns the hot depth of a function and whether it is
+// funcDepth returns the loop depth a function's body runs at, its hot
+// depth plus one if it recurses from inside a loop, and whether it is
 // hot-reachable at all.
 func (h *hotInfo) funcDepth(n *FuncNode) (int, bool) {
 	d, ok := h.depth[n]
+	if ok && h.recursive[n] {
+		d++
+	}
 	return d, ok
 }
 

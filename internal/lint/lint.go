@@ -39,8 +39,6 @@
 //   - hotalloc, boxing: no new heap-allocation sites or boxing
 //     interface conversions in loops reachable from the hot
 //     entrypoints, beyond the per-function budgets in .detlint.hot.
-//   - arenaready: types nominated //detlint:arena are flat all the way
-//     down, or declare a justified //detlint:encoder per exception.
 //   - persistsplit: every field of a sim.Recoverable implementor is
 //     declared //detlint:durable or //detlint:volatile, and OnCrash
 //     wipes exactly the volatile set — a wiped durable field is
@@ -122,7 +120,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerLockOrder(),
 		AnalyzerHotAlloc(),
 		AnalyzerBoxing(),
-		AnalyzerArenaReady(),
 		AnalyzerPersistSplit(),
 		AnalyzerRecoveryReads(),
 		AnalyzerJournalDiscipline(),
@@ -149,7 +146,6 @@ func HotAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerHotAlloc(),
 		AnalyzerBoxing(),
-		AnalyzerArenaReady(),
 	}
 }
 

@@ -1,10 +1,9 @@
 package lint
 
-// output.go renders a run's diagnostics as machine-readable reports:
-// plain JSON for scripting and SARIF 2.1.0 for code-scanning UIs. Both
-// are byte-stable — same tree, same bytes — because CI diffs them and
-// the result cache replays them verbatim. Each finding carries a stable
-// ID derived from (rule, file, message, occurrence index) but *not* the
+// output.go renders a run's diagnostics as a SARIF 2.1.0 log for
+// code-scanning UIs. The log is byte-stable — same tree, same bytes —
+// because CI diffs it between runs. Each finding carries a stable ID
+// derived from (rule, file, message, occurrence index) but *not* the
 // line number, so unrelated edits above a finding don't change its
 // identity and scanning UIs can track it across commits.
 
@@ -23,28 +22,25 @@ type Finding struct {
 	// sha256 over rule, relative file, message, and the occurrence index
 	// among identical (rule, file, message) triples. Line numbers are
 	// deliberately excluded.
-	ID string `json:"id"`
+	ID string
 	// Rule names the analyzer.
-	Rule string `json:"rule"`
+	Rule string
 	// File is the module-relative path, slash-separated.
-	File string `json:"file"`
+	File string
 	// Line and Col locate the finding (1-based).
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int
+	Col  int
 	// Msg describes the finding.
-	Msg string `json:"msg"`
+	Msg string
 }
 
 // Report is a full detlint run over one module.
 type Report struct {
-	// Version is the detlint version string.
-	Version string `json:"version"`
 	// Findings lists every unsuppressed finding in position order.
-	Findings []Finding `json:"findings"`
+	Findings []Finding
 }
 
-// detlintVersion names the analyzer release in reports and cache keys.
-// Bump it when rules change behavior so stale caches self-invalidate.
+// detlintVersion names the analyzer release in SARIF logs.
 const detlintVersion = "detlint/9.0.0"
 
 // NewReport converts Run's diagnostics into report form, relativizing
@@ -52,7 +48,7 @@ const detlintVersion = "detlint/9.0.0"
 //
 //detlint:allow facadeparity lint is a development tool consumed through cmd/detlint, not a simulation module the api facade fronts
 func NewReport(root string, diags []Diagnostic) *Report {
-	r := &Report{Version: detlintVersion, Findings: make([]Finding, 0, len(diags))}
+	r := &Report{Findings: make([]Finding, 0, len(diags))}
 	occ := make(map[string]int)
 	for _, d := range diags {
 		file := d.Pos.Filename
@@ -73,15 +69,6 @@ func NewReport(root string, diags []Diagnostic) *Report {
 		})
 	}
 	return r
-}
-
-// JSON renders the report as indented JSON with a trailing newline.
-func (r *Report) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // sarif* mirror the minimal subset of the SARIF 2.1.0 schema the report

@@ -2,35 +2,25 @@ package lint
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 // TestReportByteStable runs the full suite twice over the same module
-// and asserts both machine-readable formats come out byte-identical:
-// CI diffs the SARIF between runs, and the cache replays reports
-// verbatim, so any map-order leak in an analyzer or in the marshaling
-// is a bug here before it is a flake there.
+// and asserts the SARIF log comes out byte-identical: CI diffs it
+// between runs, so any map-order leak in an analyzer or in the
+// marshaling is a bug here before it is a flake there.
 func TestReportByteStable(t *testing.T) {
 	loadFixtures(t)
-	runs := make([][2][]byte, 2)
+	runs := make([][]byte, 2)
 	for i := range runs {
 		report := NewReport(fixtureMod.Root, Run(fixtureMod, Analyzers()))
-		j, err := report.JSON()
-		if err != nil {
-			t.Fatalf("JSON: %v", err)
-		}
 		s, err := report.SARIF(Analyzers())
 		if err != nil {
 			t.Fatalf("SARIF: %v", err)
 		}
-		runs[i] = [2][]byte{j, s}
+		runs[i] = s
 	}
-	if !bytes.Equal(runs[0][0], runs[1][0]) {
-		t.Error("JSON output differs between two runs over the same module")
-	}
-	if !bytes.Equal(runs[0][1], runs[1][1]) {
+	if !bytes.Equal(runs[0], runs[1]) {
 		t.Error("SARIF output differs between two runs over the same module")
 	}
 }
@@ -76,62 +66,5 @@ func TestFindingIDs(t *testing.T) {
 	// Paths are relativized and slash-separated.
 	if a.Findings[0].File != "a.go" {
 		t.Errorf("file = %q, want module-relative %q", a.Findings[0].File, "a.go")
-	}
-}
-
-// TestCacheRoundTrip drives the cache against a scratch module: the key
-// is stable over an unchanged tree, changes when any source file
-// changes, and the cached report survives a save/load cycle. A corrupt
-// cache file must read as a miss, never an error.
-func TestCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module tiny\n\ngo 1.22\n")
-	write("tiny.go", "package tiny\n\nfunc F() int { return 1 }\n")
-
-	k1, err := CacheKey(dir, Analyzers())
-	if err != nil {
-		t.Fatalf("CacheKey: %v", err)
-	}
-	k2, err := CacheKey(dir, Analyzers())
-	if err != nil {
-		t.Fatalf("CacheKey: %v", err)
-	}
-	if k1 != k2 {
-		t.Errorf("cache key unstable over unchanged tree: %s vs %s", k1, k2)
-	}
-	if sub, err := CacheKey(dir, Analyzers()[:1]); err != nil || sub == k1 {
-		t.Errorf("cache key ignores the rule set (err=%v)", err)
-	}
-
-	report := NewReport(dir, nil)
-	if err := SaveCache(dir, &CachedRun{Key: k1, Report: report}); err != nil {
-		t.Fatalf("SaveCache: %v", err)
-	}
-	got := LoadCache(dir)
-	if got == nil || got.Key != k1 {
-		t.Fatalf("LoadCache = %+v, want key %s", got, k1)
-	}
-	if got.Report == nil || got.Report.Version != detlintVersion {
-		t.Errorf("cached report = %+v, want version %s", got.Report, detlintVersion)
-	}
-
-	write("tiny.go", "package tiny\n\nfunc F() int { return 2 }\n")
-	k3, err := CacheKey(dir, Analyzers())
-	if err != nil {
-		t.Fatalf("CacheKey: %v", err)
-	}
-	if k3 == k1 {
-		t.Error("cache key unchanged after a source edit")
-	}
-
-	write(CacheFileName, "not json{")
-	if c := LoadCache(dir); c != nil {
-		t.Errorf("corrupt cache read as %+v, want miss", c)
 	}
 }

@@ -3,7 +3,7 @@
 // composite literal, string concatenation, and a fmt call — inside
 // loops reachable from the Explore hot root, directly and through a
 // helper only the callgraph connects, plus a //detlint:hot annotated
-// sweep driver.
+// sweep driver and a tree walk whose recursion is its loop.
 package hotallocbad
 
 import "fmt"
@@ -44,4 +44,20 @@ func Sweep(rounds int) string {
 		s += "x"
 	}
 	return s
+}
+
+// Tree is hot by annotation and calls walk once, outside any loop.
+//
+//detlint:hot
+func Tree(n int) *Node { return walk(n) }
+
+// walk calls itself from inside its loop, once per tree node, so the
+// literal it builds outside that loop runs once per node too: depth 1,
+// not the depth 0 of the one call Tree makes.
+func walk(n int) *Node {
+	node := &Node{ID: n}
+	for i := 0; i < n; i++ {
+		walk(n - 1)
+	}
+	return node
 }

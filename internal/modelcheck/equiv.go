@@ -28,12 +28,7 @@ type resetter interface{ Reset() }
 
 // transition is one cell of the precomputed step table: the successor
 // state and the interned output token of applying one alphabet operation
-// in one reachable state. It is deliberately flat — two int32 indices,
-// no interior pointers — because it is the seed of the ROADMAP's arena
-// encoding for the state-space engines; detlint's arenaready rule
-// machine-checks that flatness on every build.
-//
-//detlint:arena
+// in one reachable state.
 type transition struct {
 	// succ indexes the sorted state list.
 	succ int32
