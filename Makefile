@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCheckAgainstBruteForce -fuzztime 30s ./internal/linearize/
 	$(GO) test -fuzz FuzzSourceMatchesMathRand -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzRewindMatchesFreshRun -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz FuzzVerifyReplayUnderFaults -fuzztime 30s ./internal/sim/
 
 clean:
 	$(GO) clean -testcache

@@ -78,7 +78,9 @@ func runBoxing(m *Module) []Diagnostic {
 				report(e, total, ctx)
 			})
 		})
-		out = append(out, applyBudget(m, boxingName, n, diags)...)
+		if len(diags) > 0 {
+			out = append(out, applyBudget(m, boxingName, n, diags)...)
+		}
 	}
 	return append(out, budgetProblems(m, boxingName)...)
 }

@@ -60,7 +60,8 @@ func TestHotBudgetSuppresses(t *testing.T) {
 
 // TestHotBudgetExceededAndStale: an under-sized budget tags every site
 // with the excess; an over-sized one demands the baseline shrink; an
-// entry matching nothing is stale outright.
+// entry matching nothing is stale outright, and so is a boxing entry
+// whose function has allocation sites but no boxing site.
 func TestHotBudgetExceededAndStale(t *testing.T) {
 	loadFixtures(t)
 	restore := injectHotBudgets(fixtureMod,
@@ -70,6 +71,8 @@ func TestHotBudgetExceededAndStale(t *testing.T) {
 			pos: token.Position{Filename: "<injected>", Line: 2}},
 		&hotBudget{rule: hotAllocName, fn: "detobj/internal/lintfixture/nowhere.Gone", count: 2,
 			pos: token.Position{Filename: "<injected>", Line: 3}},
+		&hotBudget{rule: boxingName, fn: stepLabel, count: 2,
+			pos: token.Position{Filename: "<injected>", Line: 4}},
 	)
 	defer restore()
 	diags := Run(fixtureMod, []*Analyzer{AnalyzerHotAlloc()})
@@ -92,6 +95,15 @@ func TestHotBudgetExceededAndStale(t *testing.T) {
 	}
 	if !stale {
 		t.Error("entry matching no function was not judged stale")
+	}
+	var boxingStale bool
+	for _, d := range Run(fixtureMod, []*Analyzer{AnalyzerBoxing()}) {
+		if strings.Contains(d.Msg, "stale boxing budget: "+stepLabel+" has no hot allocation site(s) this run; remove the entry") {
+			boxingStale = true
+		}
+	}
+	if !boxingStale {
+		t.Error("boxing entry of a function with no boxing site was not judged stale")
 	}
 }
 

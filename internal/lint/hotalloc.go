@@ -119,7 +119,7 @@ func classifyAllocSite(pkg *Package, n *FuncNode, e *escAnalysis, parents map[as
 		if !mayEscape(pkg, n, e, parents, x) {
 			return "", false
 		}
-		return "escaping composite literal (" + shortTypeOf(pkg, x) + ")", true
+		return "escaping composite literal (" + shortType(pkg, x) + ")", true
 	case *ast.BinaryExpr:
 		if x.Op != token.ADD || !isStringExpr(pkg, x) || isConstExpr(pkg, x) {
 			return "", false
@@ -172,8 +172,4 @@ func shortType(pkg *Package, x ast.Expr) string {
 		return types.TypeString(t, types.RelativeTo(pkg.Types))
 	}
 	return "?"
-}
-
-func shortTypeOf(pkg *Package, x ast.Expr) string {
-	return shortType(pkg, x)
 }

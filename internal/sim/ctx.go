@@ -23,39 +23,32 @@ func (c *Ctx) Incarnation() int { return c.inc }
 // returns its result. The process yields to the runtime and resumes when
 // the scheduler grants it a step. If the object hangs the process, Invoke
 // never returns: the process is parked and its coroutine reclaimed.
-// While a rewound process is fast-forwarded, Invoke returns its logged
-// response without yielding (see stepper.go).
+// While the process is re-executed against a recorded run (VerifyReplay,
+// or a Stepper's rewind), Invoke returns the recorded response without
+// yielding, and at the recorded crash of the invocation the incarnation
+// unwinds (see replay.go).
 func (c *Ctx) Invoke(object, op string, args ...Value) Value {
 	w := c.w
-	if w.ff != nil {
-		if out, ok := w.ff.invoke(object, op, args); ok {
-			return out
-		}
-	}
 	w.msg = message{kind: msgInvoke, obj: object, inv: Invocation{Op: op, Args: args}}
 	w.park()
 	return w.reply
 }
 
 // BeginOp records the start of a logical operation on an implemented
-// object. It does not consume a scheduler step. A fast-forwarded
-// process's marks are in the trace already, so they return at once.
+// object. It does not consume a scheduler step. While the process is
+// re-executed against a recorded run, the mark is checked against the
+// recorded one instead, and it returns at once.
 func (c *Ctx) BeginOp(object, op string, args ...Value) {
 	w := c.w
-	if w.ff != nil {
-		return
-	}
 	w.msg = message{kind: msgMark, mark: EventCall, obj: object, inv: Invocation{Op: op, Args: args}}
 	w.park()
 }
 
 // EndOp records the completion of the logical operation last begun with
-// BeginOp, together with its result. It does not consume a scheduler step.
+// BeginOp, together with its result. It does not consume a scheduler
+// step, and it is checked as BeginOp is under re-execution.
 func (c *Ctx) EndOp(object, op string, out Value) {
 	w := c.w
-	if w.ff != nil {
-		return
-	}
 	w.msg = message{kind: msgMark, mark: EventReturn, obj: object, inv: Invocation{Op: op}, out: out}
 	w.park()
 }

@@ -425,3 +425,81 @@ func TestReplayCatchesStateSmuggledAcrossIncarnations(t *testing.T) {
 		t.Fatalf("err = %v, want ErrReplayDivergence", err)
 	}
 }
+
+// bracketed stages v() in C, flushes and reads it inside a BeginOp and
+// EndOp pair.
+func bracketed(v func() Value) Program {
+	return func(ctx *Ctx) Value {
+		ctx.BeginOp("L", "put")
+		ctx.Invoke("C", "stage", v())
+		ctx.Invoke("C", "flush")
+		out := ctx.Invoke("C", "read")
+		ctx.EndOp("L", "put", out)
+		return out
+	}
+}
+
+// faultedConfig is the configuration FuzzVerifyReplayUnderFaults runs,
+// with first as process 0. Process 1 is bracketed too, and process 2
+// counts on H, whose budget a restarted process 2 can exhaust and hang
+// on. Recovery notes the incarnation in C. Under a random scheduler
+// drawing from seed, the adversary crashes victim at step crashAt and
+// either never restarts it, or restarts it window steps later, or, with
+// recrash > 0, restarts it at once and crashes it again at step
+// crashAt+recrash−1: recrash 1 crashes it in its recovery.
+func faultedConfig(first Program, seed int64, victim, crashAt, recrash, window uint8, restart bool) Config {
+	v, inner := int(victim%3), NewRandom(seed)
+	var sched Scheduler = &scriptInjector{inner: inner, victim: v, crashAt: int(crashAt), window: int(window % 8), noRestart: !restart}
+	if restart && recrash%4 > 0 {
+		sched = &recrashInjector{inner: inner, victim: v, crashAt: []int{int(crashAt), int(crashAt) + int(recrash%4) - 1}}
+	}
+	return Config{
+		Objects: map[string]Object{"C": &testDurableCell{}, "H": &testCounter{budget: 4}},
+		Programs: []Program{
+			first,
+			bracketed(func() Value { return 1 }),
+			func(ctx *Ctx) Value {
+				ctx.Invoke("H", "inc")
+				ctx.Invoke("H", "inc")
+				return ctx.Invoke("H", "read")
+			},
+		},
+		Scheduler: sched,
+		Recovery:  func(ctx *Ctx) { ctx.Invoke("C", "note", ctx.Incarnation()) },
+	}
+}
+
+// FuzzVerifyReplayUnderFaults: under fuzzed crashes and restarts, a run
+// of pure programs passes VerifyReplay and reports the Result it reports
+// without it, and the same run with process 0 passing its execution
+// count in its first invocation fails it.
+func FuzzVerifyReplayUnderFaults(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(255), uint8(0), uint8(0), true) // no fault
+	f.Add(int64(2), uint8(0), uint8(2), uint8(0), uint8(0), false)  // a crash, never restarted
+	f.Add(int64(3), uint8(1), uint8(1), uint8(1), uint8(0), true)   // a crash during recovery
+	f.Add(int64(1), uint8(2), uint8(3), uint8(0), uint8(1), true)   // process 2 restarts and hangs
+	f.Fuzz(func(t *testing.T, seed int64, victim, crashAt, recrash, window uint8, restart bool) {
+		run := func(first Program, verify bool) (*Result, error) {
+			cfg := faultedConfig(first, seed, victim, crashAt, recrash, window, restart)
+			cfg.VerifyReplay = verify
+			return Run(cfg)
+		}
+		pure := bracketed(func() Value { return 0 })
+		want, err := run(pure, false)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		got, err := run(pure, true)
+		if err != nil {
+			t.Fatalf("verified run: %v\n%s", err, want.Trace)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("verified run reports %+v, the run without verification %+v", got, want)
+		}
+		calls := 0
+		_, err = run(bracketed(func() Value { calls++; return calls }), true)
+		if !errors.Is(err, ErrReplayDivergence) {
+			t.Fatalf("verified run with process 0 passing its execution count: err = %v, want ErrReplayDivergence\n%s", err, want.Trace)
+		}
+	})
+}

@@ -177,6 +177,12 @@ func TestVerifyReplayDivergenceMessages(t *testing.T) {
 			"sim: replay diverged from recorded trace: process 1 at event 2 3 P1 return L.get() -> 1: program recorded return mark L.get[] -> 2",
 		},
 		{
+			"different output",
+			func(ctx *Ctx) Value { ctx.Invoke("C", "inc"); return 1 },
+			func(ctx *Ctx) Value { ctx.Invoke("C", "inc"); return 2 },
+			"sim: replay diverged from recorded trace: process 1 at event 1: program output 2, recorded output 1",
+		},
+		{
 			"extra invocation",
 			func(ctx *Ctx) Value { ctx.Invoke("C", "inc"); return ctx.Invoke("C", "read") },
 			func(ctx *Ctx) Value {
@@ -208,6 +214,36 @@ func TestVerifyReplayDivergenceMessages(t *testing.T) {
 		if got := err.Error(); got != c.want {
 			t.Errorf("%s:\n got %q\nwant %q", c.name, got, c.want)
 		}
+	}
+}
+
+// TestVerifyReplayCrashDivergenceMessage pins the report for a replayed
+// incarnation that invokes otherwise than the invocation its recorded
+// crash wiped: process 0 stages, is crashed with its flush pending and
+// restarts; on its third execution, the replay of incarnation 0, it
+// reads right after staging.
+func TestVerifyReplayCrashDivergenceMessage(t *testing.T) {
+	calls := 0
+	crashProg := func(ctx *Ctx) Value {
+		calls++
+		ctx.Invoke("C", "stage", 1)
+		if calls < 3 {
+			ctx.Invoke("C", "flush")
+		}
+		return ctx.Invoke("C", "read")
+	}
+	_, err := Run(Config{
+		Objects:      map[string]Object{"C": &testDurableCell{}},
+		Programs:     []Program{crashProg, stageFlushRead(2)},
+		Scheduler:    &scriptInjector{inner: NewRoundRobin(), victim: 0, crashAt: 1, window: 1},
+		VerifyReplay: true,
+	})
+	if !errors.Is(err, ErrReplayDivergence) {
+		t.Fatalf("Run = %v, want ErrReplayDivergence", err)
+	}
+	want := "sim: replay diverged from recorded trace: process 0 at event 1 1 P0 crash wiped C.flush(): program invoked C.read[], crash wiped a different invocation"
+	if got := err.Error(); got != want {
+		t.Errorf("\n got %q\nwant %q", got, want)
 	}
 }
 

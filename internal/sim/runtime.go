@@ -80,7 +80,9 @@ type Config struct {
 	// particular the model checker) can control or enumerate the choices
 	// of nondeterministic objects.
 	Choice RandSource
-	// DisableTrace suppresses event recording (for benchmarks).
+	// DisableTrace leaves Result.Trace empty, and Run records no
+	// events (for benchmarks). A Stepper's run records them all the
+	// same, as the record its rewinds re-execute programs against.
 	DisableTrace bool
 	// VerifyReplay, when set (and the trace is enabled), re-executes
 	// every program against the recorded trace after the run and fails
@@ -193,27 +195,16 @@ type procState struct {
 // Run executes one complete run of the configuration and returns its
 // result. It is deterministic given Config and the scheduler's behaviour.
 func Run(cfg Config) (*Result, error) {
-	n := len(cfg.Programs)
-	if n == 0 {
-		return nil, ErrNoPrograms
-	}
 	sched := cfg.Scheduler
 	if sched == nil {
 		sched = NewRoundRobin()
 	}
-
-	// Coroutine switches never enter the Go scheduler, so a long run of
-	// them can starve the GC's background mark worker until the next
-	// preemption tick, and the heap overshoots its goal. One yield per
-	// run keeps marking prompt (see DESIGN.md §5.1).
-	goruntime.Gosched()
-
-	rt := newRuntime(cfg, n, nil)
+	rt := new(runtime)
 	// Every return path, and a panic escaping a scheduler or callback,
 	// unwinds the processes still parked so their workers return to the
 	// pool.
 	defer rt.abortAll()
-	if err := rt.begin(sched); err != nil {
+	if err := rt.begin(cfg, false); err != nil {
 		return nil, err
 	}
 	for {
@@ -235,10 +226,23 @@ func Run(cfg Config) (*Result, error) {
 	}
 }
 
-// begin seeds Env.Rand, taps sched's Observer and FaultInjector halves
-// (sched may be nil) and runs every process to its first invocation or
-// its end.
-func (rt *runtime) begin(sched Scheduler) error {
+// begin starts a run of cfg on rt: it seeds Env.Rand, taps the
+// scheduler's Observer and FaultInjector halves and runs every process
+// to its first invocation or its end. A stepped run records its trace
+// even under DisableTrace: it is the record a rewind re-executes
+// programs against.
+func (rt *runtime) begin(cfg Config, stepped bool) error {
+	n := len(cfg.Programs)
+	if n == 0 {
+		return ErrNoPrograms
+	}
+	// Coroutine switches never enter the Go scheduler, so a long run of
+	// them can starve the GC's background mark worker until the next
+	// preemption tick, and the heap overshoots its goal. One yield per
+	// run keeps marking prompt (see DESIGN.md §5.1).
+	goruntime.Gosched()
+	rt.reset(cfg, n)
+	rt.tracing = stepped || !cfg.DisableTrace
 	rt.maxSteps = rt.cfg.MaxSteps
 	if rt.maxSteps <= 0 {
 		rt.maxSteps = DefaultMaxSteps
@@ -247,10 +251,10 @@ func (rt *runtime) begin(sched Scheduler) error {
 	if rt.choice == nil {
 		rt.seed()
 	}
-	if o, ok := sched.(Observer); ok {
+	if o, ok := cfg.Scheduler.(Observer); ok {
 		rt.obs = o
 	}
-	if fi, ok := sched.(FaultInjector); ok {
+	if fi, ok := cfg.Scheduler.(FaultInjector); ok {
 		rt.injector = fi
 	}
 	for i := range rt.procs {
@@ -324,24 +328,21 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
+// runtime is one run's state. A Stepper keeps one from run to run, and
+// reset reuses its buffers; Run starts each run from a fresh one.
 type runtime struct {
 	cfg      Config
 	choice   RandSource    // Env.Rand: cfg.Choice, or else &rng
 	obs      Observer      // scheduler's event tap, if it implements Observer
 	injector FaultInjector // scheduler's fault channel, if it implements FaultInjector
 	procs    []procState
-	arena    *runArena // non-nil when run scratch is recycled
-	env      Env       // per-step Env, rebuilt in place (objects must not retain it)
+	env      Env // per-step Env, rebuilt in place (objects must not retain it)
 	maxSteps int
 	steps    int
 	seq      int
-	faults   int // fault directives applied, bounded by the step budget
+	faults   int  // fault directives applied, bounded by the step budget
+	tracing  bool // events go into trace: the run is traced, or stepped
 	trace    Trace
-	// The step log, one entry per applied step, kept only when a
-	// Stepper drives the run: what Rewind re-applies to the objects and
-	// fast-forwards restarted processes through.
-	logging  bool
-	log      []logged
 	recNames []string // sorted names of Recoverable objects, built lazily
 	recBuilt bool
 	// Scheduling-round buffers, rewritten every round: the views handed
@@ -349,9 +350,33 @@ type runtime struct {
 	// surfaces as Result.Enabled.
 	enabledIDs []int
 	crashed    []int
+	// The run's Result, whose Outputs and Status are sized at reset.
+	res Result
 	// Env.Rand when cfg.Choice is nil, and its source.
 	rng rand.Rand
 	src Source
+}
+
+// reset readies rt for a run of cfg's n processes, keeping the buffers
+// of its last run: the process table, the round buffers, the trace and
+// the Result's, which the last run's Result aliased.
+func (rt *runtime) reset(cfg Config, n int) {
+	procs, ids, outputs, status := rt.procs, rt.enabledIDs, rt.res.Outputs, rt.res.Status
+	if cap(procs) < n {
+		procs, ids = make([]procState, n), make([]int, 0, n)
+		outputs, status = make([]Value, n), make([]ProcStatus, n)
+	} else {
+		clear(procs[:n])
+	}
+	*rt = runtime{
+		cfg:        cfg,
+		procs:      procs[:n],
+		trace:      Trace{Events: rt.trace.Events[:0]},
+		recNames:   rt.recNames[:0],
+		enabledIDs: ids,
+		crashed:    rt.crashed[:0],
+		res:        Result{Outputs: outputs[:n], Status: status[:n]},
+	}
 }
 
 func (rt *runtime) enabled() []int {
@@ -477,9 +502,6 @@ func (rt *runtime) step(id int) error {
 	if err != nil {
 		return err
 	}
-	if rt.logging {
-		rt.logStep(id, m, resp)
-	}
 	rt.steps++
 	p.pending = false
 	rt.record(Event{
@@ -567,10 +589,9 @@ func (rt *runtime) record(e Event) {
 	if rt.obs != nil {
 		rt.obs.Observe(e)
 	}
-	if rt.cfg.DisableTrace {
-		return
+	if rt.tracing {
+		rt.trace.Events = append(rt.trace.Events, e)
 	}
-	rt.trace.Events = append(rt.trace.Events, e)
 }
 
 // abort unwinds a parked process's incarnation and returns its worker to
@@ -595,42 +616,21 @@ func (rt *runtime) abortAll() {
 	}
 }
 
-// result builds the run's Result. The processes in enabledAtStop, the
-// final round's enabled set of a run its caller stopped, report
-// StatusStopped.
+// result builds the run's Result in rt's buffers. The processes in
+// enabledAtStop, the final round's enabled set of a run its caller
+// stopped, report StatusStopped. The trace is reported unless
+// DisableTrace is set, when it is only a stepped run's record.
 func (rt *runtime) result(enabledAtStop []int) *Result {
-	var res *Result
-	if a := rt.arena; a != nil {
-		a.outputs = a.outputs[:0]
-		a.status = a.status[:0]
-		a.events = rt.trace.Events
-		res = &a.res
-		*res = Result{
-			Outputs: a.outputs,
-			Status:  a.status,
-			Enabled: enabledAtStop,
-			Steps:   rt.steps,
-			Trace:   rt.trace,
-		}
-	} else {
-		res = &Result{
-			Outputs: make([]Value, 0, len(rt.procs)),
-			Status:  make([]ProcStatus, 0, len(rt.procs)),
-			Enabled: enabledAtStop,
-			Steps:   rt.steps,
-			Trace:   rt.trace,
-		}
-	}
+	res := &rt.res
 	for i := range rt.procs {
-		res.Outputs = append(res.Outputs, rt.procs[i].output)
-		res.Status = append(res.Status, rt.procs[i].status)
+		res.Outputs[i], res.Status[i] = rt.procs[i].output, rt.procs[i].status
 	}
 	for _, id := range enabledAtStop {
 		res.Status[id] = StatusStopped
 	}
-	if a := rt.arena; a != nil {
-		a.outputs = res.Outputs
-		a.status = res.Status
+	res.Enabled, res.Steps = enabledAtStop, rt.steps
+	if !rt.cfg.DisableTrace {
+		res.Trace = rt.trace
 	}
 	if rt.injector != nil {
 		res.Restarts = make([]int, len(rt.procs))

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	goruntime "runtime"
 )
 
 // stepper.go is the run a caller drives one step at a time: the model
@@ -17,40 +16,25 @@ import (
 //
 // A rewind cannot copy the state it returns to: objects are opaque, and
 // a process's state is the stack of its coroutine. It rebuilds both
-// from the step log, the one record a stepped run keeps of every
-// applied step (process, invocation, response):
+// from the run's trace, which a stepped run records even under
+// DisableTrace as its one record of every applied step and mark:
 //
 //   - Objects return to their initial state (the caller resets them in
-//     place or hands over fresh ones), and the logged invocations of
+//     place or hands over fresh ones), and the recorded invocations of
 //     steps 0..t−1 are re-applied to them with the Env and Env.Rand
 //     draws the run gave them. No process wakes up.
 //   - Only the processes that stepped at or after t are restarted. Each
-//     is fast-forwarded inline through its own logged responses: its
-//     Ctx calls return at once while the log lasts, so the replay costs
-//     one coroutine switch in and one out, not one per step. It must
-//     re-issue exactly the invocations it logged, the pending one at t
-//     included, or Rewind fails with ErrReplayDivergence. Every other
-//     process stays parked as it is.
+//     is fast-forwarded through the record before step t by the cursor
+//     VerifyReplay uses (replay.go): its steps are answered and its
+//     marks checked inside the coroutine, so the replay costs one
+//     coroutine switch in and one out, not one per event. It must
+//     re-issue exactly the invocations and marks it recorded, and then
+//     the pending invocation of its step at or after t, or Rewind fails
+//     with ErrReplayDivergence. Every other process stays parked as it
+//     is.
 //
-// A scheduler that observes events or injects faults keeps state no log
-// captures, so a run under one rewinds only by a fresh Start.
-
-// logged is one step-log entry: an applied step and its response, and
-// the event sequence number the step was recorded under (the trace's
-// length before it, when tracing).
-type logged struct {
-	proc int
-	obj  string
-	inv  Invocation
-	out  Value
-	hang bool
-	seq  int
-}
-
-// logStep appends the step process id just applied to the log.
-func (rt *runtime) logStep(id int, m *message, resp Response) {
-	rt.log = append(rt.log, logged{proc: id, obj: m.obj, inv: m.inv, out: resp.Value, hang: resp.Effect == Hang, seq: rt.seq})
-}
+// A scheduler that observes events or injects faults keeps state no
+// record captures, so a run under one rewinds only by a fresh Start.
 
 // Stepper drives runs one step at a time. The caller starts a run,
 // reads the enabled set of its current round, steps one enabled
@@ -64,26 +48,16 @@ func (rt *runtime) logStep(id int, m *message, resp Response) {
 // every step: of Config.Scheduler only its Observer and FaultInjector
 // halves are used.
 type Stepper struct {
-	arena   runArena
-	rt      *runtime
+	rt      runtime
 	open    bool  // the current round's enabled set is computed
 	enabled []int // the open round's enabled set
-	ff      forward
 }
 
 // Start stops the current run, if any, and starts cfg's: every process
 // runs to its first invocation or its end.
 func (s *Stepper) Start(cfg Config) error {
 	s.Stop()
-	n := len(cfg.Programs)
-	if n == 0 {
-		return ErrNoPrograms
-	}
-	// See Run: one yield per run keeps the GC's mark worker prompt.
-	goruntime.Gosched()
-	s.rt = newRuntime(cfg, n, &s.arena)
-	s.rt.logging = true
-	return s.rt.begin(cfg.Scheduler)
+	return s.rt.begin(cfg, true)
 }
 
 // Enabled returns the current round's enabled set, in increasing id
@@ -139,10 +113,7 @@ func (s *Stepper) Result() (*Result, error) {
 // Stop ends the run: every parked process unwinds and its worker
 // returns to the pool. A stopped run can only be started again.
 func (s *Stepper) Stop() {
-	if s.rt != nil {
-		s.rt.abortAll()
-		s.rt = nil
-	}
+	s.rt.abortAll()
 	s.open = false
 }
 
@@ -160,131 +131,97 @@ var (
 // for every re-applied step, as the run made them, and the trace keeps
 // the events recorded up to step t.
 func (s *Stepper) Rewind(t int, objects map[string]Object) error {
-	rt := s.rt
+	rt := &s.rt
 	if rt.obs != nil || rt.injector != nil {
 		return errRewindFaulty
 	}
-	if t < 0 || t > len(rt.log) {
+	if t < 0 || t > rt.steps {
 		return errRewindRange
 	}
 	s.open = false
 	rt.cfg.Objects = objects
-	for i := t; i < len(rt.log); i++ {
-		rt.procs[rt.log[i].proc].rewound = true
-	}
-	if t < len(rt.log) {
-		rt.seq = rt.log[t].seq
-		if !rt.cfg.DisableTrace {
-			rt.trace.Events = rt.trace.Events[:rt.seq]
-		}
-	}
 	if rt.cfg.Choice == nil {
 		rt.seed()
 	}
-	for i := 0; i < t; i++ {
-		if err := rt.reapply(i); err != nil {
-			return err
+	// Re-apply steps 0..t−1; cut is step t's event, whose Seq is its
+	// index in a stepped run's trace, or the trace's end.
+	events := rt.trace.Events
+	cut := len(events)
+	for i, step := 0, 0; i < len(events); i++ {
+		if e := &events[i]; e.Kind == EventStep {
+			if step == t {
+				cut = i
+				break
+			}
+			if err := rt.reapply(e, step); err != nil {
+				return err
+			}
+			step++
 		}
 	}
-	rt.steps = t
+	for i := cut; i < len(events); i++ {
+		if events[i].Kind == EventStep {
+			rt.procs[events[i].Proc].rewound = true
+		}
+	}
+	rt.steps, rt.seq = t, cut
 	for id := range rt.procs {
 		if rt.procs[id].rewound {
-			if err := s.restart(id, t); err != nil {
+			if err := s.restart(id, cut); err != nil {
 				return err
 			}
 		}
 	}
-	rt.log = rt.log[:t]
+	rt.trace.Events = events[:cut]
 	return nil
 }
 
-// reapply applies logged step i to the objects again, as the run first
-// applied it, and reports it to OnStep. The object must answer as it
-// did: a different answer means its initial state or its Apply is not
-// what the run had.
-func (rt *runtime) reapply(i int) error {
-	e := &rt.log[i]
-	obj, ok := rt.cfg.Objects[e.obj]
+// reapply applies recorded step e, the run's step'th, to the objects
+// again, as the run first applied it, and reports it to OnStep. The
+// object must answer as it did: a different answer means its initial
+// state or its Apply is not what the run had.
+func (rt *runtime) reapply(e *Event, step int) error {
+	obj, ok := rt.cfg.Objects[e.Object]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownObject, e.obj)
+		return fmt.Errorf("%w: %q", ErrUnknownObject, e.Object)
 	}
-	rt.env = Env{Proc: e.proc, Step: i, Rand: rt.choice}
-	resp, err := applyObject(obj, &rt.env, e.obj, e.inv)
+	rt.env = Env{Proc: e.Proc, Step: step, Rand: rt.choice}
+	resp, err := applyObject(obj, &rt.env, e.Object, Invocation{Op: e.Op, Args: e.Args})
 	if err != nil {
 		return err
 	}
 	hang := resp.Effect == Hang
-	if hang != e.hang || (!hang && !reflect.DeepEqual(resp.Value, e.out)) {
-		return fmt.Errorf("%w: %q answered re-applied step %d otherwise than the run logged", ErrReplayDivergence, e.obj, i)
+	if hang != e.Hang || (!hang && !reflect.DeepEqual(resp.Value, e.Out)) {
+		return fmt.Errorf("%w: %q answered re-applied step %d otherwise than the run recorded", ErrReplayDivergence, e.Object, step)
 	}
 	if rt.cfg.OnStep != nil {
-		rt.cfg.OnStep(e.proc, resp.Value, hang)
+		rt.cfg.OnStep(e.Proc, resp.Value, hang)
 	}
 	return nil
 }
 
 // restart replaces process id's incarnation with a fresh one
-// fast-forwarded through the log to where the process was after the
-// run's first t steps: parked at the invocation of its first step at or
-// after t.
-func (s *Stepper) restart(id, t int) error {
-	rt := s.rt
+// fast-forwarded through the record before cut, step t's event, to
+// where the process was after the run's first t steps: parked at the
+// invocation its first step at or after t applied.
+func (s *Stepper) restart(id, cut int) error {
+	rt := &s.rt
 	p := &rt.procs[id]
 	rt.abort(p)
 	clear(rt.procs[id : id+1])
-	f := &s.ff
-	f.log, f.proc, f.end, f.at, f.off = rt.log, id, t, 0, false
 	w := getWorker()
-	p.w = w
-	w.ff = f
+	p.w, p.pending = w, true
+	c := &w.cur
+	c.seek(rt.trace.Events, id, cut)
 	w.start(id, 0, rt.cfg.Recovery, rt.cfg.Programs[id])
-	w.ff = nil
+	c.on = false
 	m := &w.msg
-	switch {
-	case f.off:
-		p.pending = true
-		return fmt.Errorf("%w: process %d, fast-forwarded to step %d, invoked %s.%v off its logged steps",
-			ErrReplayDivergence, id, t, m.obj, m.inv)
-	case m.kind == msgInvoke:
-		p.pending = true
+	if m.kind == msgInvoke && c.at < len(c.events) && records(&c.events[c.at], m) {
 		return nil
 	}
-	putWorker(w)
-	p.w = nil
-	return fmt.Errorf("%w: process %d, fast-forwarded to step %d, ended (%v) before its logged steps did",
-		ErrReplayDivergence, id, t, m.out)
-}
-
-// forward is the log cursor a restarted process's Ctx reads while it is
-// fast-forwarded.
-type forward struct {
-	log  []logged
-	proc int
-	end  int  // the rewind point t
-	at   int  // the log index scanned up to
-	off  bool // the process issued an invocation the log does not record
-}
-
-// invoke answers the process's next invocation from the log while the
-// fast-forward lasts. ok is false once the process reaches its pending
-// invocation at the rewind point, or when it issues one the log does
-// not record (off is then set): it parks there.
-func (f *forward) invoke(object, op string, args []Value) (out Value, ok bool) {
-	for f.at < len(f.log) && f.log[f.at].proc != f.proc {
-		f.at++
+	if !w.parked() {
+		putWorker(w)
+		p.w, p.pending = nil, false
 	}
-	if f.at == len(f.log) {
-		f.off = true
-		return nil, false
-	}
-	e := &f.log[f.at]
-	if e.obj != object || e.inv.Op != op || !sameArgs(e.inv.Args, args) {
-		f.off = true
-		return nil, false
-	}
-	if f.at >= f.end {
-		return nil, false
-	}
-	f.at++
-	return e.out, true
+	return c.stray(m)
 }

@@ -176,10 +176,11 @@ func sameResult(got, want *sim.Result) error {
 }
 
 // freshRun runs a fresh configuration of c under schedule p, stopped
-// where p ends, and returns its result, its OnStep calls and its
-// objects.
-func freshRun(c rewindCase, p []int) (*sim.Result, []string, map[string]sim.Object, error) {
+// where p ends and verified against its replay, and returns its result,
+// its OnStep calls and its objects.
+func freshRun(c rewindCase, untraced bool, p []int) (*sim.Result, []string, map[string]sim.Object, error) {
 	cfg := c.config()
+	cfg.VerifyReplay, cfg.DisableTrace = true, untraced
 	var calls []string
 	cfg.OnStep = stepLog(&calls)
 	cfg.Scheduler = sim.NewFixed(p...)
@@ -192,8 +193,8 @@ func freshRun(c rewindCase, p []int) (*sim.Result, []string, map[string]sim.Obje
 
 // sameAsFresh compares the stepped run, the OnStep calls it made since
 // its last rewind and its objects with a fresh run of p.
-func sameAsFresh(c rewindCase, st *sim.Stepper, calls []string, objects map[string]sim.Object, p []int) error {
-	want, wantCalls, wantObjects, err := freshRun(c, p)
+func sameAsFresh(c rewindCase, untraced bool, st *sim.Stepper, calls []string, objects map[string]sim.Object, p []int) error {
+	want, wantCalls, wantObjects, err := freshRun(c, untraced, p)
 	if err != nil {
 		return err
 	}
@@ -215,10 +216,14 @@ func sameAsFresh(c rewindCase, st *sim.Stepper, calls []string, objects map[stri
 // rest of p again, rewinds times. Right after each rewind to t the run
 // must match a fresh Run of p[:t], and after the re-step a fresh Run of
 // p: the same Result, the same OnStep calls since the rewind (which
-// re-reports the re-applied steps), and the same object states.
-func checkRewinds(c rewindCase, seed int64, maxLen, rewinds int) error {
+// re-reports the re-applied steps), and the same object states. Both
+// runs set VerifyReplay, so a traced stepped run's Results are verified
+// against the record its rewinds left; untraced, both runs set
+// DisableTrace.
+func checkRewinds(c rewindCase, untraced bool, seed int64, maxLen, rewinds int) error {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := c.config()
+	cfg.VerifyReplay, cfg.DisableTrace = true, untraced
 	var calls []string
 	cfg.OnStep = stepLog(&calls)
 	var st sim.Stepper
@@ -257,7 +262,7 @@ func checkRewinds(c rewindCase, seed int64, maxLen, rewinds int) error {
 		if st.Steps() != cut {
 			return fmt.Errorf("rewound to %d, run at step %d", cut, st.Steps())
 		}
-		if err := sameAsFresh(c, &st, calls, objects, p[:cut]); err != nil {
+		if err := sameAsFresh(c, untraced, &st, calls, objects, p[:cut]); err != nil {
 			return fmt.Errorf("%v rewound to %d: %w", p, cut, err)
 		}
 		for _, id := range p[cut:] {
@@ -265,7 +270,7 @@ func checkRewinds(c rewindCase, seed int64, maxLen, rewinds int) error {
 				return fmt.Errorf("%v rewound to %d, stepping %d: %w", p, cut, id, err)
 			}
 		}
-		if err := sameAsFresh(c, &st, calls, objects, p); err != nil {
+		if err := sameAsFresh(c, untraced, &st, calls, objects, p); err != nil {
 			return fmt.Errorf("%v rewound to %d and stepped again: %w", p, cut, err)
 		}
 	}
@@ -274,58 +279,100 @@ func checkRewinds(c rewindCase, seed int64, maxLen, rewinds int) error {
 
 // TestRewindMatchesFreshRun: a run that stepped a schedule, rewound to a
 // cut point and stepped the rest again is the run a fresh Run of the
-// schedule makes, down to the trace's sequence numbers.
+// schedule makes, down to the trace's sequence numbers. An untraced run
+// rewinds through the record it keeps all the same.
 func TestRewindMatchesFreshRun(t *testing.T) {
 	for _, c := range rewindCases() {
-		for seed := int64(0); seed < 40; seed++ {
-			if err := checkRewinds(c, seed, 4+int(seed)%40, 3); err != nil {
-				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+		for _, untraced := range []bool{false, true} {
+			for seed := int64(0); seed < 40; seed++ {
+				if err := checkRewinds(c, untraced, seed, 4+int(seed)%40, 3); err != nil {
+					t.Fatalf("%s untraced=%v seed %d: %v", c.name, untraced, seed, err)
+				}
 			}
 		}
 	}
 }
 
 // FuzzRewindMatchesFreshRun is TestRewindMatchesFreshRun over fuzzed
-// cases, schedules and cut points.
+// cases, schedules, cut points and tracing.
 func FuzzRewindMatchesFreshRun(f *testing.F) {
-	f.Add(uint8(0), int64(1), uint8(12))
-	f.Add(uint8(1), int64(2), uint8(6))
-	f.Add(uint8(2), int64(3), uint8(20))
-	f.Add(uint8(3), int64(4), uint8(90))
+	f.Add(uint8(0), int64(1), uint8(12), false)
+	f.Add(uint8(1), int64(2), uint8(6), true)
+	f.Add(uint8(2), int64(3), uint8(20), false)
+	f.Add(uint8(3), int64(4), uint8(90), true)
 	cases := rewindCases()
-	f.Fuzz(func(t *testing.T, which uint8, seed int64, maxLen uint8) {
+	f.Fuzz(func(t *testing.T, which uint8, seed int64, maxLen uint8, untraced bool) {
 		c := cases[int(which)%len(cases)]
-		if err := checkRewinds(c, seed, int(maxLen), 4); err != nil {
-			t.Fatalf("%s seed %d: %v", c.name, seed, err)
+		if err := checkRewinds(c, untraced, seed, int(maxLen), 4); err != nil {
+			t.Fatalf("%s untraced=%v seed %d: %v", c.name, untraced, seed, err)
 		}
 	})
 }
 
 // TestRewindCatchesSmuggledState: a program that keeps a count of its
-// executions in a closure invokes differently once restarted, and the
-// fast-forward fails the rewind.
+// executions in a closure and passes it on behaves differently once
+// restarted, and the fast-forward fails the rewind. The count goes into
+// an invocation's arguments, a BeginOp mark's arguments or an EndOp
+// mark's value; a rewind checks all three against the record it keeps,
+// traced or not.
 func TestRewindCatchesSmuggledState(t *testing.T) {
-	calls := 0
-	smuggler := func(ctx *sim.Ctx) sim.Value {
-		calls++
-		ctx.Invoke("C", "inc")
-		ctx.Invoke("C", "add", calls)
-		return ctx.Invoke("C", "read")
+	cases := []struct {
+		name     string
+		smuggler func(calls *int) sim.Program
+	}{
+		{"invocation argument", func(calls *int) sim.Program {
+			return func(ctx *sim.Ctx) sim.Value {
+				*calls++
+				ctx.Invoke("C", "inc")
+				ctx.Invoke("C", "add", *calls)
+				return ctx.Invoke("C", "read")
+			}
+		}},
+		{"BeginOp argument", func(calls *int) sim.Program {
+			return func(ctx *sim.Ctx) sim.Value {
+				*calls++
+				ctx.Invoke("C", "inc")
+				ctx.BeginOp("X", "op", *calls)
+				ctx.Invoke("C", "inc")
+				ctx.EndOp("X", "op", nil)
+				return ctx.Invoke("C", "read")
+			}
+		}},
+		{"EndOp value", func(calls *int) sim.Program {
+			return func(ctx *sim.Ctx) sim.Value {
+				*calls++
+				ctx.BeginOp("X", "op")
+				ctx.Invoke("C", "inc")
+				ctx.EndOp("X", "op", *calls)
+				ctx.Invoke("C", "inc")
+				return ctx.Invoke("C", "read")
+			}
+		}},
 	}
 	zero := sim.ObjectFunc(func(*sim.Env, sim.Invocation) sim.Response { return sim.Respond(0) })
-	var st sim.Stepper
-	defer st.Stop()
-	err := st.Start(sim.Config{Objects: map[string]sim.Object{"C": zero}, Programs: []sim.Program{smuggler}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := st.Step(0); err != nil {
-			t.Fatal(err)
+	for _, c := range cases {
+		for _, untraced := range []bool{false, true} {
+			calls := 0
+			var st sim.Stepper
+			err := st.Start(sim.Config{
+				Objects:      map[string]sim.Object{"C": zero},
+				Programs:     []sim.Program{c.smuggler(&calls)},
+				DisableTrace: untraced,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := st.Step(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err = st.Rewind(1, map[string]sim.Object{"C": zero})
+			st.Stop()
+			if !errors.Is(err, sim.ErrReplayDivergence) {
+				t.Errorf("rewind of a program smuggling its count (%s), untraced=%v: err = %v, want ErrReplayDivergence",
+					c.name, untraced, err)
+			}
 		}
-	}
-	err = st.Rewind(1, map[string]sim.Object{"C": zero})
-	if !errors.Is(err, sim.ErrReplayDivergence) {
-		t.Fatalf("rewind of a smuggling program: err = %v, want ErrReplayDivergence", err)
 	}
 }

@@ -7,10 +7,10 @@ package sim
 // runtime driving it never run at the same time, and each handoff is a
 // direct coroutine switch that bypasses the Go scheduler. A process
 // yields at every Invoke, BeginOp and EndOp with a message in its
-// worker's mailbox, and the driver (the runtime, or the replay verifier)
-// resumes it with a reply. A process a Stepper's rewind restarts is
-// fast-forwarded through its logged responses without yielding, until
-// it reaches the invocation it was parked at (see stepper.go).
+// worker's mailbox, and the runtime resumes it with a reply. A process
+// re-executed against a recorded run (by VerifyReplay, or a Stepper's
+// rewind) yields only where its worker's cursor stops answering from
+// the record (see replay.go).
 //
 // A fresh coroutine costs about a dozen allocations, so coroutines are
 // pooled: a worker runs one incarnation after another, and between
@@ -73,10 +73,10 @@ type worker struct {
 	recovery RecoveryProc
 	prog     Program
 
-	msg      message  // set by the process before each yield
-	reply    Value    // set by the driver before each resume
-	aborting bool     // the driver unwinds the incarnation instead
-	ff       *forward // the log a rewound process is fast-forwarded through
+	msg      message // set by the process before each yield
+	reply    Value   // set by the driver before each resume
+	aborting bool    // the driver unwinds the incarnation instead
+	cur      cursor  // the record the incarnation is re-executed against, while on
 }
 
 // getWorker takes an idle worker from the pool, or makes one.
@@ -102,7 +102,8 @@ func putWorker(w *worker) {
 	if w.dead {
 		return
 	}
-	w.recovery, w.prog, w.reply, w.ff = nil, nil, nil, nil
+	w.recovery, w.prog, w.reply = nil, nil, nil
+	w.cur.events, w.cur.on = nil, false
 	w.msg = message{}
 	pool.mu.Lock()
 	if len(pool.idle) < maxIdleWorkers {
@@ -147,9 +148,13 @@ func (w *worker) runIncarnation() {
 }
 
 // park yields w.msg to the driver and returns when the driver resumes
-// the process. An abort, or any Ctx call after one, panics abortSignal
-// instead, so the incarnation unwinds without reaching the driver again.
+// the process, or at once when the cursor answers it from the record.
+// An abort, or any Ctx call after one, panics abortSignal instead, so
+// the incarnation unwinds without reaching the driver again.
 func (w *worker) park() {
+	if w.cur.on && w.answer() {
+		return
+	}
 	if w.aborting || !w.yield(struct{}{}) || w.aborting {
 		panic(abortSignal{})
 	}
