@@ -43,9 +43,8 @@ var ErrScriptDivergence = errors.New("modelcheck: replayed choice script diverge
 // each rewind, reusing the programs as the replay contract allows;
 // otherwise it calls f once more per start and per rewind, and a rewind
 // adopts only the new configuration's objects. The engine overrides
-// Scheduler and Choice, sets OnStep when the transposition table is on,
-// and sets DisableTrace unless the call has a visit callback (so
-// VerifyReplay checks only traced runs, at their leaves).
+// Scheduler and Choice, and sets DisableTrace unless the call has a visit
+// callback (so VerifyReplay checks only traced runs, at their leaves).
 type Factory func() sim.Config
 
 // Execution is one complete run discovered by Explore.
@@ -117,7 +116,7 @@ func (s *scriptSource) Intn(n int) int {
 // enabled ids in increasing order), and each visited Execution, trace
 // included, is the caller's to keep.
 func Explore(f Factory, limit int, visit func(e Execution) error) (int, error) {
-	red, err := newReducer(f, Reduced{NoDedup: true}, limit)
+	red, err := newReducer(f, Reduced{noDedup: true}, limit)
 	if err != nil {
 		return 0, err
 	}

@@ -36,26 +36,27 @@ func runFromRoot(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, sched,
 // signFromRoot is the replay-from-root oracle for the reducer's
 // signature: it runs the (sched, choices) prefix from the root, stops
 // it there under a Fixed with no fallback, and signs the stopped
-// configuration from its Result.Status, the response histories and the
-// objects' state signatures in sorted name order.
+// configuration from its Result.Status, the response histories its
+// trace records and the objects' state signatures in sorted name order.
 func signFromRoot(f Factory, sched, choices []int) ([]byte, error) {
 	var objects map[string]sim.Object
-	var hist [][]byte
 	res, err := runFromRoot(func() sim.Config {
 		cfg := f()
 		objects = cfg.Objects
-		hist = make([][]byte, len(cfg.Programs))
-		cfg.OnStep = func(proc int, out sim.Value, hang bool) {
-			if hang {
-				hist[proc] = append(hist[proc], 0x00)
-			} else {
-				hist[proc] = sim.AppendValueSig(hist[proc], out)
-			}
-		}
 		return cfg
 	}, nil, sched, choices)
 	if err != nil {
 		return nil, err
+	}
+	hist := make([][]byte, len(res.Status))
+	for _, e := range res.Trace.Events {
+		switch {
+		case e.Kind != sim.EventStep:
+		case e.Hang:
+			hist[e.Proc] = append(hist[e.Proc], 0x00)
+		default:
+			hist[e.Proc] = sim.AppendValueSig(hist[e.Proc], e.Out)
+		}
 	}
 	var sig []byte
 	for i, st := range res.Status {

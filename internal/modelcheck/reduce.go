@@ -2,7 +2,7 @@ package modelcheck
 
 // reduce.go is the model checker's one tree-search engine. Its
 // exhaustive mode, the trivial group with the table off
-// (Reduced{NoDedup: true}), runs Explore, VerifyAll, AnalyzeValency and
+// (Reduced{noDedup: true}), runs Explore, VerifyAll, AnalyzeValency and
 // AnalyzeValencyUnder. Every mode is checked against the naive
 // replay-from-root oracles of oracle_test.go. Three techniques compose:
 //
@@ -22,16 +22,17 @@ package modelcheck
 //
 //   - Transposition tables. Each successfully replayed configuration is
 //     hashed into a packed byte signature — per-process status byte and
-//     response history (built incrementally through sim.Config.OnStep,
-//     no fmt on this path), then each object's state signature in
-//     sorted name order, every section length-prefixed so splits cannot
-//     alias. Programs are pure functions of their response histories
-//     (the sim replay contract), so equal signatures imply isomorphic
-//     continuations AND equal stabilizers (the signature determines the
-//     used-process set); re-reached configurations are charged their
-//     memoized subtree weights instead of being re-explored. Objects
-//     advertise signatures via sim.StateSigner, falling back to
-//     StateKey(); if any object supports neither, dedup is disabled
+//     response history (built incrementally from the steps the live
+//     run records, no fmt on this path, and taken back on a rewind),
+//     then each object's state signature in sorted name order, every
+//     section length-prefixed so splits cannot alias. Programs are pure
+//     functions of their response histories (the sim replay contract),
+//     so equal signatures imply isomorphic continuations AND equal
+//     stabilizers (the signature determines the used-process set);
+//     re-reached configurations are charged their memoized subtree
+//     weights instead of being re-explored. Objects advertise
+//     signatures via sim.StateSigner, falling back to StateKey(); if
+//     any object supports neither, dedup is disabled
 //     (SymmetryReport.Deduped reports which) and only symmetry
 //     quotienting applies.
 //
@@ -86,10 +87,10 @@ type Symmetry struct {
 // trivial group with deduplication enabled.
 type Reduced struct {
 	Sym Symmetry
-	// NoDedup disables the transposition table, leaving pure symmetry
-	// quotienting — useful for oracle tests that want to see every
-	// canonical node.
-	NoDedup bool
+	// noDedup disables the transposition table, leaving pure symmetry
+	// quotienting: exhaustive mode, and oracle tests that want to see
+	// every canonical node.
+	noDedup bool
 }
 
 // SymmetryReport accounts for a reduced exploration.
@@ -116,8 +117,8 @@ type SymmetryReport struct {
 	// rewinds: one per run a search replaying every later sibling and
 	// choice branch from the root would start.
 	Runs int
-	// Deduped reports whether the transposition table was active
-	// (every object supported signatures and NoDedup was false).
+	// Deduped reports whether the transposition table was active:
+	// every object supported signatures, outside exhaustive mode.
 	Deduped bool
 }
 
@@ -367,9 +368,9 @@ type reducer struct {
 	wrap           func(inner sim.Scheduler) sim.Scheduler // AnalyzeValencyUnder's adversary
 	adv            sim.Scheduler                           // wrap's adversary of the live run
 	pick           picker                                  // the scheduler adv wraps
-	onStep         func(proc int, out sim.Value, hang bool)
-	hist           [][]byte
+	hist           [][]byte                                // with dedup, each process's response history
 	hung           []bool
+	undo           []histLen // with dedup, per live step the history length it extended
 	sig            []byte
 	objSig         []byte
 	stabs          [][]int // per-depth stabilizer scratch (indices into perms)
@@ -414,7 +415,7 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 		}
 		red.resets[i] = rs
 	}
-	red.dedup = !r.NoDedup
+	red.dedup = !r.noDedup
 	if red.dedup {
 		for _, name := range red.objOrder {
 			obj := probe.Objects[name]
@@ -432,18 +433,6 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 	if red.dedup {
 		red.hist = make([][]byte, n)
 		red.hung = make([]bool, n)
-		// 0x00 marks a hung step; sim's value-signature tags start at
-		// 0x01, so histories stay self-delimiting.
-		red.onStep = func(proc int, out sim.Value, hang bool) {
-			h := red.hist[proc]
-			if hang {
-				h = append(h, 0x00)
-				red.hung[proc] = true
-			} else {
-				h = sim.AppendValueSig(h, out)
-			}
-			red.hist[proc] = h
-		}
 		red.memo = make(map[string]*redMemo)
 		red.vmemo = make(map[string]*valMemo)
 	}
@@ -453,9 +442,9 @@ func newReducer(f Factory, r Reduced, limit int) (*reducer, error) {
 // config returns the configuration a run from the root starts from,
 // and a rewind re-applies its steps to: the re-armed probe, or else f's
 // next configuration. It adopts the configuration's objects for the
-// signature, clears the response histories and re-arms the choice
-// script, and it counts the run in SymmetryReport.Runs. Resetting the
-// probe in place is safe because only one run is live.
+// signature and re-arms the choice script, and it counts the run in
+// SymmetryReport.Runs. Resetting the probe in place is safe because
+// only one run is live.
 func (r *reducer) config() sim.Config {
 	cfg := r.probe
 	if !r.rearm {
@@ -465,20 +454,15 @@ func (r *reducer) config() sim.Config {
 		o.Reset()
 	}
 	r.objects = cfg.Objects
-	if r.dedup {
-		for i := range r.hist {
-			r.hist[i] = r.hist[i][:0]
-		}
-		clear(r.hung)
-	}
 	r.src.reset(r.choices)
 	r.rep.Runs++
 	return cfg
 }
 
 // start starts the live run from the root: traced only for visit,
-// under the choice script, with wrap's adversary when there is one and,
-// with dedup, feeding the response histories.
+// under the choice script, and with wrap's adversary when there is one.
+// The response histories are empty: only wrap, which keeps none, starts
+// more than once.
 func (r *reducer) start() error {
 	cfg := r.config()
 	if !r.trace {
@@ -490,17 +474,14 @@ func (r *reducer) start() error {
 		r.adv = r.wrap(&r.pick)
 		cfg.Scheduler = r.adv
 	}
-	if r.dedup {
-		cfg.OnStep = r.onStep
-	}
 	return r.run.Start(cfg)
 }
 
-// rewind returns the live run to the configuration that the current
-// choice script reaches after the first t steps of sched. No log
-// captures an adversary's state, so under wrap the run starts again
-// from the root, with a new adversary, and steps sched[:t] afresh, as a
-// run from the root does.
+// rewind returns the live run and its response histories to the
+// configuration that the current choice script reaches after the first
+// t steps of sched. No log captures an adversary's state, so under wrap
+// the run starts again from the root, with a new adversary, and steps
+// sched[:t] afresh, as a run from the root does.
 func (r *reducer) rewind(t int) error {
 	if r.wrap != nil {
 		if err := r.start(); err != nil {
@@ -513,12 +494,23 @@ func (r *reducer) rewind(t int) error {
 		}
 		return nil
 	}
+	for len(r.undo) > t {
+		u := r.undo[len(r.undo)-1]
+		r.undo = r.undo[:len(r.undo)-1]
+		r.hist[u.proc] = r.hist[u.proc][:u.n]
+		r.hung[u.proc] = false // a hung step is its process's last
+	}
 	return r.run.Rewind(t, r.config().Objects)
 }
 
+// histLen is process proc's response history length n before a step.
+type histLen struct{ proc, n int }
+
 // step advances the live run by process id. Under wrap the pick goes
 // through the adversary's Next, as Run's loop asks its scheduler, and
-// the run steps what Next answers.
+// the run steps what Next answers. With dedup, the step's event in the
+// run's record extends its process's response history: 0x00 for a hang,
+// else the value's signature, whose tags start at 0x01.
 func (r *reducer) step(id int) error {
 	if r.adv != nil {
 		enabled, err := r.run.Enabled()
@@ -528,7 +520,26 @@ func (r *reducer) step(id int) error {
 		r.pick = picker(id)
 		id = r.adv.Next(sim.View{Step: r.run.Steps(), Enabled: enabled})
 	}
-	return r.run.Step(id)
+	if err := r.run.Step(id); err != nil || !r.dedup {
+		return err
+	}
+	// The marks the process made since follow the step's event.
+	events := r.run.Trace().Events
+	i := len(events) - 1
+	for events[i].Kind != sim.EventStep {
+		i--
+	}
+	e := &events[i]
+	h := r.hist[e.Proc]
+	r.undo = append(r.undo, histLen{e.Proc, len(h)})
+	if e.Hang {
+		h = append(h, 0x00)
+		r.hung[e.Proc] = true
+	} else {
+		h = sim.AppendValueSig(h, e.Out)
+	}
+	r.hist[e.Proc] = h
+	return nil
 }
 
 // picker is the inner scheduler wrap's adversary wraps: it answers

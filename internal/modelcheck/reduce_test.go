@@ -387,7 +387,7 @@ func TestReducedOracleExplore(t *testing.T) {
 		}
 		for _, noDedup := range []bool{false, true} {
 			visited, orbitSum := 0, 0
-			rep, err := ExploreReduced(c.f, Reduced{Sym: c.sym, NoDedup: noDedup}, 0, func(e Execution, orbit int) error {
+			rep, err := ExploreReduced(c.f, Reduced{Sym: c.sym, noDedup: noDedup}, 0, func(e Execution, orbit int) error {
 				visited++
 				orbitSum += orbit
 				if !lexLeast(e.Schedule, perms) {
@@ -411,7 +411,7 @@ func TestReducedOracleExplore(t *testing.T) {
 			}
 			if noDedup {
 				if rep.Deduped {
-					t.Errorf("%s: NoDedup ignored", c.name)
+					t.Errorf("%s: noDedup ignored", c.name)
 				}
 				if orbitSum != want {
 					t.Errorf("%s: orbit sizes sum to %d, want %d", c.name, orbitSum, want)
@@ -450,16 +450,50 @@ func hangFactory() Factory {
 	}
 }
 
+// latch hangs a "spring" once a "set" has been applied, and answers
+// every other call.
+type latch struct{ set bool }
+
+func (l *latch) Apply(_ *sim.Env, inv sim.Invocation) sim.Response {
+	if inv.Op == "set" {
+		l.set = true
+	} else if l.set {
+		return sim.HangCaller()
+	}
+	return sim.Respond(nil)
+}
+
+func (l *latch) AppendStateSig(dst []byte) []byte { return sim.AppendValueSig(dst, l.set) }
+
+// latchFactory hangs process 1 at its first step only if process 0
+// stepped first; otherwise process 1 takes one more step and finishes.
+// The search steps process 0 first, so it takes the hanging branch
+// first and then rewinds past the hung step.
+func latchFactory() Factory {
+	return func() sim.Config {
+		return sim.Config{Objects: map[string]sim.Object{"L": &latch{}}, Programs: []sim.Program{
+			func(ctx *sim.Ctx) sim.Value { return ctx.Invoke("L", "set") },
+			func(ctx *sim.Ctx) sim.Value {
+				ctx.Invoke("L", "spring")
+				return ctx.Invoke("L", "set")
+			},
+		}}
+	}
+}
+
 // TestReducedSignsLikeAStoppedReplay: at every node the reduced engines
 // sign, the carried run's signature must be byte-equal to that of the
 // node's prefix replayed from the root and stopped there (signFromRoot),
 // which is how the reducer signed nodes before it carried runs. The
-// hang case checks the Hung status byte at parked nodes.
+// hang case checks the Hung status byte at parked nodes, and the latch
+// case that a rewind past a hung step takes its Hung byte back.
 func TestReducedSignsLikeAStoppedReplay(t *testing.T) {
 	hangSym := SymmetricClasses(3, []int{1, 2})
 	hangSym.Rename = identRename
-	explore := append(reducedExploreCases(), reducedCase{"hang3/S{1,2}", hangFactory(), hangSym})
-	valency := append(reducedValencyCases(), reducedCase{"hang3", hangFactory(), hangSym})
+	explore := append(reducedExploreCases(), reducedCase{"hang3/S{1,2}", hangFactory(), hangSym},
+		reducedCase{"latch2", latchFactory(), Symmetry{}})
+	valency := append(reducedValencyCases(), reducedCase{"hang3", hangFactory(), hangSym},
+		reducedCase{"latch2", latchFactory(), Symmetry{}})
 	for _, engine := range []struct {
 		name  string
 		cases []reducedCase
@@ -515,7 +549,7 @@ func TestReducedRepresentativesReplay(t *testing.T) {
 	for _, c := range reducedExploreCases() {
 		for _, noDedup := range []bool{false, true} {
 			visits := 0
-			_, err := ExploreReduced(c.f, Reduced{Sym: c.sym, NoDedup: noDedup}, 0, func(e Execution, _ int) error {
+			_, err := ExploreReduced(c.f, Reduced{Sym: c.sym, noDedup: noDedup}, 0, func(e Execution, _ int) error {
 				visits++
 				res, err := runFromRoot(c.f, nil, e.Schedule, e.Choices)
 				if err != nil {
@@ -544,7 +578,7 @@ func TestReducedDedupReachesFixpoint(t *testing.T) {
 	f := counterFactory(3, 2)
 	sym := SymmetricClasses(3, []int{0, 1, 2})
 	full := map[string]bool{}
-	if _, err := ExploreReduced(f, Reduced{Sym: sym, NoDedup: true}, 0, func(e Execution, orbit int) error {
+	if _, err := ExploreReduced(f, Reduced{Sym: sym, noDedup: true}, 0, func(e Execution, orbit int) error {
 		full[fmt.Sprint(e.Schedule, e.Choices)] = true
 		return nil
 	}); err != nil {
@@ -579,7 +613,7 @@ func TestReducedOracleValency(t *testing.T) {
 			t.Fatalf("%s: naive oracle: %v", c.name, err)
 		}
 		for _, noDedup := range []bool{false, true} {
-			got, srep, err := AnalyzeValencyReduced(c.f, Reduced{Sym: c.sym, NoDedup: noDedup}, 0)
+			got, srep, err := AnalyzeValencyReduced(c.f, Reduced{Sym: c.sym, noDedup: noDedup}, 0)
 			if err != nil {
 				t.Fatalf("%s dedup=%v: %v", c.name, !noDedup, err)
 			}

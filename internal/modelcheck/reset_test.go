@@ -188,7 +188,7 @@ func engineLog(t *testing.T, f Factory, noDedup bool) (log []string, calls, runs
 		return f()
 	}
 	for _, valency := range []bool{false, true} {
-		red, err := newReducer(counted, Reduced{NoDedup: noDedup}, 0)
+		red, err := newReducer(counted, Reduced{noDedup: noDedup}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func AnalyzeValency(f Factory, limit int) (*ValencyReport, error) {
 // process symmetry. With nil wrap the table stays off so that
 // AnalyzeValency remains the count cmd/modelcheck -stats checks it by.
 func AnalyzeValencyUnder(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, limit int) (*ValencyReport, error) {
-	red, err := newReducer(f, Reduced{NoDedup: true}, limit)
+	red, err := newReducer(f, Reduced{noDedup: true}, limit)
 	if err != nil {
 		return nil, err
 	}

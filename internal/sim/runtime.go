@@ -95,13 +95,6 @@ type Config struct {
 	// fault.go). Incarnation 0 never runs it. It is shared by all
 	// processes and must obey the Program purity contract.
 	Recovery RecoveryProc
-	// OnStep, when non-nil, is called synchronously after every applied
-	// object step with the acting process id, the response value, and
-	// whether the step hung the caller (a hung step delivers no value).
-	// The model checker's reduction layer uses it to build per-process
-	// response histories without recording a full Trace. The callback
-	// must not call back into the run.
-	OnStep func(proc int, out Value, hang bool)
 }
 
 // ProcStatus is the final status of a process after a run.
@@ -200,7 +193,7 @@ func Run(cfg Config) (*Result, error) {
 		sched = NewRoundRobin()
 	}
 	rt := new(runtime)
-	// Every return path, and a panic escaping a scheduler or callback,
+	// Every return path, and a panic escaping a scheduler or observer,
 	// unwinds the processes still parked so their workers return to the
 	// pool.
 	defer rt.abortAll()
@@ -513,9 +506,6 @@ func (rt *runtime) step(id int) error {
 		Out:    resp.Value,
 		Hang:   resp.Effect == Hang,
 	})
-	if rt.cfg.OnStep != nil {
-		rt.cfg.OnStep(id, resp.Value, resp.Effect == Hang)
-	}
 	if resp.Effect == Hang {
 		p.status = StatusHung
 		rt.abort(p)

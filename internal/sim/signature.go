@@ -32,13 +32,13 @@ type StateSigner interface {
 // Signature tag bytes. Every encoded value starts with one of these, so
 // values of different dynamic types can never alias.
 const (
-	sigNil      byte = 0x01
-	sigFalse    byte = 0x02
-	sigTrue     byte = 0x03
-	sigInt      byte = 0x04
-	sigString   byte = 0x05
-	sigStringer byte = 0x06
-	sigOther    byte = 0x07
+	sigNil    byte = 0x01
+	sigFalse  byte = 0x02
+	sigTrue   byte = 0x03
+	sigInt    byte = 0x04
+	sigString byte = 0x05
+	sigBottom byte = 0x06 // then ⊥'s length-prefixed text
+	sigOther  byte = 0x07
 )
 
 // AppendIntSig appends a tagged, self-delimiting encoding of n.
@@ -49,16 +49,14 @@ func AppendIntSig(dst []byte, n int) []byte {
 
 // AppendStringSig appends a tagged, length-prefixed encoding of s.
 func AppendStringSig(dst []byte, s string) []byte {
-	dst = append(dst, sigString)
-	dst = appendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+	return appendTagged(dst, sigString, s)
 }
 
 // AppendValueSig appends a tagged, self-delimiting encoding of v. The
-// common Value types (nil, bool, int, string) are encoded without any
-// reflection; fmt.Stringer values (the wrn package's ⊥) through their
-// String method; anything else falls back to a reflective rendering via
-// sigOtherKey, which is the one arm that allocates.
+// common Value types (nil, bool, int, string) and ⊥ are encoded without
+// any reflection or dynamic call; anything else falls back to a
+// reflective rendering via sigOtherKey, which is the one arm that
+// allocates.
 func AppendValueSig(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
@@ -73,22 +71,22 @@ func AppendValueSig(dst []byte, v Value) []byte {
 		return appendZigzag(dst, int64(x))
 	case string:
 		return AppendStringSig(dst, x)
-	case interface{ String() string }:
-		s := x.String()
-		dst = append(dst, sigStringer)
-		dst = appendUvarint(dst, uint64(len(s)))
-		return append(dst, s...)
+	case bottom:
+		return appendTagged(dst, sigBottom, x.String())
 	default:
-		s := sigOtherKey(v)
-		dst = append(dst, sigOther)
-		dst = appendUvarint(dst, uint64(len(s)))
-		return append(dst, s...)
+		return appendTagged(dst, sigOther, sigOtherKey(v))
 	}
 }
 
 // sigOtherKey renders a value outside the fast set, type-qualified so
 // equal renderings of distinct types cannot collide.
 func sigOtherKey(v Value) string { return fmt.Sprintf("%T=%v", v, v) }
+
+// appendTagged appends tag, then s length-prefixed.
+func appendTagged(dst []byte, tag byte, s string) []byte {
+	dst = appendUvarint(append(dst, tag), uint64(len(s)))
+	return append(dst, s...)
+}
 
 // appendUvarint appends n in LEB128 (the varint of encoding/binary,
 // inlined to keep the signature path free of imports and bounds-check

@@ -54,6 +54,22 @@ import (
 // structs and arrays) so that checkers can compare them with ==.
 type Value = any
 
+// Bottom is the "no value" ⊥ of WRN cells, declared here, not in package
+// wrn, so that AppendValueSig signs it without a dynamic String call.
+var Bottom Value = bottom{}
+
+// bottom is the type of Bottom.
+type bottom struct{}
+
+// IsBottom reports whether v is Bottom.
+func IsBottom(v Value) bool {
+	_, ok := v.(bottom)
+	return ok
+}
+
+// String implements fmt.Stringer.
+func (bottom) String() string { return "⊥" }
+
 // Invocation is a single operation request directed at a shared object.
 type Invocation struct {
 	// Op names the operation, e.g. "read", "write", "WRN", "propose".

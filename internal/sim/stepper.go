@@ -95,6 +95,10 @@ func (s *Stepper) Step(id int) error {
 // Steps returns the number of steps the run has applied.
 func (s *Stepper) Steps() int { return s.rt.steps }
 
+// Trace returns the run's record, kept even under DisableTrace. It
+// aliases the run's buffer until the next Step, Rewind or Start.
+func (s *Stepper) Trace() Trace { return s.rt.trace }
+
 // Result returns the run's result as a scheduler's Stop would report it
 // now, verified when Config.VerifyReplay asks for it: the processes in
 // the round's enabled set are StatusStopped. The run stays live, and
@@ -127,8 +131,7 @@ var (
 // steps. objects are the run's objects returned to their initial state:
 // the same map reset in place, or a fresh one, which the run adopts.
 // The caller also re-arms Config.Choice, if set, to draw from its start;
-// without one, the seeded Env.Rand is re-seeded here. OnStep is called
-// for every re-applied step, as the run made them, and the trace keeps
+// without one, the seeded Env.Rand is re-seeded here. The trace keeps
 // the events recorded up to step t.
 func (s *Stepper) Rewind(t int, objects map[string]Object) error {
 	rt := &s.rt
@@ -177,9 +180,9 @@ func (s *Stepper) Rewind(t int, objects map[string]Object) error {
 }
 
 // reapply applies recorded step e, the run's step'th, to the objects
-// again, as the run first applied it, and reports it to OnStep. The
-// object must answer as it did: a different answer means its initial
-// state or its Apply is not what the run had.
+// again, as the run first applied it. The object must answer as it did:
+// a different answer means its initial state or its Apply is not what
+// the run had.
 func (rt *runtime) reapply(e *Event, step int) error {
 	obj, ok := rt.cfg.Objects[e.Object]
 	if !ok {
@@ -193,9 +196,6 @@ func (rt *runtime) reapply(e *Event, step int) error {
 	hang := resp.Effect == Hang
 	if hang != e.Hang || (!hang && !reflect.DeepEqual(resp.Value, e.Out)) {
 		return fmt.Errorf("%w: %q answered re-applied step %d otherwise than the run recorded", ErrReplayDivergence, e.Object, step)
-	}
-	if rt.cfg.OnStep != nil {
-		rt.cfg.OnStep(e.Proc, resp.Value, hang)
 	}
 	return nil
 }

@@ -111,13 +111,6 @@ func rewindCases() []rewindCase {
 	}
 }
 
-// stepLog renders every OnStep call into *log.
-func stepLog(log *[]string) func(proc int, out sim.Value, hang bool) {
-	return func(proc int, out sim.Value, hang bool) {
-		*log = append(*log, fmt.Sprintf("P%d %v hang=%v", proc, out, hang))
-	}
-}
-
 // resetAll resets every object in place and reports whether each had a
 // Reset.
 func resetAll(objects map[string]sim.Object) bool {
@@ -169,32 +162,37 @@ func sameResult(got, want *sim.Result) error {
 		return fmt.Errorf("%d steps, want %d", got.Steps, want.Steps)
 	case !reflect.DeepEqual(got.Restarts, want.Restarts):
 		return fmt.Errorf("restarts %v, want %v", got.Restarts, want.Restarts)
-	case !slices.EqualFunc(got.Trace.Events, want.Trace.Events, func(a, b sim.Event) bool { return reflect.DeepEqual(a, b) }):
-		return fmt.Errorf("trace\n%s\nwant\n%s", got.Trace, want.Trace)
+	}
+	return sameTrace(got.Trace, want.Trace)
+}
+
+// sameTrace compares two traces event by event.
+func sameTrace(got, want sim.Trace) error {
+	if !slices.EqualFunc(got.Events, want.Events, func(a, b sim.Event) bool { return reflect.DeepEqual(a, b) }) {
+		return fmt.Errorf("trace\n%s\nwant\n%s", got, want)
 	}
 	return nil
 }
 
 // freshRun runs a fresh configuration of c under schedule p, stopped
-// where p ends and verified against its replay, and returns its result,
-// its OnStep calls and its objects.
-func freshRun(c rewindCase, untraced bool, p []int) (*sim.Result, []string, map[string]sim.Object, error) {
+// where p ends and verified against its replay, and returns its result
+// and its objects.
+func freshRun(c rewindCase, untraced bool, p []int) (*sim.Result, map[string]sim.Object, error) {
 	cfg := c.config()
 	cfg.VerifyReplay, cfg.DisableTrace = true, untraced
-	var calls []string
-	cfg.OnStep = stepLog(&calls)
 	cfg.Scheduler = sim.NewFixed(p...)
 	res, err := sim.Run(cfg)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("fresh run of %v: %w", p, err)
+		return nil, nil, fmt.Errorf("fresh run of %v: %w", p, err)
 	}
-	return res, calls, cfg.Objects, nil
+	return res, cfg.Objects, nil
 }
 
-// sameAsFresh compares the stepped run, the OnStep calls it made since
-// its last rewind and its objects with a fresh run of p.
-func sameAsFresh(c rewindCase, untraced bool, st *sim.Stepper, calls []string, objects map[string]sim.Object, p []int) error {
-	want, wantCalls, wantObjects, err := freshRun(c, untraced, p)
+// sameAsFresh compares the stepped run and its objects with a fresh run
+// of p, and the stepped run's record with the trace of a traced fresh
+// run of p: an untraced stepped run keeps the record all the same.
+func sameAsFresh(c rewindCase, untraced bool, st *sim.Stepper, objects map[string]sim.Object, p []int) error {
+	want, wantObjects, err := freshRun(c, untraced, p)
 	if err != nil {
 		return err
 	}
@@ -205,8 +203,13 @@ func sameAsFresh(c rewindCase, untraced bool, st *sim.Stepper, calls []string, o
 	if err := sameResult(got, want); err != nil {
 		return err
 	}
-	if !slices.Equal(calls, wantCalls) {
-		return fmt.Errorf("OnStep calls %v, want %v", calls, wantCalls)
+	if untraced {
+		if want, _, err = freshRun(c, false, p); err != nil {
+			return err
+		}
+	}
+	if err := sameTrace(st.Trace(), want.Trace); err != nil {
+		return fmt.Errorf("record: %w", err)
 	}
 	return sameObjects(objects, wantObjects)
 }
@@ -215,17 +218,14 @@ func sameAsFresh(c rewindCase, untraced bool, st *sim.Stepper, calls []string, o
 // up to maxLen steps, then rewinds to a random cut point and steps the
 // rest of p again, rewinds times. Right after each rewind to t the run
 // must match a fresh Run of p[:t], and after the re-step a fresh Run of
-// p: the same Result, the same OnStep calls since the rewind (which
-// re-reports the re-applied steps), and the same object states. Both
-// runs set VerifyReplay, so a traced stepped run's Results are verified
-// against the record its rewinds left; untraced, both runs set
-// DisableTrace.
+// p: the same Result, the same record (which the rewind cut back to
+// its first t steps) and the same object states. Both runs set
+// VerifyReplay, so a traced stepped run's Results are verified against
+// the record its rewinds left; untraced, both runs set DisableTrace.
 func checkRewinds(c rewindCase, untraced bool, seed int64, maxLen, rewinds int) error {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := c.config()
 	cfg.VerifyReplay, cfg.DisableTrace = true, untraced
-	var calls []string
-	cfg.OnStep = stepLog(&calls)
 	var st sim.Stepper
 	defer st.Stop()
 	if err := st.Start(cfg); err != nil {
@@ -255,14 +255,13 @@ func checkRewinds(c rewindCase, untraced bool, seed int64, maxLen, rewinds int) 
 		if s, ok := cfg.Choice.(*script); ok {
 			s.pos = 0
 		}
-		calls = calls[:0]
 		if err := st.Rewind(cut, objects); err != nil {
 			return fmt.Errorf("rewind of %v to %d: %w", p, cut, err)
 		}
 		if st.Steps() != cut {
 			return fmt.Errorf("rewound to %d, run at step %d", cut, st.Steps())
 		}
-		if err := sameAsFresh(c, untraced, &st, calls, objects, p[:cut]); err != nil {
+		if err := sameAsFresh(c, untraced, &st, objects, p[:cut]); err != nil {
 			return fmt.Errorf("%v rewound to %d: %w", p, cut, err)
 		}
 		for _, id := range p[cut:] {
@@ -270,7 +269,7 @@ func checkRewinds(c rewindCase, untraced bool, seed int64, maxLen, rewinds int) 
 				return fmt.Errorf("%v rewound to %d, stepping %d: %w", p, cut, id, err)
 			}
 		}
-		if err := sameAsFresh(c, untraced, &st, calls, objects, p); err != nil {
+		if err := sameAsFresh(c, untraced, &st, objects, p); err != nil {
 			return fmt.Errorf("%v rewound to %d and stepped again: %w", p, cut, err)
 		}
 	}

@@ -20,24 +20,12 @@ import (
 	"detobj/internal/sim"
 )
 
-// bottomType is the type of Bottom; it prints as ⊥.
-type bottomType struct{}
-
-// bottomText is how Bottom prints.
-const bottomText = "⊥"
-
-// String implements fmt.Stringer.
-func (bottomType) String() string { return bottomText }
-
 // Bottom is the distinguished "no value" ⊥. Cells start at Bottom and no
 // process may write it.
-var Bottom sim.Value = bottomType{}
+var Bottom = sim.Bottom
 
 // IsBottom reports whether v is the distinguished ⊥ value.
-func IsBottom(v sim.Value) bool {
-	_, ok := v.(bottomType)
-	return ok
-}
+func IsBottom(v sim.Value) bool { return sim.IsBottom(v) }
 
 // Object is a deterministic WRN_k object (Algorithm 1).
 type Object struct {
@@ -204,7 +192,7 @@ func appendCellsKey(dst []byte, cells []sim.Value) []byte {
 			dst = append(dst, ' ')
 		}
 		if IsBottom(c) {
-			dst = append(dst, bottomText...)
+			dst = append(dst, "⊥"...)
 		} else {
 			dst = sim.AppendSprint(dst, c)
 		}

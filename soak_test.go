@@ -118,8 +118,9 @@ func TestSoakAlg3Campaign(t *testing.T) {
 // TestSoakChaosAdversaries: the chaos sweep — every adversary stack over
 // Algorithm 5, 300 seeds each, replay-verified, with the crash history
 // (pending operations included) checked for linearizability. A failure
-// names the seed; `go run ./cmd/chaos -scenario sim -start <seed>
-// -seeds 1` reproduces the run byte for byte.
+// names the stack and the seed. Each run is a pure function of its seed,
+// so `go test -run TestSoakChaosAdversaries .` reproduces it; cmd/chaos
+// parameterizes its adversaries otherwise, so its runs are not these.
 func TestSoakChaosAdversaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -191,8 +192,10 @@ func TestSoakChaosAdversaries(t *testing.T) {
 // exact restart ledger (Restarts == Crashes, Recoveries == 0: amnesiac
 // restarts are not stop-the-world recoveries), and a durable journal
 // proving each operation mutated the cells exactly once no matter how
-// many incarnations re-invoked it. `go run ./cmd/chaos -scenario
-// restart -start <seed> -seeds 1` reproduces a failing seed.
+// many incarnations re-invoked it. A failure names the stack and the
+// seed, and `go test -run TestSoakCrashRestartRecoverable .` reproduces
+// it, as for TestSoakChaosAdversaries: cmd/chaos crashes at other steps
+// and also drives a recoverable register.
 func TestSoakCrashRestartRecoverable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
