@@ -24,7 +24,7 @@ fmt:
 # "Static analysis"; `go run ./cmd/detlint -list-rules` prints the
 # catalogue), the v5 persistence/recovery rules included; nonzero exit
 # on any unannotated finding. Run a subset with `go run ./cmd/detlint
-# -rules lockorder,sharedstate ./...`.
+# -rules lockorder,nodeterminism ./...`.
 lint:
 	$(GO) run ./cmd/detlint ./...
 
@@ -37,8 +37,7 @@ lint-recovery:
 lint-sarif:
 	$(GO) run ./cmd/detlint -sarif detlint.sarif ./...
 
-# Exercise everything — including the native (real-goroutine) package —
-# under the race detector.
+# Run the short test suite under the race detector.
 race:
 	$(GO) test -race -short ./...
 
@@ -74,7 +73,7 @@ experiments:
 	$(GO) run ./cmd/modelcheck
 	$(GO) run ./cmd/substrates
 
-# Sweep seeds through the chaos harness on both substrates (see README
+# Sweep seeds through the simulator's chaos harness (see README
 # "Robustness & chaos testing"); failures print the reproducing seed.
 # The crash-restart soak hammers the recoverable WRN with every restart
 # adversary stack and audits the exactly-once journal per seed.

@@ -21,7 +21,6 @@ import (
 	"detobj/internal/tasks"
 	"detobj/internal/universal"
 	"detobj/internal/wrn"
-	"detobj/native"
 )
 
 // Simulator types: the asynchronous shared-memory model.
@@ -393,17 +392,14 @@ func NewIteratedSnapshot(objects map[string]Object, name string, n, rounds int) 
 // out to be a singleton — the paper's "wealth", quantified.
 func PowerClasses(maxN int) [][]SetCons { return core.Classes(maxN) }
 
-// Chaos harness: deterministic fault injection for both substrates (see
-// internal/chaos and DESIGN.md, "Robustness & chaos testing").
+// Chaos harness: deterministic fault injection in the simulator (see
+// internal/chaos and README.md, "Robustness & chaos testing").
 type (
 	// ChaosReport is the structured, seed-reproducible outcome of a
 	// chaos run.
 	ChaosReport = chaos.Report
 	// ChaosInjection is one recorded fault.
 	ChaosInjection = chaos.Injection
-	// ChaosInjectorConfig sets per-mille fault rates for the native
-	// injector's chaos points.
-	ChaosInjectorConfig = chaos.InjectorConfig
 )
 
 // NewChaosReport returns an empty report for the given seed.
@@ -490,28 +486,16 @@ func InstrumentScheduler(sched Scheduler, r *ChaosReport) Scheduler {
 	return chaos.Instrument(sched, r)
 }
 
-// NewChaosInjector returns the seeded native-substrate injector; its
-// decision at the nth visit of a chaos point is a pure function of
-// (seed, site, n). Pass it to the native objects' SetInjector methods.
-func NewChaosInjector(seed int64, cfg ChaosInjectorConfig, r *ChaosReport) native.Injector {
-	return chaos.NewInjector(seed, cfg, r)
-}
-
-// DefaultChaosInjectorConfig is the chaos driver's native fault profile:
-// aggressive scheduling noise, rare aborts.
-var DefaultChaosInjectorConfig = chaos.DefaultInjectorConfig
-
 // Bounded-wait graceful degradation: the sanctioned crossing of the
 // paper's hang-on-exhaustion boundary. See DESIGN.md for why degrading
 // detectably changes an object's power.
 
-// ErrExhausted is the typed error returned by the Bounded wrappers of
-// both substrates when an operation's budget — steps, attempts or a
-// context deadline — is spent. errors.Is(err, ErrExhausted) identifies
-// it across the facade.
+// ErrExhausted is the typed error a Bounded wrapper returns when the
+// inner object would hang the caller or the caller's step budget is
+// spent. errors.Is(err, ErrExhausted) identifies it across the facade.
 //
 //detlint:allow hangsemantics re-export of the documented hang-vs-error boundary sentinel
-var ErrExhausted = native.ErrExhausted
+var ErrExhausted = chaos.ErrExhausted
 
 // NewBounded wraps a simulator object so that hangs and over-budget
 // callers receive ErrExhausted instead of parking forever. budget bounds

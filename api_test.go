@@ -1,6 +1,7 @@
 package detobj_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -254,6 +255,66 @@ func TestFacadeSeededSource(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if g, w := got.Intn(97), want.Intn(97); g != w {
 			t.Fatalf("draw %d = %d, want %d", i, g, w)
+		}
+	}
+}
+
+// TestFacadeBoundedExhausted: through the facade, a one-shot WRN index
+// reused past its single use degrades to the typed ErrExhausted instead
+// of hanging the caller, and both of the facade's checks recognise it.
+func TestFacadeBoundedExhausted(t *testing.T) {
+	objects := map[string]detobj.Object{"W": detobj.NewBounded(detobj.NewOneShotWRN(2), 0)}
+	res, err := detobj.Run(detobj.Config{
+		Objects: objects,
+		Programs: []detobj.Program{func(ctx *detobj.Ctx) detobj.Value {
+			ctx.Invoke("W", "WRN", 0, "first")
+			return ctx.Invoke("W", "WRN", 0, "second")
+		}},
+		VerifyReplay: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A hung caller has no output, so this also fails on a hang.
+	out := res.Outputs[0]
+	if !detobj.Exhausted(out) {
+		t.Fatalf("output %v, want ErrExhausted", out)
+	}
+	if e, ok := out.(error); !ok || !errors.Is(e, detobj.ErrExhausted) {
+		t.Fatalf("output %v does not satisfy errors.Is(·, detobj.ErrExhausted)", out)
+	}
+}
+
+// TestFacadeBoundedStepBudget: through the facade, a step budget caps
+// each process on its own: every process gets its budget of WRN calls
+// and its next call degrades to ErrExhausted.
+func TestFacadeBoundedStepBudget(t *testing.T) {
+	const k, budget = 3, 2
+	progs := make([]detobj.Program, k)
+	for i := range progs {
+		i := i
+		progs[i] = func(ctx *detobj.Ctx) detobj.Value {
+			outs := make([]detobj.Value, 0, budget+1)
+			for j := 0; j <= budget; j++ {
+				outs = append(outs, ctx.Invoke("W", "WRN", i, j))
+			}
+			return outs
+		}
+	}
+	res, err := detobj.Run(detobj.Config{
+		Objects:      map[string]detobj.Object{"W": detobj.NewBounded(detobj.NewWRN(k), budget)},
+		Programs:     progs,
+		Scheduler:    detobj.NewRandomScheduler(1),
+		VerifyReplay: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, out := range res.Outputs {
+		for j, v := range out.([]detobj.Value) {
+			if detobj.Exhausted(v) != (j == budget) {
+				t.Errorf("P%d call %d returned %v with budget %d", i, j, v, budget)
+			}
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Command chaos sweeps seeds through the deterministic fault-injection
-// harness (internal/chaos) on both substrates.
+// harness (internal/chaos).
 //
 // For every seed the simulator scenarios run each adversary —
 // crash-during-operation, crash-recovery, step-stall, the adaptive
@@ -8,13 +8,6 @@
 // crash history (pending operations included) linearizes. Each run is
 // executed twice and its trace and chaos report compared byte for byte:
 // a chaos run is identified by its seed alone.
-//
-// The native scenarios drive the lock-based election and set-consensus
-// implementations with the seeded injector (yields, stalls and rare
-// aborts at every chaos point) through the Bounded facade: every
-// participant must return a decision or the typed ErrExhausted within
-// its budget — never hang, never fail with anything else — and the
-// safety bounds must hold among the survivors.
 //
 // The restart scenarios (E19) run the recoverable objects under the
 // amnesiac crash-restart adversaries — single, repeated and adaptive —
@@ -40,20 +33,16 @@
 //
 // Usage:
 //
-//	chaos [-seeds N] [-start S] [-scenario sim|native|restart|all] [-parallel P] [-v]
+//	chaos [-seeds N] [-start S] [-scenario sim|restart|all] [-parallel P] [-v]
 package main
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	"detobj/internal/chaos"
 	"detobj/internal/linearize"
@@ -61,13 +50,12 @@ import (
 	"detobj/internal/recoverable"
 	"detobj/internal/sim"
 	"detobj/internal/wrn"
-	"detobj/native"
 )
 
 func main() {
 	seeds := flag.Int64("seeds", 20, "number of seeds to sweep")
 	start := flag.Int64("start", 0, "first seed")
-	scenario := flag.String("scenario", "all", "scenario to run: sim, native, restart or all")
+	scenario := flag.String("scenario", "all", "scenario to run: sim, restart or all")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the seed sweep (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "dump the full chaos report of every simulator run")
 	flag.Parse()
@@ -79,9 +67,8 @@ func main() {
 
 func run(w io.Writer, scenario string, start, seeds int64, workers int, verbose bool) error {
 	doSim := scenario == "all" || scenario == "sim"
-	doNative := scenario == "all" || scenario == "native"
 	doRestart := scenario == "all" || scenario == "restart"
-	if !doSim && !doNative && !doRestart {
+	if !doSim && !doRestart {
 		return fmt.Errorf("unknown scenario %q", scenario)
 	}
 	if seeds < 1 {
@@ -101,12 +88,6 @@ func run(w io.Writer, scenario string, start, seeds int64, workers int, verbose 
 		if doSim {
 			if err := simSweep(&s.out, seed, verbose); err != nil {
 				s.err = fmt.Errorf("sim seed %d: %w (reproduce: chaos -scenario sim -start %d -seeds 1)", seed, err, seed)
-				return s.err
-			}
-		}
-		if doNative {
-			if err := nativeSweep(&s.out, seed); err != nil {
-				s.err = fmt.Errorf("native seed %d: %w (reproduce: chaos -scenario native -start %d -seeds 1)", seed, err, seed)
 				return s.err
 			}
 		}
@@ -227,78 +208,6 @@ func simSweep(w io.Writer, seed int64, verbose bool) error {
 			fmt.Fprint(w, r1)
 		}
 	}
-	return nil
-}
-
-// nativeSweep drives the native election through the seeded injector and
-// the Bounded facade: every participant must decide or degrade to
-// ErrExhausted within its deadline, and the election bound must hold
-// among the survivors. The printed line carries only the seed's
-// deterministic fault plan, so the sweep output reproduces byte for
-// byte.
-//
-//detlint:hot
-func nativeSweep(w io.Writer, seed int64) error {
-	const k, m = 3, 16
-	ids := []int{2, 9, 14}
-	inj := chaos.NewInjector(seed, chaos.DefaultInjectorConfig, nil)
-	e := native.NewElection(k, m)
-	e.SetInjector(inj)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	decisions := make([]any, len(ids))
-	errs := make([]error, len(ids))
-	var wg sync.WaitGroup
-	for p, id := range ids {
-		p, id := p, id
-		wg.Add(1)
-		//detlint:allow nodeterminism native-substrate participants are real goroutines by design; safety is checked after the deterministic fault plan, not the interleaving
-		go func() {
-			defer wg.Done()
-			b := native.BoundedElection{E: e, B: native.Budget{Attempts: 3, Backoff: 2}}
-			decisions[p], errs[p] = b.Propose(ctx, id, 1000+id)
-		}()
-	}
-	wg.Wait()
-	proposed := map[any]bool{}
-	for _, id := range ids {
-		proposed[1000+id] = true
-	}
-	distinct := map[any]bool{}
-	for p, err := range errs {
-		switch {
-		case err == nil:
-			if !proposed[decisions[p]] {
-				return fmt.Errorf("participant %d decided unproposed %v", p, decisions[p])
-			}
-			distinct[decisions[p]] = true
-		//detlint:allow hangsemantics the Bounded facade's documented degradation outcome is the one acceptable error here
-		case errors.Is(err, native.ErrExhausted):
-			// Graceful degradation: acceptable under injected aborts.
-		default:
-			return fmt.Errorf("participant %d failed with %v, want a decision or ErrExhausted", p, err)
-		}
-	}
-	if len(distinct) > k-1 {
-		return fmt.Errorf("%d distinct decisions, bound %d", len(distinct), k-1)
-	}
-	// Summarize the seed's deterministic fault plan over the election
-	// sites: a pure function of the seed, independent of interleaving.
-	var aborts, stalls, yields int
-	for _, site := range []string{"election.propose", "election.rename.update", "election.rename.scan", "election.round", "election.rlx.won", "oneshot.locked"} {
-		for _, f := range inj.Plan(site, 50) {
-			switch f {
-			case native.FaultAbort:
-				aborts++
-			case native.FaultStall:
-				stalls++
-			case native.FaultYield:
-				yields++
-			}
-		}
-	}
-	fmt.Fprintf(w, "native seed %d ok plan(300 visits): aborts=%d stalls=%d yields=%d\n",
-		seed, aborts, stalls, yields)
 	return nil
 }
 

@@ -1,26 +1,26 @@
 package chaos
 
-// Bounded: the simulator side of graceful degradation. The model says
+// Bounded: graceful degradation in the simulator. The model says
 // an exhausted or illegal operation hangs the caller undetectably;
 // Bounded is the one sanctioned crossing of that boundary. It wraps any
 // sim.Object and converts the two ways a caller can lose progress —
 // the inner object hanging it, or the caller exceeding a per-process
-// step budget — into a returned native.ErrExhausted value the program
-// can branch on. Deciding to degrade detectably changes the object's
+// step budget — into a returned ErrExhausted value the program can
+// branch on. Deciding to degrade detectably changes the object's
 // power (errors are observable, hangs are not; see DESIGN.md), which is
 // why the conversion lives here, in the chaos layer, and not in the
 // objects themselves.
 
 import (
+	"errors"
+
 	"detobj/internal/sim"
-	"detobj/native"
 )
 
-// ErrExhausted is the typed exhaustion error shared by both substrates;
-// it is native.ErrExhausted, so errors.Is works across the facade.
-//
-//detlint:allow hangsemantics re-export of the documented hang-vs-error boundary sentinel for the simulator substrate
-var ErrExhausted = native.ErrExhausted
+// ErrExhausted is the typed exhaustion error a Bounded wrapper returns
+// in place of a hang; the facade re-exports it, so errors.Is works
+// across it.
+var ErrExhausted = errors.New("chaos: operation budget exhausted")
 
 // Bounded wraps a sim.Object with a per-process step budget and
 // hang-to-error conversion. It is deterministic: the same run yields

@@ -5,23 +5,15 @@
 // supplying adversaries systematically, not hoping the scheduler
 // stumbles into one.
 //
-// The package plugs into both execution substrates:
-//
-//   - In the simulator (internal/sim) it provides composable adversary
-//     schedulers — crash-during-operation, full-persistence
-//     crash-recovery, amnesiac crash-restart (single, repeated and
-//     adaptive, issuing real sim.Fault directives), step-stall
-//     starvation and an adaptive, history-driven adversary — that wrap
-//     any inner scheduler and stay fully deterministic: a (seed,
-//     configuration) pair identifies one execution, replay-verified by
-//     sim.Config.VerifyReplay. See adversary.go for the three crash
-//     models and how they differ.
-//
-//   - In package native it provides a seeded Injector whose
-//     yield/stall/abort decisions at each chaos point are a pure
-//     function of (seed, site, visit number), so a fault plan
-//     reproduces from its seed even though goroutine interleaving does
-//     not.
+// It provides composable adversary schedulers for the simulator
+// (internal/sim) — crash-during-operation, full-persistence
+// crash-recovery, amnesiac crash-restart (single, repeated and adaptive,
+// issuing real sim.Fault directives), step-stall starvation and an
+// adaptive, history-driven adversary — that wrap any inner scheduler and
+// stay fully deterministic: a (seed, configuration) pair identifies one
+// execution, replay-verified by sim.Config.VerifyReplay. See adversary.go
+// for the three crash models and how they differ, and bounded.go for the
+// one sanctioned crossing of the hang boundary.
 //
 // Every chaos run records into a Report — crash, recovery and restart
 // counts, the longest stall, a per-process step histogram and the full
@@ -38,16 +30,12 @@ import (
 
 // Injection is one recorded fault.
 type Injection struct {
-	// Step is the scheduler step at which the fault fired (simulator
-	// adversaries) or the site's visit number (native injector).
+	// Step is the scheduler step at which the fault fired.
 	Step int
-	// Proc is the process or participant the fault targeted.
+	// Proc is the process the fault targeted.
 	Proc int
-	// Site is the native chaos-point name; empty for simulator faults.
-	Site string
 	// Kind names the fault: "crash", "recover" (full-persistence
-	// re-entry), "restart" (amnesiac re-entry), "stall", "yield",
-	// "abort".
+	// re-entry), "restart" (amnesiac re-entry) or "stall".
 	Kind string
 	// Note carries fault-specific detail (e.g. a stall window).
 	Note string
@@ -57,20 +45,14 @@ type Injection struct {
 func (i Injection) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "step %d: %s P%d", i.Step, i.Kind, i.Proc)
-	if i.Site != "" {
-		fmt.Fprintf(&b, " at %s", i.Site)
-	}
 	if i.Note != "" {
 		fmt.Fprintf(&b, " (%s)", i.Note)
 	}
 	return b.String()
 }
 
-// Report is the structured outcome of a chaos run. Simulator adversaries
-// fill it deterministically; the native injector's entries are
-// deterministic per (site, visit) though their interleaving order
-// follows the goroutine schedule. A Report is safe for concurrent
-// recording.
+// Report is the structured outcome of a chaos run. Adversaries fill it
+// deterministically. A Report is safe for concurrent recording.
 type Report struct {
 	// Seed identifies the run; re-running with the same seed and
 	// configuration reproduces the same simulator report byte for byte.

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"detobj/internal/linearize"
+	"detobj/internal/setconsensus"
 	"detobj/internal/sim"
+	"detobj/internal/tasks"
 	"detobj/internal/wrn"
 )
 
@@ -213,6 +215,88 @@ func TestComposedAdversaries(t *testing.T) {
 	}
 }
 
+// TestAlg3UnderAdversaries: Algorithm 3 — (k−1)-set consensus for k
+// participants named from a large space, through renaming and relaxed
+// WRN_k instances — keeps its bound under every schedule-only
+// adversary. Only a crash-stop victim may end stopped; everyone else
+// decides a proposal, and the decisions satisfy the task.
+func TestAlg3UnderAdversaries(t *testing.T) {
+	const k, m = 3, 16
+	ids := []int{11, 2, 7}
+	cases := []struct {
+		name    string
+		mk      func(seed int64, r *Report) sim.Scheduler
+		stopped int  // the crash-stop victim, or -1
+		injects bool // whether the adversary records injections
+	}{
+		{"crash-during-op", func(seed int64, r *Report) sim.Scheduler {
+			return NewCrashDuringOp(sim.NewRandom(seed), r, 1, 3)
+		}, 1, true},
+		{"crash-recovery", func(seed int64, r *Report) sim.Scheduler {
+			return NewCrashRecovery(sim.NewRandom(seed), r, 0, 4, 30)
+		}, -1, true},
+		{"stall", func(seed int64, r *Report) sim.Scheduler {
+			return NewStall(sim.NewRandom(seed), r, 2, 1, 40)
+		}, -1, true},
+		{"adaptive", func(seed int64, r *Report) sim.Scheduler {
+			return NewAdaptive(seed, r)
+		}, -1, false},
+		{"composed", func(seed int64, r *Report) sim.Scheduler {
+			return NewStall(NewCrashDuringOp(NewAdaptive(seed, r), r, 0, 2), r, 2, 3, 25)
+		}, 0, true},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			injections := 0
+			for seed := int64(0); seed < 10; seed++ {
+				objects := map[string]sim.Object{}
+				a, _ := setconsensus.NewAlg3(objects, "A", k, m, setconsensus.CoveringFamily(k))
+				inputs := map[int]sim.Value{}
+				progs := make([]sim.Program, k)
+				for p, id := range ids {
+					id, v := id, 1000+id
+					inputs[p] = v
+					progs[p] = func(ctx *sim.Ctx) sim.Value {
+						ctx.BeginOp("A", "propose", v)
+						out := a.Propose(ctx, id, v)
+						ctx.EndOp("A", "propose", out)
+						return out
+					}
+				}
+				r := NewReport(seed)
+				res, err := sim.Run(sim.Config{
+					Objects:      objects,
+					Programs:     progs,
+					Scheduler:    Instrument(c.mk(seed, r), r),
+					Seed:         seed,
+					MaxSteps:     1 << 18,
+					VerifyReplay: true,
+				})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				for p := range ids {
+					st := res.Status[p]
+					if st != sim.StatusDone && !(p == c.stopped && st == sim.StatusStopped) {
+						t.Fatalf("seed %d: P%d status %v", seed, p, st)
+					}
+				}
+				if c.stopped >= 0 && r.Crashes() == 0 {
+					t.Fatalf("seed %d: the crash never fired", seed)
+				}
+				if err := (tasks.SetConsensus{K: k - 1}).Check(tasks.OutcomeFromResult(res, inputs)); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				injections += len(r.Injections())
+			}
+			if c.injects && injections == 0 {
+				t.Fatal("the adversary injected nothing in any seed")
+			}
+		})
+	}
+}
+
 // TestBoundedConvertsHangToErrExhausted: a 1sWRN index reuse normally
 // hangs the caller undetectably; through Bounded the caller gets the typed
 // ErrExhausted and finishes.
@@ -289,53 +373,5 @@ func TestBoundedDoesNotDisturbLegalRuns(t *testing.T) {
 		if Exhausted(out) {
 			t.Fatalf("process %d spuriously exhausted on a legal one-shot use", i)
 		}
-	}
-}
-
-// TestInjectorPlanIsSeedDeterministic: the native injector's fault plan is
-// a pure function of (seed, site, visit), so two injectors with one seed
-// agree and the live At sequence matches the precomputed plan.
-func TestInjectorPlanIsSeedDeterministic(t *testing.T) {
-	const site, n = "wrn.locked", 200
-	for seed := int64(0); seed < 20; seed++ {
-		a := NewInjector(seed, DefaultInjectorConfig, nil)
-		b := NewInjector(seed, DefaultInjectorConfig, nil)
-		plan := a.Plan(site, n)
-		for i, want := range plan {
-			if got := b.At(site, 0); got != want {
-				t.Fatalf("seed %d visit %d: At=%v, plan=%v", seed, i, got, want)
-			}
-		}
-	}
-}
-
-// TestInjectorPlansVaryAcrossSeeds: different seeds must not share one
-// plan (else the sweep explores a single fault pattern).
-func TestInjectorPlansVaryAcrossSeeds(t *testing.T) {
-	const site, n = "election.round", 300
-	base := NewInjector(1, DefaultInjectorConfig, nil).Plan(site, n)
-	varied := false
-	for seed := int64(2); seed < 8; seed++ {
-		p := NewInjector(seed, DefaultInjectorConfig, nil).Plan(site, n)
-		for i := range p {
-			if p[i] != base[i] {
-				varied = true
-			}
-		}
-	}
-	if !varied {
-		t.Fatal("300-entry fault plans identical across 7 seeds")
-	}
-}
-
-// TestInjectorRecordsIntoReport: injected faults land in the shared
-// report's fault log with the site attached.
-func TestInjectorRecordsIntoReport(t *testing.T) {
-	r := NewReport(3)
-	inj := NewInjector(3, InjectorConfig{AbortPermille: 1000}, r)
-	inj.At("wrn.enter", 7)
-	logged := r.Injections()
-	if len(logged) != 1 || logged[0].Kind != "abort" || logged[0].Site != "wrn.enter" || logged[0].Proc != 7 {
-		t.Fatalf("injection log %v, want one abort at wrn.enter by P7", logged)
 	}
 }

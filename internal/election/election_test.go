@@ -1,6 +1,7 @@
 package election
 
 import (
+	"fmt"
 	"testing"
 
 	"detobj/internal/sim"
@@ -70,6 +71,53 @@ func TestStrongObjectTask(t *testing.T) {
 				t.Fatalf("k=%d seed=%d: %d winners", k, seed, w)
 			}
 		}
+	}
+}
+
+// TestStrongObjectFewerParticipants: when only some of the k indices
+// invoke the object, every participant still decides, and the outcome
+// over the participants satisfies (k, k−1)-strong set election: each
+// elected index is a participant that elected itself.
+func TestStrongObjectFewerParticipants(t *testing.T) {
+	for k := 3; k <= 5; k++ {
+		k := k
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			task := tasks.StrongElection{K: k - 1}
+			ref := StrongRef{Name: "SSE"}
+			for mask := 1; mask < 1<<k-1; mask++ { // every non-empty proper subset
+				for seed := int64(0); seed < 10; seed++ {
+					o := tasks.Outcome{Inputs: map[int]sim.Value{}, Outputs: map[int]sim.Value{}}
+					progs := make([]sim.Program, k)
+					for i := range progs {
+						i := i
+						if mask&(1<<i) == 0 {
+							progs[i] = func(*sim.Ctx) sim.Value { return nil }
+							continue
+						}
+						o.Inputs[i] = i
+						progs[i] = func(ctx *sim.Ctx) sim.Value { return ref.Invoke(ctx, i) }
+					}
+					res, err := sim.Run(sim.Config{
+						Objects:   map[string]sim.Object{"SSE": NewStrongObject(k)},
+						Programs:  progs,
+						Scheduler: sim.NewRandom(seed),
+						Seed:      seed,
+					})
+					if err != nil {
+						t.Fatalf("mask=%b seed=%d: %v", mask, seed, err)
+					}
+					for i := range o.Inputs {
+						if res.Status[i] != sim.StatusDone {
+							t.Fatalf("mask=%b seed=%d: participant %d status %v", mask, seed, i, res.Status[i])
+						}
+						o.Outputs[i] = res.Outputs[i]
+					}
+					if err := task.Check(o); err != nil {
+						t.Fatalf("mask=%b seed=%d: %v", mask, seed, err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // AnalyzerBoundedLoop returns the boundedloop rule. Every loop in a
 // function reachable (via the conservative callgraph) from an object's
 // decision path — Apply, Propose, WRN, Decide, Elect, Scan, Update
-// methods under internal/ and native/ — must carry a recognized
+// methods under internal/ — must carry a recognized
 // progress metric:
 //
 //   - a strictly bounded counter: for i := lo; i < hi; i++ with the
@@ -58,7 +58,7 @@ func runBoundedLoop(m *Module) []Diagnostic {
 
 	var roots []*FuncNode
 	for _, n := range g.sortedNodes() {
-		if !m.InScope(n.Pkg, "internal", "native") || n.Pkg.Path == simPath {
+		if !m.InScope(n.Pkg, "internal") || n.Pkg.Path == simPath {
 			continue
 		}
 		if n.Decl.Recv != nil && decisionMethods[n.Decl.Name.Name] {

@@ -463,11 +463,13 @@ func rootOperand(x ast.Expr) ast.Expr {
 // mayEscape reports whether the value produced by expr may escape the
 // enclosing function: either the expression is used in an escaping
 // context directly, or it is bound to a local variable in the
-// function's may-escape set. parents must come from parentMap of the
-// file containing expr.
+// function's may-escape set. A struct or array literal passed by value
+// stays in the frame: the callee or the appended slice gets a copy.
+// parents must come from parentMap of the file containing expr.
 func mayEscape(pkg *Package, n *FuncNode, e *escAnalysis, parents map[ast.Node]ast.Node, expr ast.Expr) bool {
 	set := e.vars[n]
 	node := ast.Node(expr)
+	byValue := valueLit(pkg, expr)
 	for {
 		p, ok := parents[node]
 		if !ok {
@@ -481,9 +483,22 @@ func mayEscape(pkg *Package, n *FuncNode, e *escAnalysis, parents map[ast.Node]a
 			if p.Op == token.AND {
 				// &T{...}: judge the pointer's binding instead.
 				node = p
+				byValue = false
 				continue
 			}
 			return true
+		case *ast.CallExpr:
+			if !byValue {
+				return true
+			}
+			if tv, ok := pkg.Info.Types[p.Fun]; ok && tv.IsType() {
+				if isInterfaceType(tv.Type) {
+					return true
+				}
+				node = p // a conversion passes the copy on
+				continue
+			}
+			return !copiedArg(pkg, p, node)
 		case *ast.AssignStmt:
 			// Find which lhs the value binds to; plain ident binding
 			// defers to the variable's escape fate.
@@ -520,4 +535,45 @@ func mayEscape(pkg *Package, n *FuncNode, e *escAnalysis, parents map[ast.Node]a
 			return true // argument, return, element, ...: escaping context
 		}
 	}
+}
+
+// valueLit reports a struct- or array-typed composite literal that
+// nests no slice or map literal: copying it moves bytes, and every
+// allocation inside it is a site of its own.
+func valueLit(pkg *Package, e ast.Expr) bool {
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	flat := true
+	ast.Inspect(lit, func(x ast.Node) bool {
+		if c, ok := x.(*ast.CompositeLit); ok && flat {
+			switch pkg.Info.TypeOf(c).Underlying().(type) {
+			case *types.Struct, *types.Array:
+			default:
+				flat = false
+			}
+		}
+		return flat
+	})
+	return flat
+}
+
+// copiedArg reports whether call copies its argument arg: into a
+// non-interface parameter, or as an element of append outside the ...
+// form.
+func copiedArg(pkg *Package, call *ast.CallExpr, arg ast.Node) bool {
+	for i, a := range call.Args {
+		if a != arg {
+			continue
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
+				return b.Name() == "append" && i > 0 && !call.Ellipsis.IsValid()
+			}
+		}
+		pt := paramTypeAt(callSignature(pkg, call), i)
+		return pt != nil && !isInterfaceType(pt)
+	}
+	return false
 }

@@ -23,8 +23,9 @@ import (
 //     signal) and bounded-use exhaustion hangs;
 //   - module-wide, any use of a bounded-use sentinel error variable
 //     (Err…Used / …Reuse / …Exhausted / …Budget / …Spent) is flagged: the
-//     native package's ErrIndexUsed is the one documented deviation and
-//     must carry the //detlint:allow annotation at each use.
+//     Bounded wrapper's ErrExhausted (internal/chaos, re-exported by the
+//     facade) is the one documented crossing and must carry the
+//     //detlint:allow annotation at each use.
 func AnalyzerHangSemantics() *Analyzer {
 	return &Analyzer{
 		Name: "hangsemantics",

@@ -1,20 +1,16 @@
 package lint
 
-// injectionpurity guards the one determinism claim the native substrate
-// can still make: goroutine interleaving is irreproducible, but the
-// fault *plan* of a seeded injector is not — the fault ordered at the
-// nth visit of a chaos point must be a pure function of (seed, site,
-// visit). The rule finds every chaos decision function — anything
-// returning native.Fault or sim.Fault, which is how decisions are
-// spelled (the Injector interface's At, the seeded decide, plan
-// enumerators, and the simulator adversaries' FaultInjector.Faults
-// methods) — and walks its transitive module callees rejecting every
-// construct whose result depends on anything else: wall clocks, the
-// global rand source, runtime introspection, the environment, channel
-// traffic, goroutine spawns. Executing a fault (chaosPoint's Gosched
-// loops, the simulator runtime's crash/restart application) is
-// deliberately impure and deliberately out of scope: execution returns
-// error, not Fault.
+// injectionpurity guards the determinism of the fault plan: a crash or
+// restart directive an adversary issues must be a pure function of its
+// seed and the run it observes, or the schedule stops replaying from the
+// seed. The rule finds every chaos decision function in internal/chaos
+// — anything returning sim.Fault, which is how decisions are spelled
+// (the adversaries' FaultInjector.Faults methods and their helpers) —
+// and walks its transitive module callees rejecting every construct
+// whose result depends on anything else: wall clocks, the global rand
+// source, runtime introspection, the environment, channel traffic,
+// goroutine spawns. Executing a fault (the simulator runtime's
+// crash/restart application) returns no Fault and stays out of scope.
 
 import (
 	"fmt"
@@ -25,26 +21,25 @@ import (
 )
 
 // AnalyzerInjectionPurity returns the injectionpurity rule for
-// internal/chaos and native.
+// internal/chaos.
 func AnalyzerInjectionPurity() *Analyzer {
 	return &Analyzer{
 		Name: "injectionpurity",
-		Doc:  "chaos injection decisions must be pure functions of (seed, site, visit): no clocks, global rand, runtime/os calls, or channel traffic",
+		Doc:  "chaos injection decisions must be pure functions of the seed and the observed run: no clocks, global rand, runtime/os calls, or channel traffic",
 		Run:  runInjectionPurity,
 	}
 }
 
 func runInjectionPurity(m *Module) []Diagnostic {
 	g := m.CallGraph()
-	faultPaths := []string{m.Path + "/native", m.Path + "/internal/sim"}
+	faultPath := m.Path + "/internal/sim"
 
 	var roots []*FuncNode
 	for _, n := range g.sortedNodes() {
-		if !m.InScope(n.Pkg, "internal/chaos", "native") &&
-			!m.isFixture(n.Pkg, "injectok", "injectbad", "restartok", "restartbad") {
+		if !m.InScope(n.Pkg, "internal/chaos") && !m.isFixture(n.Pkg, "restartok", "restartbad") {
 			continue
 		}
-		if returnsFault(n.Fn, faultPaths...) {
+		if returnsFault(n.Fn, faultPath) {
 			roots = append(roots, n)
 		}
 	}
@@ -69,7 +64,7 @@ func runInjectionPurity(m *Module) []Diagnostic {
 			}
 			out = append(out, Diagnostic{
 				Pos: m.position(x),
-				Msg: fmt.Sprintf("%s in %s%s: an injection decision must be a pure function of (seed, site, visit) so fault plans replay from the seed",
+				Msg: fmt.Sprintf("%s in %s%s: an injection decision must be a pure function of the seed and the observed run so fault plans replay from the seed",
 					why, funcLabel(n), via),
 			})
 			return true
@@ -78,10 +73,10 @@ func runInjectionPurity(m *Module) []Diagnostic {
 	return out
 }
 
-// returnsFault reports whether the function's results include a Fault
-// type of one of the given packages (native.Fault or sim.Fault),
-// directly or as a slice/array element (fault plans, directive batches).
-func returnsFault(fn *types.Func, faultPaths ...string) bool {
+// returnsFault reports whether the function's results include the
+// Fault type of the package at faultPath (sim.Fault), directly or as a
+// slice/array element (directive batches).
+func returnsFault(fn *types.Func, faultPath string) bool {
 	res := fn.Type().(*types.Signature).Results()
 	for i := 0; i < res.Len(); i++ {
 		t := res.At(i).Type()
@@ -91,14 +86,8 @@ func returnsFault(fn *types.Func, faultPaths ...string) bool {
 		case *types.Array:
 			t = u.Elem()
 		}
-		n := namedBase(t)
-		if n == nil || n.Obj().Name() != "Fault" || n.Obj().Pkg() == nil {
-			continue
-		}
-		for _, path := range faultPaths {
-			if n.Obj().Pkg().Path() == path {
-				return true
-			}
+		if n := namedBase(t); n != nil && n.Obj().Name() == "Fault" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == faultPath {
+			return true
 		}
 	}
 	return false

@@ -8,16 +8,16 @@
 // exploration. The analyzers here make those assumptions checkable on
 // every build:
 //
-//   - nodeterminism: no wall clocks, unseeded randomness or
-//     order-sensitive map iteration inside internal/, cmd/ and native/,
-//     and no multi-channel selects or goroutine spawns inside internal/
-//     and cmd/ (native.BoundedDo spawns and selects by design).
+//   - nodeterminism: no wall clocks, unseeded randomness,
+//     order-sensitive map iteration, multi-channel selects or goroutine
+//     spawns inside internal/ and cmd/.
 //   - objectpurity: sim.Object implementations neither retain Invocation
 //     argument slices, nor mutate package-level state, nor perform I/O in
 //     Apply.
 //   - hangsemantics: bounded-use objects under internal/ park the caller
-//     via the simulator's hang path instead of surfacing errors; the
-//     native package is the one documented exemption.
+//     via the simulator's hang path instead of surfacing errors; every
+//     use of a bounded-use sentinel error, such as the Bounded wrapper's
+//     ErrExhausted, carries a justified allow.
 //   - facadeparity: every exported constructor of a module referenced by
 //     EXPERIMENTS.md's module index is reachable through the api.go
 //     facade.
@@ -28,12 +28,9 @@
 //     Propose, WRN, Decide, Elect, Scan, Update) carries a progress
 //     metric — a bounded counter, a finite range, or a helping read —
 //     so wait-freedom is checkable, not aspirational.
-//   - sharedstate: struct fields of native types that are mutable after
-//     construction and reachable from exported operations go through
-//     sync/atomic or a held mutex; no field is guarded by disjoint
-//     locks, and none mixes sync/atomic calls with plain access.
-//   - injectionpurity: chaos injection decisions (anything returning
-//     native.Fault) are pure functions of (seed, site, visit).
+//   - injectionpurity: chaos injection decisions in internal/chaos
+//     (anything returning sim.Fault) are pure functions of the seed and
+//     the observed run.
 //   - lockorder: the module-wide lock-acquisition-order graph is
 //     acyclic, and no sync mutex is re-acquired while held.
 //   - hotalloc, boxing: no new heap-allocation sites or boxing
@@ -115,7 +112,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerFacadeParity(),
 		AnalyzerScheduleCoverage(),
 		AnalyzerBoundedLoop(),
-		AnalyzerSharedState(),
 		AnalyzerInjectionPurity(),
 		AnalyzerLockOrder(),
 		AnalyzerHotAlloc(),

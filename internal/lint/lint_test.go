@@ -31,10 +31,6 @@ func loadFixtures(t *testing.T) []Diagnostic {
 			"detobj/internal/lintfixture/schedok":       "testdata/src/schedok",
 			"detobj/internal/lintfixture/boundedbad":    "testdata/src/boundedbad",
 			"detobj/internal/lintfixture/boundedok":     "testdata/src/boundedok",
-			"detobj/internal/lintfixture/sharedbad":     "testdata/src/sharedbad",
-			"detobj/internal/lintfixture/sharedok":      "testdata/src/sharedok",
-			"detobj/internal/lintfixture/injectbad":     "testdata/src/injectbad",
-			"detobj/internal/lintfixture/injectok":      "testdata/src/injectok",
 			"detobj/internal/lintfixture/restartbad":    "testdata/src/restartbad",
 			"detobj/internal/lintfixture/restartok":     "testdata/src/restartok",
 			"detobj/internal/lintfixture/lockbad":       "testdata/src/lockbad",
@@ -56,10 +52,6 @@ func loadFixtures(t *testing.T) []Diagnostic {
 			"detobj/internal/lintfixture/restartcovok":  "testdata/src/restartcovok",
 			"detobj/internal/lintfixture/slotbad":       "testdata/src/slotbad",
 			"detobj/internal/lintfixture/slotok":        "testdata/src/slotok",
-			// Grafted under native/, where nodeterminism leaves go and
-			// select alone.
-			"detobj/native/lintfixture/nativebad": "testdata/src/nativebad",
-			"detobj/native/lintfixture/nativeok":  "testdata/src/nativeok",
 		})
 		if err != nil {
 			fixtureErr = err
@@ -93,6 +85,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 	}{
 		{"nodetbad", "nodeterminism", "time.Now"},
 		{"nodetbad", "nodeterminism", "time.Since"},
+		{"nodetbad", "nodeterminism", "time.Until"},
 		{"nodetbad", "nodeterminism", "rand.Intn"},
 		{"nodetbad", "nodeterminism", "select over multiple channels"},
 		{"nodetbad", "nodeterminism", "goroutine spawn"},
@@ -112,26 +105,15 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"boundedbad", "boundedloop", "ranges over a channel"},
 		{"boundedbad", "boundedloop", "retries without a bounded counter"},
 		{"boundedbad", "boundedloop", "reachable from boundedbad.(Obj).Propose"},
-		{"sharedbad", "sharedstate", "field val of sharedbad.Gauge"},
-		{"sharedbad", "sharedstate", "field peak of sharedbad.Gauge"},
-		{"injectbad", "injectionpurity", "time.Now"},
-		{"injectbad", "injectionpurity", "rand.Intn"},
-		{"injectbad", "injectionpurity", "runtime.NumGoroutine"},
-		{"injectbad", "injectionpurity", "channel receive"},
-		{"injectbad", "injectionpurity", "select statement"},
 		{"restartbad", "injectionpurity", "time.Now"},
 		{"restartbad", "injectionpurity", "rand.Intn"},
+		{"restartbad", "injectionpurity", "runtime.NumGoroutine"},
 		{"restartbad", "injectionpurity", "channel receive"},
+		{"restartbad", "injectionpurity", "select statement"},
 		{"restartbad", "injectionpurity", "in restartbad.(Adversary).fromChan"},
 		{"restartbad", "schedulecoverage", "only under the default round-robin schedule"},
 		{"lockbad", "lockorder", "lock-order cycle among"},
 		{"lockbad", "lockorder", "acquired in lockbad.(Cell).Again while already held"},
-		{"lockbad", "sharedstate", "field m of lockbad.Pair is guarded by"},
-		{"lockbad", "sharedstate", "mixed atomic/plain"},
-		{"nativebad", "nodeterminism", "time.Now"},
-		{"nativebad", "nodeterminism", "time.Until"},
-		{"nativebad", "nodeterminism", "rand.Intn"},
-		{"nativebad", "nodeterminism", "order-sensitive body"},
 		{"auditbad", "allowaudit", "stale detlint:allow (nodeterminism)"},
 		{"embedbad", "boundedloop", "reachable from embedbad.(Obj).Propose"},
 		{"hotallocbad", "hotalloc", "make(map[int]bool) in hot loop"},
@@ -142,6 +124,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"hotallocbad", "hotalloc", "reachable from hotallocbad.Explore"},
 		{"hotallocbad", "hotalloc", "string concatenation in hot loop in hotallocbad.Sweep"},
 		{"hotallocbad", "hotalloc", "escaping composite literal (Node) in hot loop in hotallocbad.walk (reachable from hotallocbad.Tree) (depth 1,"},
+		{"hotallocbad", "hotalloc", "escaping composite literal (Node) in hot loop in hotallocbad.Explore (depth 1,"},
 		{"hotallocbad", "boxing", "variadic argument boxes a int value"},
 		{"boxbad", "boxing", "variadic argument"},
 		{"boxbad", "boxing", "interface assignment boxes a record struct"},
@@ -192,7 +175,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "sharedok", "injectok", "restartok", "lockok", "auditok", "hotallocok", "boxok", "persistok", "recreadok", "journalok", "restartcovok", "slotok", "nativeok"} {
+	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "restartok", "lockok", "auditok", "hotallocok", "boxok", "persistok", "recreadok", "journalok", "restartcovok", "slotok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}
@@ -221,7 +204,7 @@ func TestPartialRunStaleJudgment(t *testing.T) {
 			t.Errorf("live allow in auditok judged stale: %s", d)
 		}
 	}
-	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerSharedState(), AnalyzerAllowAudit()})
+	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerLockOrder(), AnalyzerAllowAudit()})
 	for _, d := range unjudged {
 		if d.Rule == allowAuditName {
 			t.Errorf("subset without nodeterminism judged a mark anyway: %s", d)

@@ -217,9 +217,9 @@ func (m *Module) indexAllows(f *ast.File) {
 }
 
 // isFixture reports whether pkg is a grafted test fixture whose import
-// path ends in one of the given package names; the scoped rules
-// (sharedstate, injectionpurity) use it to pull their fixtures into
-// scope without widening the real-tree scope.
+// path ends in one of the given package names; injectionpurity, scoped
+// to internal/chaos, uses it to pull its fixtures into scope without
+// widening the real-tree scope.
 func (m *Module) isFixture(pkg *Package, names ...string) bool {
 	if !strings.Contains(pkg.Path, "/lintfixture/") {
 		return false

@@ -1,8 +1,6 @@
 package lint
 
-// lockorder is the deadlock-freedom half of what sharedstate starts:
-// sharedstate proves accesses are guarded, and guarded consistently;
-// lockorder proves the guards themselves cannot wedge. It builds the
+// lockorder proves the module's mutexes cannot wedge. It builds the
 // module-wide lock-acquisition-order graph — an edge A→B whenever some
 // function acquires B while the must-hold lockset says A is held,
 // directly or through any callee — and reports two shapes of trouble:

@@ -152,36 +152,6 @@ func transferLocks(pkg *Package, b *Block, held []*types.Var, rec *LockFacts) []
 	return held
 }
 
-// guardedSelectors maps every selector expression evaluated in the
-// function — including inside nested function literals — to the
-// must-hold lockset at its statement. A literal body is analyzed with
-// an empty entry set: it may run on another goroutine, so locks held by
-// the enclosing function are not credited to it.
-func guardedSelectors(pkg *Package, fd *ast.FuncDecl) map[*ast.SelectorExpr][]*types.Var {
-	out := make(map[*ast.SelectorExpr][]*types.Var)
-	for _, body := range FuncBodies(fd) {
-		cfg := BuildCFG(body)
-		lf := ComputeLockFacts(pkg, cfg)
-		for _, b := range cfg.Blocks {
-			for _, st := range b.Stmts {
-				held, reached := lf.Before[st]
-				if !reached {
-					continue // unreachable block
-				}
-				inspectShallow(st, func(n ast.Node) bool {
-					if sel, ok := n.(*ast.SelectorExpr); ok {
-						if _, seen := out[sel]; !seen {
-							out[sel] = held
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	return out
-}
-
 // mutexOp recognizes a sync.Mutex/RWMutex method call and resolves the
 // receiver to its variable. op is one of Lock/RLock/Unlock/RUnlock;
 // TryLock/TryRLock return op == "" (conditional acquisition never

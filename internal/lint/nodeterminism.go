@@ -7,11 +7,11 @@ import (
 	"go/types"
 )
 
-// AnalyzerNoDeterminism returns the nodeterminism rule. Inside internal/,
-// cmd/ and native/ — the simulator, the algorithms, the checkers, the
-// table emitters and the goroutine-safe objects — it flags the
-// constructs that make a run, a trace, a printed table or a returned
-// value depend on anything but (configuration, seed, schedule):
+// AnalyzerNoDeterminism returns the nodeterminism rule. Inside internal/
+// and cmd/ — the simulator, the algorithms, the checkers and the table
+// emitters — it flags the constructs that make a run, a trace, a printed
+// table or a returned value depend on anything but (configuration, seed,
+// schedule):
 //
 //   - time.Now / time.Since / time.Until: wall clocks leak real time
 //     into decisions;
@@ -22,23 +22,16 @@ import (
 //     never sorted, early returns, printing) changes from run to run.
 //     Commutative bodies — counter updates, writes into another map,
 //     deletes, and key-collection followed by an explicit sort in the
-//     same function — pass.
-//
-// Inside internal/ and cmd/ only, where every run is simulated, it
-// also flags:
-//
+//     same function — pass;
 //   - select over multiple channels: the runtime picks a ready case
 //     pseudo-randomly;
 //   - go statements: spawned goroutines race unless the surrounding code
 //     serializes them (the simulator's lockstep handshake is the one
 //     justified, annotated case).
-//
-// native/ runs on real goroutines, and native.BoundedDo spawns and
-// selects by design, so there those two constructs pass.
 func AnalyzerNoDeterminism() *Analyzer {
 	return &Analyzer{
 		Name: "nodeterminism",
-		Doc:  "flags wall clocks, global randomness and order-sensitive map iteration in internal/, cmd/ and native/, and selects and goroutines in internal/ and cmd/",
+		Doc:  "flags wall clocks, global randomness, order-sensitive map iteration, selects and goroutines in internal/ and cmd/",
 		Run:  runNoDeterminism,
 	}
 }
@@ -58,10 +51,9 @@ var globalRandFuncs = map[string]bool{
 func runNoDeterminism(m *Module) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range m.Pkgs {
-		if !m.InScope(pkg, "internal", "cmd", "native") {
+		if !m.InScope(pkg, "internal", "cmd") {
 			continue
 		}
-		simulated := m.InScope(pkg, "internal", "cmd")
 		for _, f := range pkg.Files {
 			parents := parentMap(f)
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -71,19 +63,17 @@ func runNoDeterminism(m *Module) []Diagnostic {
 						out = append(out, d)
 					}
 				case *ast.SelectStmt:
-					if simulated && len(n.Body.List) > 1 {
+					if len(n.Body.List) > 1 {
 						out = append(out, Diagnostic{
 							Pos: m.Fset.Position(n.Pos()),
 							Msg: "select over multiple channels: the runtime chooses a ready case pseudo-randomly",
 						})
 					}
 				case *ast.GoStmt:
-					if simulated {
-						out = append(out, Diagnostic{
-							Pos: m.Fset.Position(n.Pos()),
-							Msg: "goroutine spawn: concurrent execution is unschedulable by the simulator",
-						})
-					}
+					out = append(out, Diagnostic{
+						Pos: m.Fset.Position(n.Pos()),
+						Msg: "goroutine spawn: concurrent execution is unschedulable by the simulator",
+					})
 				case *ast.RangeStmt:
 					out = append(out, checkMapRange(m, pkg, n, parents)...)
 				}

@@ -137,6 +137,36 @@ func (j *J) addressed(xs []int) int {
 	}
 }
 
+// guardedSelectors maps every selector expression evaluated in the
+// function — including inside nested function literals — to the
+// must-hold lockset at its statement. A literal body is analyzed with
+// an empty entry set: it may run on another goroutine, so locks held by
+// the enclosing function are not credited to it.
+func guardedSelectors(pkg *Package, fd *ast.FuncDecl) map[*ast.SelectorExpr][]*types.Var {
+	out := make(map[*ast.SelectorExpr][]*types.Var)
+	for _, body := range FuncBodies(fd) {
+		cfg := BuildCFG(body)
+		lf := ComputeLockFacts(pkg, cfg)
+		for _, b := range cfg.Blocks {
+			for _, st := range b.Stmts {
+				held, reached := lf.Before[st]
+				if !reached {
+					continue // unreachable block
+				}
+				inspectShallow(st, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						if _, seen := out[sel]; !seen {
+							out[sel] = held
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return out
+}
+
 // TestLocksetMustHold pins the lockset transfer semantics through
 // guardedSelectors: a plain Lock/Unlock bracket guards only the span
 // between them, a branch that may release drops the lock at the join

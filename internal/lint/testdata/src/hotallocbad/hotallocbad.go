@@ -1,9 +1,10 @@
 // Package hotallocbad seeds every allocation-site kind the hotalloc
 // rule must flag on a hot path: make, new, append growth, an escaping
-// composite literal, string concatenation, and a fmt call — inside
-// loops reachable from the Explore hot root, directly and through a
-// helper only the callgraph connects, plus a //detlint:hot annotated
-// sweep driver and a tree walk whose recursion is its loop.
+// composite literal (a pointer stored away, and a flat literal passed
+// to an interface parameter), string concatenation, and a fmt call —
+// inside loops reachable from the Explore hot root, directly and
+// through a helper only the callgraph connects, plus a //detlint:hot
+// annotated sweep driver and a tree walk whose recursion is its loop.
 package hotallocbad
 
 import "fmt"
@@ -12,6 +13,8 @@ import "fmt"
 type Node struct{ ID int }
 
 var sink []*Node
+
+var kept any
 
 // Explore is a hot root by name (the exhaustive-engine entrypoint
 // convention).
@@ -22,9 +25,14 @@ func Explore(n int) []string {
 		seen[i] = true
 		out = append(out, fmt.Sprint(i))
 		step(i)
+		keep(Node{ID: i})
 	}
 	return out
 }
+
+// keep retains whatever it is given: a literal passed to its interface
+// parameter is boxed onto the heap.
+func keep(v any) { kept = v }
 
 // step allocates at function depth 1: no loop of its own, but it runs
 // once per Explore iteration — only the callgraph connects the dots.

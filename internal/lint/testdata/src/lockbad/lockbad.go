@@ -1,21 +1,15 @@
 // Package lockbad seeds everything the lockorder rule must flag: an
 // AB/BA acquisition-order cycle with one leg hidden behind a helper
-// call, a non-reentrant re-acquisition, a field guarded by a different
-// mutex in each writer, and a counter mixed between sync/atomic calls
-// and plain reads.
+// call, and a non-reentrant re-acquisition.
 package lockbad
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Pair holds two locks with no fixed acquisition order.
 type Pair struct {
 	a sync.Mutex
 	b sync.Mutex
 	n int
-	m int
 }
 
 // NewPair builds the pair.
@@ -45,20 +39,6 @@ func (p *Pair) grabA() {
 	p.a.Unlock()
 }
 
-// SetA guards m with a.
-func (p *Pair) SetA(v int) {
-	p.a.Lock()
-	defer p.a.Unlock()
-	p.m = v
-}
-
-// SetB guards the same field with b: the two writers exclude nothing.
-func (p *Pair) SetB(v int) {
-	p.b.Lock()
-	defer p.b.Unlock()
-	p.m = v
-}
-
 // Cell re-acquires its own lock.
 type Cell struct {
 	mu sync.Mutex
@@ -77,18 +57,3 @@ func (c *Cell) Again() int {
 	c.mu.Unlock()
 	return x
 }
-
-// Mixed counts through sync/atomic in one method and reads plainly in
-// another.
-type Mixed struct {
-	c int64
-}
-
-// NewMixed builds the counter.
-func NewMixed() *Mixed { return &Mixed{} }
-
-// Incr goes through the atomic package.
-func (x *Mixed) Incr() { atomic.AddInt64(&x.c, 1) }
-
-// Read loads the same word with a plain access.
-func (x *Mixed) Read() int64 { return x.c }

@@ -14,6 +14,9 @@ func Stamp() time.Time { return time.Now() }
 // Age measures elapsed wall time.
 func Age(t time.Time) time.Duration { return time.Since(t) }
 
+// Left reads the wall clock through a deadline.
+func Left(t time.Time) time.Duration { return time.Until(t) }
+
 // Pick draws from the unseeded global random source.
 func Pick(n int) int { return rand.Intn(n) }
 

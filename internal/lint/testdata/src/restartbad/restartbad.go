@@ -1,12 +1,13 @@
 // Package restartbad is a crash-restart adversary whose fault
 // directives depend on everything injectionpurity forbids for
 // sim.Fault-returning decision functions: the wall clock, the global
-// random source, and channel traffic — each one making a crash-restart
-// schedule irreproducible from its seed.
+// random source, runtime introspection, and channel traffic — each one
+// making a crash-restart schedule irreproducible from its seed.
 package restartbad
 
 import (
 	"math/rand"
+	"runtime"
 	"time"
 
 	"detobj/internal/sim"
@@ -33,6 +34,9 @@ func (a *Adversary) Faults(v sim.View) []sim.Fault {
 	}
 	if rand.Intn(2) == 0 {
 		return a.fromChan()
+	}
+	if runtime.NumGoroutine() > 8 {
+		return []sim.Fault{{Proc: a.victim, Kind: sim.FaultRestart}}
 	}
 	return nil
 }

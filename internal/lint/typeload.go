@@ -219,20 +219,65 @@ func namedBase(t types.Type) *types.Named {
 	}
 }
 
-// typeFromPkg reports whether t (possibly behind pointers/slices/arrays)
-// is a named type declared in the package with the given import path.
-func typeFromPkg(t types.Type, path string) bool {
-	switch u := t.(type) {
-	case *types.Slice:
-		return typeFromPkg(u.Elem(), path)
-	case *types.Array:
-		return typeFromPkg(u.Elem(), path)
+// selectedField returns the field object a selector denotes, or nil.
+func selectedField(pkg *Package, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		if v, ok := s.Obj().(*types.Var); ok {
+			return v
+		}
 	}
-	n := namedBase(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
+	return nil
+}
+
+// fieldTarget resolves an assignment target to the struct field it
+// writes, unwrapping index/star/paren chains. direct reports that the
+// field itself is the target (header write), as opposed to an element
+// or pointee reached through it.
+func fieldTarget(pkg *Package, e ast.Expr) (f *types.Var, direct bool) {
+	direct = true
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+			direct = false
+		case *ast.StarExpr:
+			e = x.X
+			direct = false
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return selectedField(pkg, x), direct
+		default:
+			return nil, false
+		}
 	}
-	return n.Obj().Pkg().Path() == path
+}
+
+// ownerTypeName renders the declaring struct type of a field as
+// pkgname.Type (best effort: the field's parent scope is the struct).
+func ownerTypeName(f *types.Var) string {
+	if f.Pkg() == nil {
+		return "?"
+	}
+	// Walk the package scope for the named type whose underlying struct
+	// contains exactly this field object.
+	scope := f.Pkg().Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == f {
+				return f.Pkg().Name() + "." + name
+			}
+		}
+	}
+	return f.Pkg().Name() + ".?"
 }
 
 // lookupConcreteMethod finds the concrete method named name on t (or

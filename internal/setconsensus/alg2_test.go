@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"detobj/internal/chaos"
 	"detobj/internal/sim"
 	"detobj/internal/tasks"
 )
@@ -213,4 +214,66 @@ func TestAlg2Claim6Validity(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAlg2DoubleProposeHangsOnlyTheReuser: a process that runs
+// Algorithm 2 a second time reuses its 1sWRN_k index. The model hangs
+// that second propose and nothing else: every other process decides
+// within the (k−1) bound. Through chaos.Bounded the reuse returns
+// ErrExhausted instead, and the reuser's first decision stands.
+func TestAlg2DoubleProposeHangsOnlyTheReuser(t *testing.T) {
+	const k = 4
+	task := tasks.SetConsensus{K: k - 1}
+	for _, c := range []struct {
+		name    string
+		bounded bool
+	}{{"bare", false}, {"bounded", true}} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			for reuser := 0; reuser < k; reuser++ {
+				for seed := int64(0); seed < 10; seed++ {
+					objects := map[string]sim.Object{}
+					vs, inputs := proposalsFor(k)
+					progs := NewAlg2(objects, "W", vs)
+					if c.bounded {
+						objects["W"] = chaos.NewBounded(objects["W"], 0)
+					}
+					once := progs[reuser]
+					progs[reuser] = func(ctx *sim.Ctx) sim.Value {
+						return []sim.Value{once(ctx), once(ctx)}
+					}
+					res, err := sim.Run(sim.Config{
+						Objects:      objects,
+						Programs:     progs,
+						Scheduler:    sim.NewRandom(seed),
+						VerifyReplay: true,
+					})
+					if err != nil {
+						t.Fatalf("reuser=%d seed=%d: %v", reuser, seed, err)
+					}
+					for i := 0; i < k; i++ {
+						want := sim.StatusDone
+						if i == reuser && !c.bounded {
+							want = sim.StatusHung
+						}
+						if res.Status[i] != want {
+							t.Fatalf("reuser=%d seed=%d: P%d status %v, want %v", reuser, seed, i, res.Status[i], want)
+						}
+					}
+					o := tasks.OutcomeFromResult(res, inputs)
+					if c.bounded {
+						outs := o.Outputs[reuser].([]sim.Value)
+						if !chaos.Exhausted(outs[1]) {
+							t.Fatalf("reuser=%d seed=%d: second propose returned %v, want ErrExhausted",
+								reuser, seed, outs[1])
+						}
+						o.Outputs[reuser] = outs[0]
+					}
+					if err := task.Check(o); err != nil {
+						t.Fatalf("reuser=%d seed=%d: %v", reuser, seed, err)
+					}
+				}
+			}
+		})
+	}
 }
