@@ -72,6 +72,7 @@ experiments:
 	$(GO) run ./cmd/hierarchy
 	$(GO) run ./cmd/modelcheck
 	$(GO) run ./cmd/substrates
+	$(GO) run ./cmd/chaos -seeds 20
 
 # Sweep seeds through the simulator's chaos harness (see README
 # "Robustness & chaos testing"); failures print the reproducing seed.

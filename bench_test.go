@@ -16,7 +16,7 @@ import (
 	"testing"
 
 	"detobj/internal/bgsim"
-	"detobj/internal/consensus"
+	"detobj/internal/catalogue"
 	"detobj/internal/core"
 	"detobj/internal/immediate"
 	"detobj/internal/iterated"
@@ -45,16 +45,13 @@ func BenchmarkE1Alg2SetConsensus(b *testing.B) {
 				vs[i] = i
 				inputs[i] = i
 			}
+			row := catalogue.E1{Inputs: vs}
 			task := tasks.SetConsensus{K: k - 1}
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				objects := map[string]sim.Object{}
-				progs := setconsensus.NewAlg2(objects, "W", vs)
-				res, err := sim.Run(sim.Config{
-					Objects:   objects,
-					Programs:  progs,
-					Scheduler: sim.NewRandom(int64(n)),
-				})
+				cfg := row.Config()
+				cfg.Scheduler = sim.NewRandom(int64(n))
+				res, err := sim.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -72,28 +69,21 @@ func BenchmarkE3Alg3ManyProcs(b *testing.B) {
 	for _, cfg := range []struct{ k, m int }{{3, 16}, {3, 64}, {4, 32}} {
 		cfg := cfg
 		b.Run(fmt.Sprintf("k=%d/M=%d", cfg.k, cfg.m), func(b *testing.B) {
-			family := setconsensus.CoveringFamily(cfg.k)
-			ids := make([]int, cfg.k)
-			for i := range ids {
-				ids[i] = (i * (cfg.m/cfg.k + 1)) % cfg.m
+			row := catalogue.E3{K: cfg.k, M: cfg.m, Family: setconsensus.CoveringFamily(cfg.k)}
+			inputs := map[int]sim.Value{}
+			for i := 0; i < cfg.k; i++ {
+				id := (i * (cfg.m/cfg.k + 1)) % cfg.m
+				row.IDs = append(row.IDs, id)
+				row.Inputs = append(row.Inputs, 1000+id)
+				inputs[i] = 1000 + id
 			}
 			task := tasks.SetConsensus{K: cfg.k - 1}
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				objects := map[string]sim.Object{}
-				a, _ := setconsensus.NewAlg3(objects, "A", cfg.k, cfg.m, family)
-				inputs := map[int]sim.Value{}
-				progs := make([]sim.Program, cfg.k)
-				for p, id := range ids {
-					inputs[p] = 1000 + id
-					progs[p] = a.Program(id, 1000+id)
-				}
-				res, err := sim.Run(sim.Config{
-					Objects:   objects,
-					Programs:  progs,
-					Scheduler: sim.NewRandom(int64(n)),
-					MaxSteps:  1 << 20,
-				})
+				c, _ := row.Build()
+				c.Scheduler = sim.NewRandom(int64(n))
+				c.MaxSteps = 1 << 20
+				res, err := sim.Run(c)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -138,21 +128,10 @@ func BenchmarkE5Alg5Linearizable(b *testing.B) {
 			spec := wrn.Spec(k)
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				objects := map[string]sim.Object{}
-				impl := wrn.NewImpl(objects, "LW", k)
-				progs := make([]sim.Program, k)
-				for i := 0; i < k; i++ {
-					i := i
-					progs[i] = func(ctx *sim.Ctx) sim.Value {
-						return impl.TracedWRN(ctx, i, 100+i)
-					}
-				}
-				res, err := sim.Run(sim.Config{
-					Objects:   objects,
-					Programs:  progs,
-					Scheduler: sim.NewRandom(int64(n)),
-					Seed:      int64(n),
-				})
+				cfg, impl := catalogue.E5{K: k}.Build()
+				cfg.Scheduler = sim.NewRandom(int64(n))
+				cfg.Seed = int64(n)
+				res, err := sim.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -227,17 +206,17 @@ func BenchmarkE9Ratio(b *testing.B) {
 		cfg := cfg
 		b.Run(fmt.Sprintf("n=%d/k=%d", cfg.n, cfg.k), func(b *testing.B) {
 			task := tasks.SetConsensus{K: setconsensus.Guarantee(cfg.n, cfg.k)}
+			row := catalogue.E9{K: cfg.k, Inputs: make([]sim.Value, cfg.n)}
+			inputs := map[int]sim.Value{}
+			for i := range row.Inputs {
+				row.Inputs[i] = i
+				inputs[i] = i
+			}
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				objects := map[string]sim.Object{}
-				a := setconsensus.NewAlg6(objects, "G", cfg.n, cfg.k)
-				inputs := map[int]sim.Value{}
-				progs := make([]sim.Program, cfg.n)
-				for i := 0; i < cfg.n; i++ {
-					inputs[i] = i
-					progs[i] = a.Program(i, i)
-				}
-				res, err := sim.Run(sim.Config{Objects: objects, Programs: progs, Scheduler: sim.NewRandom(int64(n))})
+				c := row.Config()
+				c.Scheduler = sim.NewRandom(int64(n))
+				res, err := sim.Run(c)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -270,14 +249,10 @@ func BenchmarkE10Hierarchy(b *testing.B) {
 // BenchmarkE11Valency: exhaustive valency analysis of the SWAP-based
 // 2-consensus protocol.
 func BenchmarkE11Valency(b *testing.B) {
-	f := func() sim.Config {
-		objects := map[string]sim.Object{}
-		progs := consensus.TwoConsFromSwap(objects, "C", 10, 20)
-		return sim.Config{Objects: objects, Programs: progs}
-	}
+	swap := catalogue.E11()[0]
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		rep, err := modelcheck.AnalyzeValency(f, 0)
+		rep, err := modelcheck.AnalyzeValency(swap.Config, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -568,48 +543,17 @@ func BenchmarkE16ProtocolComplex(b *testing.B) {
 // engine, and /red runs the symmetry-reduced engine on the same
 // workload, which cmd/benchjson pairs with /seq.
 
-// alg2Factory is the E1 workload: k processes solving (k−1)-set consensus
-// from one 1sWRN_k, explored exhaustively.
-func alg2Factory(k int) modelcheck.Factory {
-	return func() sim.Config {
-		vs := make([]sim.Value, k)
-		for i := range vs {
-			vs[i] = i * 10
-		}
-		objects := map[string]sim.Object{}
-		return sim.Config{Objects: objects, Programs: setconsensus.NewAlg2(objects, "W", vs)}
-	}
-}
-
-// relaxedE4Factory is the E4 workload: procs contenders racing on a
-// relaxed WRN_k wrapper, one of them alone on index 1.
-func relaxedE4Factory(k, procs int) modelcheck.Factory {
-	return func() sim.Config {
-		objects := map[string]sim.Object{}
-		rlx, _ := wrn.NewRelaxed(objects, "W", k)
-		progs := make([]sim.Program, procs)
-		for p := 0; p < procs; p++ {
-			p := p
-			progs[p] = func(ctx *sim.Ctx) sim.Value {
-				if p == 0 {
-					return rlx.RlxWRN(ctx, 1, "solo")
-				}
-				return rlx.RlxWRN(ctx, 0, fmt.Sprintf("p%d", p))
-			}
-		}
-		return sim.Config{Objects: objects, Programs: progs}
-	}
-}
-
 // BenchmarkParExploreE1: the exhaustive E1 check.
 func BenchmarkParExploreE1(b *testing.B) {
 	const k = 6
-	f := alg2Factory(k)
-	task := tasks.SetConsensus{K: k - 1}
+	vs := make([]sim.Value, k)
 	inputs := map[int]sim.Value{}
-	for i := 0; i < k; i++ {
-		inputs[i] = i * 10
+	for i := range vs {
+		vs[i] = i * 10
+		inputs[i] = vs[i]
 	}
+	f := catalogue.E1{Inputs: vs}.Config
+	task := tasks.SetConsensus{K: k - 1}
 	check := func(e modelcheck.Execution) error {
 		return task.Check(tasks.OutcomeFromResult(e.Result, inputs))
 	}
@@ -630,7 +574,7 @@ func BenchmarkParExploreE1(b *testing.B) {
 // BenchmarkParExploreE4: the exhaustive relaxed-WRN flag-principle
 // check, exhaustive vs reduced.
 func BenchmarkParExploreE4(b *testing.B) {
-	f := relaxedE4Factory(3, 4)
+	row := catalogue.E4{K: 3, Procs: 4}
 	check := func(e modelcheck.Execution) error {
 		for i, st := range e.Result.Status {
 			if st != sim.StatusDone {
@@ -648,14 +592,14 @@ func BenchmarkParExploreE4(b *testing.B) {
 		}
 	}
 	b.Run("k=3procs=4/seq", func(b *testing.B) {
-		run(b, func() (int, error) { return modelcheck.Explore(f, 0, check) })
+		run(b, func() (int, error) { return modelcheck.Explore(row.Config, 0, check) })
 	})
 	// Reduced engine: the three followers are interchangeable, so one
 	// representative stands for up to 3! = 6 executions.
-	sym := modelcheck.SymmetricClasses(4, []int{1, 2, 3})
+	sym := modelcheck.SymmetricClasses(row.Procs, row.Sym().Classes...)
 	b.Run("k=3procs=4/red", func(b *testing.B) {
 		run(b, func() (int, error) {
-			rep, err := modelcheck.ExploreReduced(f, modelcheck.Reduced{Sym: sym}, 0,
+			rep, err := modelcheck.ExploreReduced(row.Config, modelcheck.Reduced{Sym: sym}, 0,
 				func(e modelcheck.Execution, orbit int) error { return check(e) })
 			if err != nil {
 				return 0, err
@@ -668,11 +612,7 @@ func BenchmarkParExploreE4(b *testing.B) {
 // BenchmarkParValencyE11: the E11 valency analysis of the SWAP-based
 // 2-consensus protocol, exhaustive vs reduced.
 func BenchmarkParValencyE11(b *testing.B) {
-	f := func() sim.Config {
-		objects := map[string]sim.Object{}
-		progs := consensus.TwoConsFromSwap(objects, "C", 10, 20)
-		return sim.Config{Objects: objects, Programs: progs}
-	}
+	swap := catalogue.E11()[0]
 	run := func(b *testing.B, analyze func() (*modelcheck.ValencyReport, error)) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
@@ -686,15 +626,15 @@ func BenchmarkParValencyE11(b *testing.B) {
 		}
 	}
 	b.Run("swap/seq", func(b *testing.B) {
-		run(b, func() (*modelcheck.ValencyReport, error) { return modelcheck.AnalyzeValency(f, 0) })
+		run(b, func() (*modelcheck.ValencyReport, error) { return modelcheck.AnalyzeValency(swap.Config, 0) })
 	})
 	// Reduced engine: the two proposers are symmetric once their input
 	// values are renamed along with the processes.
-	sym := modelcheck.SymmetricClasses(2, []int{0, 1})
-	sym.Rename = modelcheck.RenameByInputs([]sim.Value{10, 20})
+	sym := modelcheck.SymmetricClasses(len(swap.Sym.Inputs), swap.Sym.Classes...)
+	sym.Rename = modelcheck.RenameByInputs(swap.Sym.Inputs)
 	b.Run("swap/red", func(b *testing.B) {
 		run(b, func() (*modelcheck.ValencyReport, error) {
-			rep, _, err := modelcheck.AnalyzeValencyReduced(f, modelcheck.Reduced{Sym: sym}, 0)
+			rep, _, err := modelcheck.AnalyzeValencyReduced(swap.Config, modelcheck.Reduced{Sym: sym}, 0)
 			return rep, err
 		})
 	})

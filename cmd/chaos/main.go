@@ -44,6 +44,7 @@ import (
 	"os"
 	"strings"
 
+	"detobj/internal/catalogue"
 	"detobj/internal/chaos"
 	"detobj/internal/linearize"
 	"detobj/internal/par"
@@ -111,26 +112,16 @@ func run(w io.Writer, scenario string, start, seeds int64, workers int, verbose 
 	return nil
 }
 
-// simRun executes one adversary stack over Algorithm 5 with replay
-// verification and returns the result plus the flattened trace.
+// simRun executes one adversary stack over E5's Algorithm 5 row with
+// replay verification and returns the result plus the flattened trace.
 func simRun(seed int64, k int, mk func(r *chaos.Report) sim.Scheduler, r *chaos.Report) (*sim.Result, wrn.Impl, string, error) {
-	objects := map[string]sim.Object{}
-	impl := wrn.NewImpl(objects, "LW", k)
-	progs := make([]sim.Program, k)
-	for i := 0; i < k; i++ {
-		i := i
-		progs[i] = func(ctx *sim.Ctx) sim.Value {
-			return impl.TracedWRN(ctx, i, 100+i)
-		}
-	}
-	res, err := sim.Run(sim.Config{
-		Objects:      objects,
-		Programs:     progs,
-		Scheduler:    chaos.Instrument(mk(r), r),
-		Seed:         seed,
-		MaxSteps:     1 << 18,
-		VerifyReplay: true,
-	})
+	row := catalogue.E5{K: k}
+	cfg, impl := row.Build()
+	cfg.Scheduler = chaos.Instrument(mk(r), r)
+	cfg.Seed = seed
+	cfg.MaxSteps = 1 << 18
+	cfg.VerifyReplay = true
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return nil, impl, "", err
 	}

@@ -32,11 +32,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
-	"detobj/internal/chaos"
+	"detobj/internal/catalogue"
 	"detobj/internal/consensus"
 	"detobj/internal/modelcheck"
-	"detobj/internal/recoverable"
 	"detobj/internal/registers"
 	"detobj/internal/sim"
 	"detobj/internal/wrn"
@@ -149,44 +149,12 @@ func expE6(w io.Writer) error {
 	return nil
 }
 
-// e11Row is one protocol of the E11 table, carrying the symmetry group
-// the reduction cross-check quotients it by.
-type e11Row struct {
-	name string
-	f    modelcheck.Factory
-	sym  modelcheck.Symmetry
-	// wantAgreement: every protocol agrees except the naive 3-process
-	// one on WRN_2, which must exhibit a disagreeing execution.
-	wantAgreement bool
-}
-
-// e11Rows builds the E11 protocol table. The two-process protocols are
-// fully symmetric in their proposers; the naive 3-process one only in
-// the two processes sharing WRN index 0.
-func e11Rows() []e11Row {
-	two := func(build func(map[string]sim.Object, string, sim.Value, sim.Value) []sim.Program, obj string) modelcheck.Factory {
-		return func() sim.Config {
-			objects := map[string]sim.Object{}
-			progs := build(objects, obj, 10, 20)
-			return sim.Config{Objects: objects, Programs: progs}
-		}
-	}
-	sym2 := modelcheck.SymmetricClasses(2, []int{0, 1})
-	sym2.Rename = modelcheck.RenameByInputs([]sim.Value{10, 20})
-	naiveSym := modelcheck.SymmetricClasses(3, []int{0, 2})
-	naiveSym.Rename = modelcheck.RenameByInputs([]sim.Value{10, 20, 30})
-	return []e11Row{
-		{"2-cons from SWAP", two(consensus.TwoConsFromSwap, "C"), sym2, true},
-		{"2-cons from WRN_2", two(consensus.TwoConsFromWRN2, "W"), sym2, true},
-		{"2-cons from TAS", two(consensus.TwoConsFromTAS, "T"), sym2, true},
-		{"2-cons from queue", two(consensus.TwoConsFromQueue, "Q"), sym2, true},
-		{"2-cons from f&add", two(consensus.TwoConsFromFetchAdd, "F"), sym2, true},
-		{"3 procs on WRN_2", func() sim.Config {
-			objects := map[string]sim.Object{}
-			progs := consensus.ThreeFromWRN2Naive(objects, "W", [3]sim.Value{10, 20, 30})
-			return sim.Config{Objects: objects, Programs: progs}
-		}, naiveSym, false},
-	}
+// symmetry is a catalogue row's symmetry as the reduced engines take
+// it.
+func symmetry(s catalogue.Symmetry) modelcheck.Symmetry {
+	sym := modelcheck.SymmetricClasses(len(s.Inputs), s.Classes...)
+	sym.Rename = modelcheck.RenameByInputs(s.Inputs)
+	return sym
 }
 
 // expE11: valency analysis of the 2-consensus protocols.
@@ -194,18 +162,18 @@ func expE11(w io.Writer) error {
 	fmt.Fprintln(w, "E11 Valency analysis: SWAP/WRN_2/TAS solve 2-consensus; the naive 3-process protocol breaks")
 	fmt.Fprintln(w, "protocol            configs  executions  bivalent  critical  agreement")
 	wrong := 0
-	for _, r := range e11Rows() {
-		rep, err := modelcheck.AnalyzeValency(r.f, 0)
+	for _, r := range catalogue.E11() {
+		rep, err := modelcheck.AnalyzeValency(r.Config, 0)
 		if err != nil {
 			return err
 		}
 		note := ""
-		if rep.Agreement != r.wantAgreement {
+		if rep.Agreement != r.Agreement {
 			note = "  ** UNEXPECTED **"
 			wrong++
 		}
 		fmt.Fprintf(w, "%-19s %-8d %-11d %-9d %-9d %v%s\n",
-			r.name, rep.Configs, rep.Executions, rep.Bivalent, rep.Critical, rep.Agreement, note)
+			r.Name, rep.Configs, rep.Executions, rep.Bivalent, rep.Critical, rep.Agreement, note)
 	}
 	fmt.Fprintln(w)
 	if wrong > 0 {
@@ -224,37 +192,31 @@ func expReduced(w io.Writer) error {
 	fmt.Fprintln(w, "E11r Symmetry + transposition reduction vs the exhaustive oracle")
 	fmt.Fprintln(w, "protocol            group  reduced  runs    hits    misses  executions  verdict")
 	wrong := 0
-	for _, r := range e11Rows() {
-		oracle, err := modelcheck.AnalyzeValency(r.f, 0)
+	for _, r := range catalogue.E11() {
+		oracle, err := modelcheck.AnalyzeValency(r.Config, 0)
 		if err != nil {
 			return err
 		}
-		rep, srep, err := modelcheck.AnalyzeValencyReduced(r.f, modelcheck.Reduced{Sym: r.sym}, 0)
+		rep, srep, err := modelcheck.AnalyzeValencyReduced(r.Config, modelcheck.Reduced{Sym: symmetry(r.Sym)}, 0)
 		if err != nil {
-			return fmt.Errorf("%s reduced: %w", r.name, err)
+			return fmt.Errorf("%s reduced: %w", r.Name, err)
 		}
 		verdict := "match"
 		if rep.Configs != oracle.Configs || rep.Executions != oracle.Executions ||
 			rep.Bivalent != oracle.Bivalent || rep.Critical != oracle.Critical ||
-			rep.Agreement != oracle.Agreement || !equalStrings(rep.Values, oracle.Values) {
+			rep.Agreement != oracle.Agreement || !slices.Equal(rep.Values, oracle.Values) {
 			verdict = "** MISMATCH **"
 			wrong++
 		}
 		fmt.Fprintf(w, "%-19s %-6d %-8d %-7d %-7d %-7d %-11d %s\n",
-			r.name, srep.Group, srep.ReducedConfigs, srep.Runs, srep.Hits, srep.Misses, srep.Executions, verdict)
+			r.Name, srep.Group, srep.ReducedConfigs, srep.Runs, srep.Hits, srep.Misses, srep.Executions, verdict)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "E4r  Reduced exploration of the relaxed-WRN race (followers interchangeable)")
 	fmt.Fprintln(w, "workload            group  reduced  runs    hits    misses  executions  verdict")
 	for _, procs := range []int{4, 5} {
-		f := relaxedE4Factory(3, procs)
-		followers := make([]int, procs-1)
-		for i := range followers {
-			followers[i] = i + 1
-		}
-		srep, err := modelcheck.ExploreReduced(f, modelcheck.Reduced{
-			Sym: modelcheck.SymmetricClasses(procs, followers),
-		}, 1<<40, nil)
+		row := catalogue.E4{K: 3, Procs: procs}
+		srep, err := modelcheck.ExploreReduced(row.Config, modelcheck.Reduced{Sym: symmetry(row.Sym())}, 1<<40, nil)
 		if err != nil {
 			return fmt.Errorf("E4 procs=%d reduced: %w", procs, err)
 		}
@@ -264,7 +226,7 @@ func expReduced(w io.Writer) error {
 		// procs=4 here (and once offline for procs=5 — see
 		// TestReducedE4Procs5 in internal/modelcheck).
 		if procs == 4 {
-			oracle, err := modelcheck.Explore(f, 1<<40, func(modelcheck.Execution) error { return nil })
+			oracle, err := modelcheck.Explore(row.Config, 1<<40, func(modelcheck.Execution) error { return nil })
 			if err != nil {
 				return fmt.Errorf("E4 procs=4 oracle: %w", err)
 			}
@@ -281,39 +243,6 @@ func expReduced(w io.Writer) error {
 		return fmt.Errorf("%d reduced verdict(s) diverge from the exhaustive oracle", wrong)
 	}
 	return nil
-}
-
-// relaxedE4Factory is the E4 workload: procs contenders racing on a
-// relaxed WRN_k wrapper, process 0 alone on index 1.
-func relaxedE4Factory(k, procs int) modelcheck.Factory {
-	return func() sim.Config {
-		objects := map[string]sim.Object{}
-		rlx, _ := wrn.NewRelaxed(objects, "W", k)
-		progs := make([]sim.Program, procs)
-		for p := 0; p < procs; p++ {
-			p := p
-			progs[p] = func(ctx *sim.Ctx) sim.Value {
-				if p == 0 {
-					return rlx.RlxWRN(ctx, 1, "solo")
-				}
-				return rlx.RlxWRN(ctx, 0, fmt.Sprintf("p%d", p))
-			}
-		}
-		return sim.Config{Objects: objects, Programs: progs}
-	}
-}
-
-// equalStrings compares two string slices element-wise.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // expE20: recoverable-consensus calibration. Each object's restart-aware
@@ -334,66 +263,37 @@ func expE20(w io.Writer) error {
 	fmt.Fprintln(w, "    amnesiac     = exhaustive valency under CrashRestart sweeps of victim x crashAt x window")
 	fmt.Fprintln(w, "object             full-persist  amnesiac   sweeps  configs   executions  verdict")
 
-	type row struct {
-		name  string
-		build func(map[string]sim.Object, string, sim.Value, sim.Value) []sim.Program
-		// wantAmnesiac: recoverable implementations keep agreement under
-		// amnesiac restart; plain ones must exhibit a disagreement.
-		wantAmnesiac bool
-	}
-	rows := []row{
-		{"plain TAS", recoverable.TwoConsFromPlainTAS, false},
-		{"recoverable TAS", recoverable.TwoConsFromRecTAS, true},
-		{"plain WRN_2", recoverable.TwoConsFromPlainWRN2, false},
-		{"recoverable WRN_2", recoverable.TwoConsFromRecWRN2, true},
-	}
-	victims := []int{0, 1}
-	crashAts := []int{0, 1, 2, 3, 4, 5, 6}
-	windows := []int{0, 3}
+	grid := catalogue.E20Grid()
 	wrong := 0
-	for _, r := range rows {
-		f := func() sim.Config {
-			objects := map[string]sim.Object{}
-			progs := r.build(objects, "X", 10, 20)
-			return sim.Config{Objects: objects, Programs: progs}
-		}
-		full, err := modelcheck.AnalyzeValency(f, 0)
+	for _, r := range catalogue.E20() {
+		full, err := modelcheck.AnalyzeValency(r.Config, 0)
 		if err != nil {
-			return fmt.Errorf("%s full-persistence: %w", r.name, err)
+			return fmt.Errorf("%s full-persistence: %w", r.Name, err)
 		}
-		sweeps, configs, executions, disagreeing := 0, full.Configs, full.Executions, 0
+		configs, executions, disagreeing := full.Configs, full.Executions, 0
 		//detlint:hot the E20 sweep is the calibration's hot loop: one exhaustive valency tree per (victim, crashAt, window) point
-		for _, victim := range victims {
-			for _, crashAt := range crashAts {
-				for _, window := range windows {
-					victim, crashAt, window := victim, crashAt, window
-					rep, err := modelcheck.AnalyzeValencyUnder(f, func(inner sim.Scheduler) sim.Scheduler {
-						return chaos.NewCrashRestart(inner, chaos.NewReport(0), victim, crashAt, window)
-					}, 0)
-					if err != nil {
-						return fmt.Errorf("%s amnesiac victim=%d crashAt=%d window=%d: %w",
-							r.name, victim, crashAt, window, err)
-					}
-					sweeps++
-					configs += rep.Configs
-					executions += rep.Executions
-					if !rep.Agreement {
-						disagreeing++
-					}
-				}
+		for _, p := range grid {
+			rep, err := modelcheck.AnalyzeValencyUnder(r.Config, p.Adversary, 0)
+			if err != nil {
+				return fmt.Errorf("%s amnesiac %v: %w", r.Name, p, err)
+			}
+			configs += rep.Configs
+			executions += rep.Executions
+			if !rep.Agreement {
+				disagreeing++
 			}
 		}
 		fullCol, amnesiacCol := verdictWord(full.Agreement), verdictWord(disagreeing == 0)
 		verdict := "power retained"
-		if !r.wantAmnesiac {
+		if !r.Agreement {
 			verdict = "consensus power lost to the restart"
 		}
-		if full.Agreement != true || (disagreeing == 0) != r.wantAmnesiac {
+		if full.Agreement != true || (disagreeing == 0) != r.Agreement {
 			verdict += "  ** UNEXPECTED **"
 			wrong++
 		}
 		fmt.Fprintf(w, "%-18s %-13s %-10s %-7d %-9d %-11d %s\n",
-			r.name, fullCol, amnesiacCol, sweeps, configs, executions, verdict)
+			r.Name, fullCol, amnesiacCol, len(grid), configs, executions, verdict)
 	}
 	fmt.Fprintln(w)
 	if wrong > 0 {

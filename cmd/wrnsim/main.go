@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
+	"detobj/internal/catalogue"
 	"detobj/internal/linearize"
 	"detobj/internal/modelcheck"
 	"detobj/internal/par"
@@ -84,15 +86,19 @@ func expE1(w io.Writer, runs int, seed int64, workers int) error {
 	totalViolations := 0
 	for k := 3; k <= 8; k++ {
 		task := tasks.SetConsensus{K: k - 1}
+		vs := make([]sim.Value, k)
+		inputs := map[int]sim.Value{}
+		for i := range vs {
+			vs[i] = i * 10
+			inputs[i] = vs[i]
+		}
+		row := catalogue.E1{Inputs: vs}
 		if k <= 6 {
 			// Exhaustive: the protocol takes one step per process.
 			maxDistinct, count, violations := 0, 0, 0
-			_, err := modelcheck.Explore(func() sim.Config {
-				objects := map[string]sim.Object{}
-				return sim.Config{Objects: objects, Programs: alg2Programs(objects, k)}
-			}, 0, func(e modelcheck.Execution) error {
+			_, err := modelcheck.Explore(row.Config, 0, func(e modelcheck.Execution) error {
 				count++
-				o := tasks.OutcomeFromResult(e.Result, alg2Inputs(k))
+				o := tasks.OutcomeFromResult(e.Result, inputs)
 				if task.Check(o) != nil {
 					violations++
 				}
@@ -114,13 +120,13 @@ func expE1(w io.Writer, runs int, seed int64, workers int) error {
 		}
 		slots := make([]slot, runs)
 		err := par.ForEach(runs, workers, func(r int) error {
-			objects := map[string]sim.Object{}
-			progs := alg2Programs(objects, k)
-			res, err := sim.Run(sim.Config{Objects: objects, Programs: progs, Scheduler: sim.NewRandom(seed + int64(r))})
+			cfg := row.Config()
+			cfg.Scheduler = sim.NewRandom(seed + int64(r))
+			res, err := sim.Run(cfg)
 			if err != nil {
 				return err
 			}
-			o := tasks.OutcomeFromResult(res, alg2Inputs(k))
+			o := tasks.OutcomeFromResult(res, inputs)
 			slots[r] = slot{distinct: o.DistinctOutputs(), violation: task.Check(o) != nil}
 			return nil
 		})
@@ -146,30 +152,18 @@ func expE1(w io.Writer, runs int, seed int64, workers int) error {
 	return nil
 }
 
-func alg2Programs(objects map[string]sim.Object, k int) []sim.Program {
-	vs := make([]sim.Value, k)
-	for i := range vs {
-		vs[i] = i * 10
-	}
-	return setconsensus.NewAlg2(objects, "W", vs)
-}
-
-func alg2Inputs(k int) map[int]sim.Value {
-	inputs := map[int]sim.Value{}
-	for i := 0; i < k; i++ {
-		inputs[i] = i * 10
-	}
-	return inputs
-}
-
 // expE3: Algorithm 3 with renaming and relaxed WRN instances.
 func expE3(w io.Writer, runs int, seed int64, workers int) error {
 	fmt.Fprintln(w, "E3  Algorithm 3: (k-1)-set consensus for k participants out of M names")
 	fmt.Fprintln(w, "k   M    family      instances  schedules  max-distinct  bound  violations  illegal-uses")
 	totalViolations, totalIllegal := 0, 0
 	for _, cfg := range []struct{ k, m int }{{3, 16}, {3, 64}, {4, 32}} {
-		family := setconsensus.CoveringFamily(cfg.k)
-		ids := pickIDs(cfg.k, cfg.m)
+		row := catalogue.E3{K: cfg.k, M: cfg.m, Family: setconsensus.CoveringFamily(cfg.k), IDs: pickIDs(cfg.k, cfg.m)}
+		inputs := map[int]sim.Value{}
+		for p, id := range row.IDs {
+			row.Inputs = append(row.Inputs, 1000+id)
+			inputs[p] = row.Inputs[p]
+		}
 		task := tasks.SetConsensus{K: cfg.k - 1}
 		type slot struct {
 			distinct  int
@@ -178,21 +172,10 @@ func expE3(w io.Writer, runs int, seed int64, workers int) error {
 		}
 		slots := make([]slot, runs)
 		err := par.ForEach(runs, workers, func(r int) error {
-			objects := map[string]sim.Object{}
-			a, ones := setconsensus.NewAlg3(objects, "A", cfg.k, cfg.m, family)
-			inputs := map[int]sim.Value{}
-			progs := make([]sim.Program, cfg.k)
-			for p, id := range ids {
-				v := 1000 + id
-				inputs[p] = v
-				progs[p] = a.Program(id, v)
-			}
-			res, err := sim.Run(sim.Config{
-				Objects:   objects,
-				Programs:  progs,
-				Scheduler: sim.NewRandom(seed + int64(r)),
-				MaxSteps:  1 << 20,
-			})
+			c, ones := row.Build()
+			c.Scheduler = sim.NewRandom(seed + int64(r))
+			c.MaxSteps = 1 << 20
+			res, err := sim.Run(c)
 			if err != nil {
 				return err
 			}
@@ -224,7 +207,7 @@ func expE3(w io.Writer, runs int, seed int64, workers int) error {
 		totalViolations += violations
 		totalIllegal += illegal
 		fmt.Fprintf(w, "%-3d %-4d %-11s %-10d %-10d %-13d %-6d %-11d %d\n",
-			cfg.k, cfg.m, "covering", family.Len(), runs, maxDistinct, cfg.k-1, violations, illegal)
+			cfg.k, cfg.m, "covering", row.Family.Len(), runs, maxDistinct, cfg.k-1, violations, illegal)
 	}
 	fmt.Fprintln(w)
 	if totalViolations > 0 || totalIllegal > 0 {
@@ -237,20 +220,11 @@ func pickIDs(k, m int) []int {
 	ids := make([]int, k)
 	for i := range ids {
 		ids[i] = (i*7 + 3) % m
-		for contains(ids[:i], ids[i]) {
+		for slices.Contains(ids[:i], ids[i]) {
 			ids[i] = (ids[i] + 1) % m
 		}
 	}
 	return ids
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // expE4: the relaxed WRN wrapper never uses the one-shot object illegally.
@@ -264,21 +238,11 @@ func expE4(w io.Writer, runs int, seed int64, workers int) error {
 			forwarded      bool
 		}
 		slots := make([]slot, runs)
+		row := catalogue.E4{K: cfg.k, Procs: cfg.procs}
 		err := par.ForEach(runs, workers, func(r int) error {
-			objects := map[string]sim.Object{}
-			rlx, one := wrn.NewRelaxed(objects, "W", cfg.k)
-			progs := make([]sim.Program, cfg.procs)
-			for p := 0; p < cfg.procs; p++ {
-				p := p
-				progs[p] = func(ctx *sim.Ctx) sim.Value {
-					// Everyone hammers index 0; one process alone uses index 1.
-					if p == 0 {
-						return rlx.RlxWRN(ctx, 1, fmt.Sprintf("solo%d", p))
-					}
-					return rlx.RlxWRN(ctx, 0, fmt.Sprintf("p%d", p))
-				}
-			}
-			res, err := sim.Run(sim.Config{Objects: objects, Programs: progs, Scheduler: sim.NewRandom(seed + int64(r))})
+			c, one := row.Build()
+			c.Scheduler = sim.NewRandom(seed + int64(r))
+			res, err := sim.Run(c)
 			if err != nil {
 				return err
 			}
@@ -329,22 +293,11 @@ func expE5(w io.Writer, runs int, seed int64, workers int) error {
 		}
 		slots := make([]slot, runs)
 		err := par.ForEach(runs, workers, func(r int) error {
-			objects := map[string]sim.Object{}
-			impl := wrn.NewImpl(objects, "LW", k)
-			progs := make([]sim.Program, k)
-			for i := 0; i < k; i++ {
-				i := i
-				progs[i] = func(ctx *sim.Ctx) sim.Value {
-					return impl.TracedWRN(ctx, i, 100+i)
-				}
-			}
-			res, err := sim.Run(sim.Config{
-				Objects:   objects,
-				Programs:  progs,
-				Scheduler: sim.NewRandom(seed + int64(r)),
-				Seed:      seed * 31,
-				MaxSteps:  1 << 18,
-			})
+			cfg, impl := catalogue.E5{K: k}.Build()
+			cfg.Scheduler = sim.NewRandom(seed + int64(r))
+			cfg.Seed = seed * 31
+			cfg.MaxSteps = 1 << 18
+			res, err := sim.Run(cfg)
 			if err != nil {
 				return err
 			}
@@ -394,22 +347,21 @@ func expE9(w io.Writer, runs int, seed int64, workers int) error {
 	for _, cfg := range []struct{ n, k int }{{3, 3}, {6, 3}, {7, 3}, {12, 3}, {9, 4}, {10, 5}, {24, 3}} {
 		m := setconsensus.Guarantee(cfg.n, cfg.k)
 		task := tasks.SetConsensus{K: m}
+		row := catalogue.E9{K: cfg.k, Inputs: make([]sim.Value, cfg.n)}
+		inputs := map[int]sim.Value{}
+		for i := range row.Inputs {
+			row.Inputs[i] = i * 10
+			inputs[i] = row.Inputs[i]
+		}
 		type slot struct {
 			distinct  int
 			violation bool
 		}
 		slots := make([]slot, runs)
 		err := par.ForEach(runs, workers, func(r int) error {
-			objects := map[string]sim.Object{}
-			a := setconsensus.NewAlg6(objects, "G", cfg.n, cfg.k)
-			inputs := map[int]sim.Value{}
-			progs := make([]sim.Program, cfg.n)
-			for i := 0; i < cfg.n; i++ {
-				v := i * 10
-				inputs[i] = v
-				progs[i] = a.Program(i, v)
-			}
-			res, err := sim.Run(sim.Config{Objects: objects, Programs: progs, Scheduler: sim.NewRandom(seed + int64(r))})
+			c := row.Config()
+			c.Scheduler = sim.NewRandom(seed + int64(r))
+			res, err := sim.Run(c)
 			if err != nil {
 				return err
 			}

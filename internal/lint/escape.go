@@ -463,9 +463,10 @@ func rootOperand(x ast.Expr) ast.Expr {
 // mayEscape reports whether the value produced by expr may escape the
 // enclosing function: either the expression is used in an escaping
 // context directly, or it is bound to a local variable in the
-// function's may-escape set. A struct or array literal passed by value
-// stays in the frame: the callee or the appended slice gets a copy.
-// parents must come from parentMap of the file containing expr.
+// function's may-escape set. A struct or array literal passed or
+// returned by value stays in the frame: the callee, the appended slice
+// or the caller's result slot gets a copy. parents must come from
+// parentMap of the file containing expr.
 func mayEscape(pkg *Package, n *FuncNode, e *escAnalysis, parents map[ast.Node]ast.Node, expr ast.Expr) bool {
 	set := e.vars[n]
 	node := ast.Node(expr)
@@ -531,6 +532,8 @@ func mayEscape(pkg *Package, n *FuncNode, e *escAnalysis, parents map[ast.Node]a
 			return true
 		case *ast.ExprStmt:
 			return false // result discarded
+		case *ast.ReturnStmt:
+			return !byValue || !copiedResult(pkg, parents, p, node)
 		default:
 			return true // argument, return, element, ...: escaping context
 		}
@@ -557,6 +560,33 @@ func valueLit(pkg *Package, e ast.Expr) bool {
 		return flat
 	})
 	return flat
+}
+
+// copiedResult reports whether ret copies its result res: into a
+// result slot of non-interface type of the innermost enclosing
+// function.
+func copiedResult(pkg *Package, parents map[ast.Node]ast.Node, ret *ast.ReturnStmt, res ast.Node) bool {
+	var fn types.Type
+	for n := parents[ret]; n != nil && fn == nil; n = parents[n] {
+		switch f := n.(type) {
+		case *ast.FuncLit:
+			fn = pkg.Info.TypeOf(f)
+		case *ast.FuncDecl:
+			if obj := pkg.Info.Defs[f.Name]; obj != nil {
+				fn = obj.Type()
+			}
+		}
+	}
+	sig, ok := fn.(*types.Signature)
+	if !ok || sig.Results().Len() != len(ret.Results) {
+		return false
+	}
+	for i, r := range ret.Results {
+		if r == res {
+			return !isInterfaceType(sig.Results().At(i).Type())
+		}
+	}
+	return false
 }
 
 // copiedArg reports whether call copies its argument arg: into a

@@ -1,7 +1,8 @@
 // Package hotallocbad seeds every allocation-site kind the hotalloc
 // rule must flag on a hot path: make, new, append growth, an escaping
 // composite literal (a pointer stored away, and a flat literal passed
-// to an interface parameter), string concatenation, and a fmt call —
+// to an interface parameter or returned as an interface), string
+// concatenation, and a fmt call —
 // inside loops reachable from the Explore hot root, directly and
 // through a helper only the callgraph connects, plus a //detlint:hot
 // annotated sweep driver and a tree walk whose recursion is its loop.
@@ -50,9 +51,14 @@ func Sweep(rounds int) string {
 	s := ""
 	for i := 0; i < rounds; i++ {
 		s += "x"
+		kept = boxed(i)
 	}
 	return s
 }
+
+// boxed returns a flat literal as an interface: the result slot holds
+// a pointer to a heap copy.
+func boxed(i int) any { return Node{ID: i} }
 
 // Tree is hot by annotation and calls walk once, outside any loop.
 //

@@ -2,8 +2,8 @@
 // NOT flag: allocation hoisted above the loop, per-iteration composite
 // values the escape analysis proves frame-local (the compiler stack-
 // allocates them), flat literals copied into a struct parameter
-// (through a conversion) or an appended element, and free allocation
-// in functions no hot root reaches.
+// (through a conversion), an appended element or a struct result, and
+// free allocation in functions no hot root reaches.
 package hotallocok
 
 // point is a flat per-iteration value.
@@ -19,11 +19,16 @@ func Explore(n int) int {
 	total := 0
 	for i := 0; i < n; i++ {
 		p := point{x: i, y: i}
-		buf[i] = p.x + p.y
+		q := mirror(p)
+		buf[i] = p.x + q.y
 		total += buf[i]
 	}
 	return total
 }
+
+// mirror returns its flat literal by value: the caller's result slot
+// gets a copy.
+func mirror(p point) point { return point{x: p.y, y: p.x} }
 
 // dist takes its point by value: the caller's literal is copied in.
 func dist(p point) int { return p.x*p.x + p.y*p.y }

@@ -8,7 +8,6 @@ import (
 
 	"detobj/internal/registers"
 	"detobj/internal/sim"
-	"detobj/internal/wrn"
 )
 
 // counterFactory builds procs processes that each increment a shared
@@ -27,26 +26,6 @@ func counterFactory(procs, steps int) Factory {
 			}
 		}
 		return sim.Config{Objects: objects, Programs: programs}
-	}
-}
-
-// relaxedFactory is an E4-style configuration: procs processes racing on
-// a relaxed WRN_k wrapper, one of them alone on index 1.
-func relaxedFactory(k, procs int) Factory {
-	return func() sim.Config {
-		objects := map[string]sim.Object{}
-		rlx, _ := wrn.NewRelaxed(objects, "W", k)
-		progs := make([]sim.Program, procs)
-		for p := 0; p < procs; p++ {
-			p := p
-			progs[p] = func(ctx *sim.Ctx) sim.Value {
-				if p == 0 {
-					return rlx.RlxWRN(ctx, 1, "solo")
-				}
-				return rlx.RlxWRN(ctx, 0, fmt.Sprintf("p%d", p))
-			}
-		}
-		return sim.Config{Objects: objects, Programs: progs}
 	}
 }
 

@@ -6,12 +6,10 @@ import (
 	"reflect"
 	gort "runtime"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
-	"detobj/internal/consensus"
-	"detobj/internal/recoverable"
+	"detobj/internal/catalogue"
 	"detobj/internal/sim"
 )
 
@@ -191,47 +189,31 @@ func naiveReport(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler) (*Vale
 	return rep, nil
 }
 
-// twoProcs builds a two-process protocol on object "X" whose processes
-// propose 10 and 20, as cmd/modelcheck's E11 and E20 tables do.
-func twoProcs(build func(map[string]sim.Object, string, sim.Value, sim.Value) []sim.Program) Factory {
-	return func() sim.Config {
-		objects := map[string]sim.Object{}
-		return sim.Config{Objects: objects, Programs: build(objects, "X", 10, 20)}
-	}
+// namedFactory is one configuration the oracle tests run, by name.
+type namedFactory struct {
+	name string
+	f    Factory
 }
 
 // oracleFactories are the configurations the carried engines must
 // explore exactly as the naive oracle does: counters, coins (whose
 // choice demands arrive inside carried runs), the E4 relaxed-WRN race,
 // the E11 protocols and the E20 objects.
-func oracleFactories() []struct {
-	name string
-	f    Factory
-} {
-	return []struct {
-		name string
-		f    Factory
-	}{
+func oracleFactories() []namedFactory {
+	fcs := []namedFactory{
 		{"counter2x1", counterFactory(2, 1)},
 		{"counter3x2", counterFactory(3, 2)},
 		{"coin1x2", coinFactory(1, 2)},
 		{"coin2x2", coinFactory(2, 2)},
-		{"relaxedWRN3x3", relaxedFactory(3, 3)},
-		{"E11 swap", twoProcs(consensus.TwoConsFromSwap)},
-		{"E11 wrn2", twoProcs(consensus.TwoConsFromWRN2)},
-		{"E11 tas", twoProcs(consensus.TwoConsFromTAS)},
-		{"E11 queue", twoProcs(consensus.TwoConsFromQueue)},
-		{"E11 fetchadd", twoProcs(consensus.TwoConsFromFetchAdd)},
-		{"E11 naive3", func() sim.Config {
-			objects := map[string]sim.Object{}
-			progs := consensus.ThreeFromWRN2Naive(objects, "W", [3]sim.Value{10, 20, 30})
-			return sim.Config{Objects: objects, Programs: progs}
-		}},
-		{"E20 plain TAS", twoProcs(recoverable.TwoConsFromPlainTAS)},
-		{"E20 rec TAS", twoProcs(recoverable.TwoConsFromRecTAS)},
-		{"E20 plain WRN_2", twoProcs(recoverable.TwoConsFromPlainWRN2)},
-		{"E20 rec WRN_2", twoProcs(recoverable.TwoConsFromRecWRN2)},
+		{"relaxedWRN3x3", catalogue.E4{K: 3, Procs: 3}.Config},
 	}
+	for _, r := range catalogue.E11() {
+		fcs = append(fcs, namedFactory{"E11 " + r.ID, r.Config})
+	}
+	for _, r := range catalogue.E20() {
+		fcs = append(fcs, namedFactory{"E20 " + r.ID, r.Config})
+	}
+	return fcs
 }
 
 // renderExec pins down everything Explore exposes about one execution,
@@ -342,33 +324,24 @@ func TestValencyMatchesNaiveOracle(t *testing.T) {
 }
 
 // TestValencyUnderMatchesNaiveOracle covers AnalyzeValencyUnder on the
-// E20 objects at every sweep point of cmd/modelcheck's E20 table, where
-// a carried run keeps its crash-restart adversary into the first
-// child. The oracle replays about 400k configurations, so the sweep
-// points run as parallel subtests; -short keeps the window-3 half,
-// whose trees are about ten times smaller.
+// E20 objects at every point of the E20 grid, where a carried run
+// keeps its crash-restart adversary into the first child. The oracle
+// replays about 400k configurations, so the sweep points run as
+// parallel subtests; -short keeps the window-3 half, whose trees are
+// about ten times smaller.
 func TestValencyUnderMatchesNaiveOracle(t *testing.T) {
-	windows := []int{0, 3}
-	if testing.Short() {
-		windows = []int{3}
-	}
-	for _, fc := range oracleFactories() {
-		if !strings.HasPrefix(fc.name, "E20") {
-			continue
-		}
-		for victim := 0; victim < 2; victim++ {
-			for crashAt := 0; crashAt <= 6; crashAt++ {
-				for _, window := range windows {
-					what := fmt.Sprintf("%s victim=%d crashAt=%d window=%d", fc.name, victim, crashAt, window)
-					wrap := restartWrap(victim, crashAt, window)
-					t.Run(what, func(t *testing.T) {
-						t.Parallel()
-						want, wantErr := naiveReport(fc.f, wrap)
-						got, err := AnalyzeValencyUnder(fc.f, wrap, 0)
-						checkReport(t, what, got, err, want, wantErr)
-					})
-				}
+	for _, r := range catalogue.E20() {
+		for _, p := range catalogue.E20Grid() {
+			if testing.Short() && p.Window == 0 {
+				continue
 			}
+			what := fmt.Sprintf("E20 %s %v", r.ID, p)
+			t.Run(what, func(t *testing.T) {
+				t.Parallel()
+				want, wantErr := naiveReport(r.Config, p.Adversary)
+				got, err := AnalyzeValencyUnder(r.Config, p.Adversary, 0)
+				checkReport(t, what, got, err, want, wantErr)
+			})
 		}
 	}
 }

@@ -2,6 +2,8 @@ package modelcheck
 
 import (
 	"testing"
+
+	"detobj/internal/catalogue"
 )
 
 // TestReducedE4Procs5 pins the reduced engine at the first scale the
@@ -15,8 +17,8 @@ import (
 func TestReducedE4Procs5(t *testing.T) {
 	const wantExecutions = 910800
 
-	f := relaxedFactory(3, 5)
-	sym := SymmetricClasses(5, []int{1, 2, 3, 4})
+	row := catalogue.E4{K: 3, Procs: 5}
+	f, sym := row.Config, rowSymmetry(row.Sym())
 
 	visits := 0
 	rep, err := ExploreReduced(f, Reduced{Sym: sym}, 0, func(e Execution, orbit int) error {
@@ -30,7 +32,7 @@ func TestReducedE4Procs5(t *testing.T) {
 		t.Fatalf("ExploreReduced: %v", err)
 	}
 	if rep.Executions != wantExecutions {
-		t.Errorf("Executions = %d, want %d (oracle: exhaustive exploration of relaxedFactory(3, 5))",
+		t.Errorf("Executions = %d, want %d (oracle: exhaustive exploration of catalogue.E4{K: 3, Procs: 5})",
 			rep.Executions, wantExecutions)
 	}
 	if rep.Representatives != visits {

@@ -12,26 +12,10 @@ import (
 	"strings"
 	"testing"
 
-	"detobj/internal/consensus"
+	"detobj/internal/catalogue"
 	"detobj/internal/registers"
-	"detobj/internal/setconsensus"
 	"detobj/internal/sim"
 )
-
-// ringFactory is the E1 workload at parameter k: k processes solving
-// (k−1)-set consensus from one 1sWRN_k via Algorithm 2. Process i writes
-// cell i and reads cell (i+1) mod k, so the configuration is
-// rotation-symmetric (and only rotation-symmetric).
-func ringFactory(k int) Factory {
-	return func() sim.Config {
-		vs := make([]sim.Value, k)
-		for i := range vs {
-			vs[i] = i * 10
-		}
-		objects := map[string]sim.Object{}
-		return sim.Config{Objects: objects, Programs: setconsensus.NewAlg2(objects, "W", vs)}
-	}
-}
 
 // identRename is a Symmetry.Rename for protocols whose decision values
 // do not mention process identities (counter readings, shared reads).
@@ -246,17 +230,19 @@ type reducedCase struct {
 	sym  Symmetry
 }
 
-func swapConsensusFactory() Factory {
-	return func() sim.Config {
-		objects := map[string]sim.Object{}
-		progs := consensus.TwoConsFromSwap(objects, "C", 10, 20)
-		return sim.Config{Objects: objects, Programs: progs}
-	}
+// rowSymmetry is a catalogue row's symmetry as the engines take it.
+func rowSymmetry(s catalogue.Symmetry) Symmetry {
+	sym := SymmetricClasses(len(s.Inputs), s.Classes...)
+	sym.Rename = RenameByInputs(s.Inputs)
+	return sym
 }
 
 // reducedExploreCases are the ExploreReduced oracle cases: counters,
-// coins, the E4 race, Algorithm 2's ring and SWAP consensus.
+// coins, the E4 race, Algorithm 2's ring and SWAP consensus. Process i
+// of the ring writes cell i and reads cell (i+1) mod k, so it is
+// rotation-symmetric (and only rotation-symmetric).
 func reducedExploreCases() []reducedCase {
+	e4, swap := catalogue.E4{K: 3, Procs: 3}, catalogue.E11()[0]
 	return []reducedCase{
 		{"counter2x1/S2", counterFactory(2, 1), SymmetricClasses(2, []int{0, 1})},
 		{"counter3x2/S3", counterFactory(3, 2), SymmetricClasses(3, []int{0, 1, 2})},
@@ -264,38 +250,26 @@ func reducedExploreCases() []reducedCase {
 		{"counter3x2/trivial", counterFactory(3, 2), Symmetry{}},
 		{"coin2x1/S2", coinFactory(2, 1), SymmetricClasses(2, []int{0, 1})},
 		{"coin2x2/S2", coinFactory(2, 2), SymmetricClasses(2, []int{0, 1})},
-		{"relaxedE4-3x3/S{1,2}", relaxedFactory(3, 3), SymmetricClasses(3, []int{1, 2})},
-		{"ring3/C3", ringFactory(3), CyclicRotations(3)},
-		{"ring4/C4", ringFactory(4), CyclicRotations(4)},
-		{"swapCons/S2", swapConsensusFactory(), SymmetricClasses(2, []int{0, 1})},
+		{"relaxedE4-3x3/S{1,2}", e4.Config, rowSymmetry(e4.Sym())},
+		{"ring3/C3", catalogue.E1{Inputs: []sim.Value{0, 10, 20}}.Config, CyclicRotations(3)},
+		{"ring4/C4", catalogue.E1{Inputs: []sim.Value{0, 10, 20, 30}}.Config, CyclicRotations(4)},
+		{"swapCons/S2", swap.Config, rowSymmetry(swap.Sym)},
 	}
 }
 
 // reducedValencyCases are the AnalyzeValencyReduced oracle cases: every
-// E11 protocol shape, the E4 race and a disagreeing counter.
+// E11 protocol, the E4 race and a disagreeing counter.
 func reducedValencyCases() []reducedCase {
-	sym2 := SymmetricClasses(2, []int{0, 1})
-	sym2.Rename = RenameByInputs([]sim.Value{10, 20})
-	naiveSym := SymmetricClasses(3, []int{0, 2})
-	naiveSym.Rename = RenameByInputs([]sim.Value{10, 20, 30})
-	relSym := SymmetricClasses(3, []int{1, 2})
-	relSym.Rename = RenameByInputs([]sim.Value{"solo", "p1", "p2"})
+	var cases []reducedCase
+	for _, r := range catalogue.E11() {
+		cases = append(cases, reducedCase{r.ID, r.Config, rowSymmetry(r.Sym)})
+	}
+	e4 := catalogue.E4{K: 3, Procs: 3}
 	counterSym := SymmetricClasses(3, []int{0, 1, 2})
 	counterSym.Rename = identRename
-	return []reducedCase{
-		{"swap", twoProcs(consensus.TwoConsFromSwap), sym2},
-		{"wrn2", twoProcs(consensus.TwoConsFromWRN2), sym2},
-		{"tas", twoProcs(consensus.TwoConsFromTAS), sym2},
-		{"queue", twoProcs(consensus.TwoConsFromQueue), sym2},
-		{"fetchadd", twoProcs(consensus.TwoConsFromFetchAdd), sym2},
-		{"naive3", func() sim.Config {
-			objects := map[string]sim.Object{}
-			progs := consensus.ThreeFromWRN2Naive(objects, "W", [3]sim.Value{10, 20, 30})
-			return sim.Config{Objects: objects, Programs: progs}
-		}, naiveSym},
-		{"relaxedE4-3x3", relaxedFactory(3, 3), relSym},
-		{"counter3x2", counterFactory(3, 2), counterSym},
-	}
+	return append(cases,
+		reducedCase{"relaxedE4-3x3", e4.Config, rowSymmetry(e4.Sym())},
+		reducedCase{"counter3x2", counterFactory(3, 2), counterSym})
 }
 
 // pinnedReports are the reduced engines' reports on the oracle cases as
@@ -803,13 +777,8 @@ func TestReducedVisitStopsExploration(t *testing.T) {
 // TestReducedValuesSorted: the closure-rendered Values list is sorted,
 // like the unreduced report's.
 func TestReducedValuesSorted(t *testing.T) {
-	sym := SymmetricClasses(3, []int{0, 2})
-	sym.Rename = RenameByInputs([]sim.Value{10, 20, 30})
-	rep, _, err := AnalyzeValencyReduced(func() sim.Config {
-		objects := map[string]sim.Object{}
-		progs := consensus.ThreeFromWRN2Naive(objects, "W", [3]sim.Value{10, 20, 30})
-		return sim.Config{Objects: objects, Programs: progs}
-	}, Reduced{Sym: sym}, 0)
+	naive := catalogue.E11()[5] // 3 procs on WRN_2
+	rep, _, err := AnalyzeValencyReduced(naive.Config, Reduced{Sym: rowSymmetry(naive.Sym)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"detobj/internal/catalogue"
 	"detobj/internal/consensus"
 	"detobj/internal/sim"
 )
@@ -13,12 +14,7 @@ import (
 // agrees in EVERY execution, its initial configuration is bivalent, and a
 // critical configuration exists — the shape of Herlihy's argument.
 func TestValencySwapConsensus(t *testing.T) {
-	f := func() sim.Config {
-		objects := map[string]sim.Object{}
-		progs := consensus.TwoConsFromSwap(objects, "C", 10, 20)
-		return sim.Config{Objects: objects, Programs: progs}
-	}
-	rep, err := AnalyzeValency(f, 0)
+	rep, err := AnalyzeValency(catalogue.E11()[0].Config, 0)
 	if err != nil {
 		t.Fatalf("AnalyzeValency: %v", err)
 	}

@@ -3,77 +3,48 @@ package modelcheck
 import (
 	"testing"
 
-	"detobj/internal/chaos"
-	"detobj/internal/recoverable"
-	"detobj/internal/sim"
+	"detobj/internal/catalogue"
 )
 
-// restartWrap returns the E20-style adversary layer: a fresh amnesiac
-// CrashRestart per fresh run, delegating Next to the engine's
-// fixed schedule while injecting its own crash and restart faults.
-func restartWrap(victim, crashAt, window int) func(inner sim.Scheduler) sim.Scheduler {
-	return func(inner sim.Scheduler) sim.Scheduler {
-		return chaos.NewCrashRestart(inner, chaos.NewReport(0), victim, crashAt, window)
-	}
-}
-
-// TestValencyUnderNilWrapMatchesPlain: a nil wrap must degenerate to
-// AnalyzeValency exactly — same tree, same counts, same verdicts. This
-// is the full-persistence baseline E20 prints in its first column.
+// TestValencyUnderNilWrapMatchesPlain: on every E20 object, a nil wrap
+// must degenerate to AnalyzeValency exactly — same tree, same counts,
+// same verdicts. This is the full-persistence baseline E20 prints in
+// its first column.
 func TestValencyUnderNilWrapMatchesPlain(t *testing.T) {
-	f := func() sim.Config {
-		objects := map[string]sim.Object{}
-		progs := recoverable.TwoConsFromPlainTAS(objects, "T", 10, 20)
-		return sim.Config{Objects: objects, Programs: progs}
-	}
-	plain, err := AnalyzeValency(f, 0)
-	if err != nil {
-		t.Fatalf("AnalyzeValency: %v", err)
-	}
-	under, err := AnalyzeValencyUnder(f, nil, 0)
-	if err != nil {
-		t.Fatalf("AnalyzeValencyUnder(nil): %v", err)
-	}
-	if plain.Configs != under.Configs || plain.Executions != under.Executions ||
-		plain.Bivalent != under.Bivalent || plain.Critical != under.Critical ||
-		plain.Agreement != under.Agreement {
-		t.Errorf("nil wrap diverges from plain analysis:\nplain %+v\nunder %+v", plain, under)
+	for _, r := range catalogue.E20() {
+		plain, err := AnalyzeValency(r.Config, 0)
+		if err != nil {
+			t.Fatalf("%s AnalyzeValency: %v", r.Name, err)
+		}
+		under, err := AnalyzeValencyUnder(r.Config, nil, 0)
+		if err != nil {
+			t.Fatalf("%s AnalyzeValencyUnder(nil): %v", r.Name, err)
+		}
+		if plain.Configs != under.Configs || plain.Executions != under.Executions ||
+			plain.Bivalent != under.Bivalent || plain.Critical != under.Critical ||
+			plain.Agreement != under.Agreement {
+			t.Errorf("%s: nil wrap diverges from plain analysis:\nplain %+v\nunder %+v", r.Name, plain, under)
+		}
 	}
 }
 
-// TestValencyUnderAmnesiacSplitsPlainFromRecoverable (E20): under the
-// same amnesiac crash-restart sweep, the plain-TAS protocol must
-// exhibit a disagreeing execution while the recoverable-TAS protocol
-// agrees everywhere — the consensus-power drop of Ovens 2024.
+// TestValencyUnderAmnesiacSplitsPlainFromRecoverable (E20): across the
+// E20 grid, the plain-TAS protocol must exhibit a disagreeing
+// execution while the recoverable-TAS protocol agrees everywhere — the
+// consensus-power drop of Ovens 2024.
 func TestValencyUnderAmnesiacSplitsPlainFromRecoverable(t *testing.T) {
-	build := map[string]func(map[string]sim.Object, string, sim.Value, sim.Value) []sim.Program{
-		"plain": recoverable.TwoConsFromPlainTAS,
-		"rec":   recoverable.TwoConsFromRecTAS,
-	}
-	disagreed := map[string]bool{}
-	for name, b := range build {
-		f := func() sim.Config {
-			objects := map[string]sim.Object{}
-			progs := b(objects, "T", 10, 20)
-			return sim.Config{Objects: objects, Programs: progs}
-		}
-		for victim := 0; victim < 2; victim++ {
-			for crashAt := 0; crashAt <= 6; crashAt++ {
-				rep, err := AnalyzeValencyUnder(f, restartWrap(victim, crashAt, 0), 0)
-				if err != nil {
-					t.Fatalf("%s victim=%d crashAt=%d: %v", name, victim, crashAt, err)
-				}
-				if !rep.Agreement {
-					disagreed[name] = true
-				}
+	for _, r := range catalogue.E20()[:2] { // plain and recoverable TAS
+		disagreed := false
+		for _, p := range catalogue.E20Grid() {
+			rep, err := AnalyzeValencyUnder(r.Config, p.Adversary, 0)
+			if err != nil {
+				t.Fatalf("%s %v: %v", r.Name, p, err)
 			}
+			disagreed = disagreed || !rep.Agreement
 		}
-	}
-	if !disagreed["plain"] {
-		t.Error("plain TAS protocol agreed at every amnesiac sweep point; expected a lost race to the restart")
-	}
-	if disagreed["rec"] {
-		t.Error("recoverable TAS protocol disagreed under amnesiac restart; its durable winner journal should prevent that")
+		if disagreed == r.Agreement {
+			t.Errorf("%s: disagreed somewhere = %v, want %v", r.Name, disagreed, !r.Agreement)
+		}
 	}
 }
 
@@ -81,16 +52,12 @@ func TestValencyUnderAmnesiacSplitsPlainFromRecoverable(t *testing.T) {
 // is a pure function of (factory, wrap parameters) — two runs agree on
 // every count and on the DFS-first disagreement schedule.
 func TestValencyUnderDeterministic(t *testing.T) {
-	f := func() sim.Config {
-		objects := map[string]sim.Object{}
-		progs := recoverable.TwoConsFromPlainWRN2(objects, "W", "a", "b")
-		return sim.Config{Objects: objects, Programs: progs}
-	}
-	a, err := AnalyzeValencyUnder(f, restartWrap(0, 3, 0), 0)
+	f, p := catalogue.E20()[2].Config, catalogue.Point{Victim: 0, CrashAt: 3} // plain WRN_2
+	a, err := AnalyzeValencyUnder(f, p.Adversary, 0)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	b, err := AnalyzeValencyUnder(f, restartWrap(0, 3, 0), 0)
+	b, err := AnalyzeValencyUnder(f, p.Adversary, 0)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"testing"
 
+	"detobj/internal/catalogue"
 	"detobj/internal/chaos"
 	"detobj/internal/linearize"
 	"detobj/internal/par"
@@ -34,22 +35,11 @@ func TestSoakAlg5Linearizability(t *testing.T) {
 		spec := wrn.Spec(k)
 		err := par.ForEach(1500, 0, func(s int) error {
 			seed := int64(s)
-			objects := map[string]sim.Object{}
-			impl := wrn.NewImpl(objects, "LW", k)
-			progs := make([]sim.Program, k)
-			for i := 0; i < k; i++ {
-				i := i
-				progs[i] = func(ctx *sim.Ctx) sim.Value {
-					return impl.TracedWRN(ctx, i, 100+i)
-				}
-			}
-			res, err := sim.Run(sim.Config{
-				Objects:   objects,
-				Programs:  progs,
-				Scheduler: sim.NewRandom(seed),
-				Seed:      seed * 7,
-				MaxSteps:  1 << 18,
-			})
+			cfg, impl := catalogue.E5{K: k}.Build()
+			cfg.Scheduler = sim.NewRandom(seed)
+			cfg.Seed = seed * 7
+			cfg.MaxSteps = 1 << 18
+			res, err := sim.Run(cfg)
 			if err != nil {
 				return fmt.Errorf("k=%d seed=%d: %w", k, seed, err)
 			}
@@ -74,26 +64,19 @@ func TestSoakAlg3Campaign(t *testing.T) {
 	family := setconsensus.CoveringFamily(k)
 	task := tasks.SetConsensus{K: k - 1}
 	err := par.ForEach(400, 0, func(trial int) error {
-		ids := []int{(trial * 3) % m, (trial*3 + 11) % m, (trial*3 + 19) % m}
-		objects := map[string]sim.Object{}
-		a, ones := setconsensus.NewAlg3(objects, "A", k, m, family)
+		row := catalogue.E3{K: k, M: m, Family: family, IDs: []int{(trial * 3) % m, (trial*3 + 11) % m, (trial*3 + 19) % m}}
 		inputs := map[int]sim.Value{}
-		progs := make([]sim.Program, k)
-		for p, id := range ids {
-			v := fmt.Sprintf("v%d", id)
-			inputs[p] = v
-			progs[p] = a.Program(id, v)
+		for p, id := range row.IDs {
+			row.Inputs = append(row.Inputs, fmt.Sprintf("v%d", id))
+			inputs[p] = row.Inputs[p]
 		}
-		var sched sim.Scheduler = sim.NewRandom(int64(trial))
+		cfg, ones := row.Build()
+		cfg.Scheduler = sim.NewRandom(int64(trial))
 		if trial%4 == 3 {
-			sched = sim.NewCrashing(sim.NewRandom(int64(trial)), trial%k)
+			cfg.Scheduler = sim.NewCrashing(sim.NewRandom(int64(trial)), trial%k)
 		}
-		res, err := sim.Run(sim.Config{
-			Objects:   objects,
-			Programs:  progs,
-			Scheduler: sched,
-			MaxSteps:  1 << 20,
-		})
+		cfg.MaxSteps = 1 << 20
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("trial %d: %w", trial, err)
 		}
@@ -116,11 +99,13 @@ func TestSoakAlg3Campaign(t *testing.T) {
 }
 
 // TestSoakChaosAdversaries: the chaos sweep — every adversary stack over
-// Algorithm 5, 300 seeds each, replay-verified, with the crash history
-// (pending operations included) checked for linearizability. A failure
-// names the stack and the seed. Each run is a pure function of its seed,
-// so `go test -run TestSoakChaosAdversaries .` reproduces it; cmd/chaos
-// parameterizes its adversaries otherwise, so its runs are not these.
+// E5's Algorithm 5 row, 300 seeds each, replay-verified, with the crash
+// history (pending operations included) checked for linearizability. A
+// failure names the stack and the seed. Each run is a pure function of
+// its seed, so `go test -run TestSoakChaosAdversaries .` reproduces it.
+// The stacks keep their own parameters on purpose: they sweep wider
+// grids than cmd/chaos, whose golden file fixes its own, so the
+// driver's runs are not these.
 func TestSoakChaosAdversaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -154,23 +139,12 @@ func TestSoakChaosAdversaries(t *testing.T) {
 		err := par.ForEach(300, 0, func(sd int) error {
 			seed := int64(sd)
 			r := chaos.NewReport(seed)
-			objects := map[string]sim.Object{}
-			impl := wrn.NewImpl(objects, "LW", k)
-			progs := make([]sim.Program, k)
-			for i := 0; i < k; i++ {
-				i := i
-				progs[i] = func(ctx *sim.Ctx) sim.Value {
-					return impl.TracedWRN(ctx, i, 100+i)
-				}
-			}
-			res, err := sim.Run(sim.Config{
-				Objects:      objects,
-				Programs:     progs,
-				Scheduler:    chaos.Instrument(s.mk(seed, r), r),
-				Seed:         seed,
-				MaxSteps:     1 << 18,
-				VerifyReplay: true,
-			})
+			cfg, impl := catalogue.E5{K: k}.Build()
+			cfg.Scheduler = chaos.Instrument(s.mk(seed, r), r)
+			cfg.Seed = seed
+			cfg.MaxSteps = 1 << 18
+			cfg.VerifyReplay = true
+			res, err := sim.Run(cfg)
 			if err != nil {
 				return fmt.Errorf("%s seed=%d: %w\n%s", s.name, seed, err, r)
 			}
@@ -194,8 +168,9 @@ func TestSoakChaosAdversaries(t *testing.T) {
 // proving each operation mutated the cells exactly once no matter how
 // many incarnations re-invoked it. A failure names the stack and the
 // seed, and `go test -run TestSoakCrashRestartRecoverable .` reproduces
-// it, as for TestSoakChaosAdversaries: cmd/chaos crashes at other steps
-// and also drives a recoverable register.
+// it. As in TestSoakChaosAdversaries, the stacks keep their own
+// parameters on purpose: they crash at more steps than cmd/chaos's
+// golden-pinned sweep, which also drives a recoverable register.
 func TestSoakCrashRestartRecoverable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -330,21 +305,17 @@ func TestSoakAlg6WideSweep(t *testing.T) {
 		for _, n := range []int{k, 2 * k, 3*k - 1, 4 * k} {
 			k, n := k, n
 			task := tasks.SetConsensus{K: setconsensus.Guarantee(n, k)}
+			row := catalogue.E9{K: k, Inputs: make([]sim.Value, n)}
+			inputs := map[int]sim.Value{}
+			for i := range row.Inputs {
+				row.Inputs[i] = i
+				inputs[i] = i
+			}
 			err := par.ForEach(100, 0, func(sd int) error {
 				seed := int64(sd)
-				objects := map[string]sim.Object{}
-				a := setconsensus.NewAlg6(objects, "G", n, k)
-				inputs := map[int]sim.Value{}
-				progs := make([]sim.Program, n)
-				for i := 0; i < n; i++ {
-					inputs[i] = i
-					progs[i] = a.Program(i, i)
-				}
-				res, err := sim.Run(sim.Config{
-					Objects:   objects,
-					Programs:  progs,
-					Scheduler: sim.NewRandom(seed),
-				})
+				cfg := row.Config()
+				cfg.Scheduler = sim.NewRandom(seed)
+				res, err := sim.Run(cfg)
 				if err != nil {
 					return fmt.Errorf("n=%d k=%d seed=%d: %w", n, k, seed, err)
 				}
