@@ -68,18 +68,14 @@ bench-smoke:
 
 # Regenerate every experiment table from EXPERIMENTS.md.
 experiments:
-	$(GO) run ./cmd/wrnsim -runs 1000
-	$(GO) run ./cmd/hierarchy
-	$(GO) run ./cmd/modelcheck
-	$(GO) run ./cmd/substrates
-	$(GO) run ./cmd/chaos -seeds 20
+	$(GO) run ./cmd/detobj run all
 
 # Sweep seeds through the simulator's chaos harness (see README
 # "Robustness & chaos testing"); failures print the reproducing seed.
 # The crash-restart soak hammers the recoverable WRN with every restart
 # adversary stack and audits the exactly-once journal per seed.
 chaos:
-	$(GO) run -race ./cmd/chaos -seeds 25
+	$(GO) run -race ./cmd/detobj run -runs 25 chaos
 	$(GO) test -race -run 'TestSoakChaosAdversaries|TestSoakBoundedNeverHangs|TestSoakCrashRestartRecoverable' .
 
 # Short fuzzing passes over the property targets.

@@ -1,10 +1,10 @@
 // Package catalogue declares each experiment row of E1, E3, E4, E5,
 // E9, E11 and E20 once: the configuration the row runs, the process
 // symmetry its reduced runs quotient by, and the verdict it expects.
-// cmd/wrnsim, cmd/modelcheck, cmd/chaos, the root benchmarks and soak
-// tests, and internal/modelcheck's oracle tests all build their
-// workloads from here, so a row cannot drift between a driver and the
-// tests that check it.
+// cmd/detobj, the root benchmarks and soak tests, and
+// internal/modelcheck's oracle tests all build their workloads from
+// here, so a row cannot drift between the command and the tests that
+// check it.
 //
 // A row is plain data plus a builder over inputs its caller gives: ids,
 // proposals, seeds and step budgets stay with the caller. Every

@@ -38,7 +38,7 @@ package chaos
 // consensus-number question (Ovens 2024, PAPERS.md): an object keeps its
 // full-persistence power by construction, while its power under amnesiac
 // restart depends on which half of its implementation state is durable —
-// E20 (cmd/modelcheck) calibrates exactly this gap.
+// E20 (`detobj run e20`) calibrates exactly this gap.
 
 import (
 	"fmt"

@@ -464,9 +464,9 @@ func rootOperand(x ast.Expr) ast.Expr {
 // enclosing function: either the expression is used in an escaping
 // context directly, or it is bound to a local variable in the
 // function's may-escape set. A struct or array literal passed or
-// returned by value stays in the frame: the callee, the appended slice
-// or the caller's result slot gets a copy. parents must come from
-// parentMap of the file containing expr.
+// returned by value, or called as a value receiver, stays in the frame:
+// the callee, the appended slice or the caller's result slot gets a
+// copy. parents must come from parentMap of the file containing expr.
 func mayEscape(pkg *Package, n *FuncNode, e *escAnalysis, parents map[ast.Node]ast.Node, expr ast.Expr) bool {
 	set := e.vars[n]
 	node := ast.Node(expr)
@@ -530,6 +530,16 @@ func mayEscape(pkg *Package, n *FuncNode, e *escAnalysis, parents map[ast.Node]a
 				}
 			}
 			return true
+		case *ast.SelectorExpr:
+			// T{...}.M() copies the literal into a value receiver; a
+			// pointer receiver or a method value keeps a reference.
+			call, called := parents[p].(*ast.CallExpr)
+			sel := pkg.Info.Selections[p]
+			if !byValue || !called || call.Fun != p || sel == nil || sel.Kind() != types.MethodVal {
+				return true
+			}
+			_, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+			return ptr
 		case *ast.ExprStmt:
 			return false // result discarded
 		case *ast.ReturnStmt:

@@ -28,6 +28,24 @@ func countRule(diags []Diagnostic, fragment, rule string) int {
 	return n
 }
 
+// TestStrayHotDirective: a //detlint:hot comment outside a function
+// declaration's doc group marks nothing, so every run reports it,
+// whatever rules it selects; the doc-group directives pass.
+func TestStrayHotDirective(t *testing.T) {
+	loadFixtures(t)
+	for _, rules := range [][]*Analyzer{HotAnalyzers(), RecoveryAnalyzers()} {
+		var stray []Diagnostic
+		for _, d := range Run(fixtureMod, rules) {
+			if strings.Contains(d.Msg, "this one marks nothing") {
+				stray = append(stray, d)
+			}
+		}
+		if len(stray) != 1 || !strings.Contains(stray[0].Pos.Filename, "hotallocbad") {
+			t.Errorf("stray hot directives reported: %v, want exactly the one in hotallocbad", stray)
+		}
+	}
+}
+
 // TestHotBudgetSuppresses: an exact budget entry swallows a function's
 // sites; the rest of the package still reports.
 func TestHotBudgetSuppresses(t *testing.T) {

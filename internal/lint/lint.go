@@ -221,7 +221,8 @@ func (m *Module) suppressed(d Diagnostic) bool {
 }
 
 // allowProblems reports every allow comment that names no rule or
-// carries no justification.
+// carries no justification, and every //detlint:hot comment that marks
+// nothing.
 func (m *Module) allowProblems() []Diagnostic {
 	var out []Diagnostic
 	files := make([]string, 0, len(m.allows))
@@ -240,6 +241,10 @@ func (m *Module) allowProblems() []Diagnostic {
 					Msg: "detlint:allow must carry an inline justification after the rule list"})
 			}
 		}
+	}
+	for _, pos := range m.strayHot {
+		out = append(out, Diagnostic{Pos: pos, Rule: hotAllocName,
+			Msg: "detlint:hot marks a hot root only in a function declaration's doc group; this one marks nothing"})
 	}
 	return out
 }

@@ -126,6 +126,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"hotallocbad", "hotalloc", "escaping composite literal (Node) in hot loop in hotallocbad.walk (reachable from hotallocbad.Tree) (depth 1,"},
 		{"hotallocbad", "hotalloc", "escaping composite literal (Node) in hot loop in hotallocbad.Explore (depth 1,"},
 		{"hotallocbad", "hotalloc", "escaping composite literal (Node) in hot loop in hotallocbad.boxed (reachable from hotallocbad.Sweep) (depth 1,"},
+		{"hotallocbad", "hotalloc", "escaping composite literal (Node) in hot loop in hotallocbad.Sweep (depth 1,"},
 		{"hotallocbad", "boxing", "variadic argument boxes a int value"},
 		{"boxbad", "boxing", "variadic argument"},
 		{"boxbad", "boxing", "interface assignment boxes a record struct"},

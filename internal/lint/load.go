@@ -47,6 +47,9 @@ type Module struct {
 
 	byPath map[string]*Package
 	allows map[string][]*allowMark // file name -> allow comments
+	// strayHot holds every //detlint:hot comment outside a function
+	// declaration's doc group, where hotRoot never reads it.
+	strayHot []token.Position
 
 	// cg caches the conservative callgraph across analyzers.
 	cg *CallGraph
@@ -190,9 +193,19 @@ func (m *Module) testFiles(pkg *Package) []*ast.File {
 	return files
 }
 
-// indexAllows records every //detlint:allow comment of one file.
+// indexAllows records every //detlint:allow comment of one file, and
+// every //detlint:hot comment that is no function's doc.
 func (m *Module) indexAllows(f *ast.File) {
+	docs := make(map[*ast.CommentGroup]bool)
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			docs[fd.Doc] = true
+		}
+	}
 	for _, cg := range f.Comments {
+		if !docs[cg] && hasDirective(cg, hotDirective) {
+			m.strayHot = append(m.strayHot, m.Fset.Position(cg.Pos()))
+		}
 		for _, c := range cg.List {
 			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 			rest, ok := strings.CutPrefix(text, "detlint:allow")

@@ -1,11 +1,13 @@
 // Package hotallocbad seeds every allocation-site kind the hotalloc
 // rule must flag on a hot path: make, new, append growth, an escaping
-// composite literal (a pointer stored away, and a flat literal passed
-// to an interface parameter or returned as an interface), string
+// composite literal (a pointer stored away, a flat literal passed to
+// an interface parameter or returned as an interface, and the address
+// of a literal taken for a pointer receiver), string
 // concatenation, and a fmt call —
 // inside loops reachable from the Explore hot root, directly and
 // through a helper only the callgraph connects, plus a //detlint:hot
-// annotated sweep driver and a tree walk whose recursion is its loop.
+// annotated sweep driver and a tree walk whose recursion is its loop;
+// and a //detlint:hot comment on a loop, which marks nothing.
 package hotallocbad
 
 import "fmt"
@@ -21,6 +23,7 @@ var kept any
 // convention).
 func Explore(n int) []string {
 	var out []string
+	//detlint:hot a directive outside a function's doc group marks nothing
 	for i := 0; i < n; i++ {
 		seen := make(map[int]bool)
 		seen[i] = true
@@ -52,9 +55,14 @@ func Sweep(rounds int) string {
 	for i := 0; i < rounds; i++ {
 		s += "x"
 		kept = boxed(i)
+		_ = (&Node{ID: i}).id()
 	}
 	return s
 }
+
+// id has a pointer receiver, which may keep the literal it is called
+// on: the literal's address is taken, so it is charged.
+func (n *Node) id() int { return n.ID }
 
 // boxed returns a flat literal as an interface: the result slot holds
 // a pointer to a heap copy.

@@ -2,8 +2,8 @@
 // NOT flag: allocation hoisted above the loop, per-iteration composite
 // values the escape analysis proves frame-local (the compiler stack-
 // allocates them), flat literals copied into a struct parameter
-// (through a conversion), an appended element or a struct result, and
-// free allocation in functions no hot root reaches.
+// (through a conversion), an appended element, a struct result or a
+// value receiver, and free allocation in functions no hot root reaches.
 package hotallocok
 
 // point is a flat per-iteration value.
@@ -20,7 +20,7 @@ func Explore(n int) int {
 	for i := 0; i < n; i++ {
 		p := point{x: i, y: i}
 		q := mirror(p)
-		buf[i] = p.x + q.y
+		buf[i] = p.x + q.y + point{x: i, y: -i}.norm()
 		total += buf[i]
 	}
 	return total
@@ -29,6 +29,9 @@ func Explore(n int) int {
 // mirror returns its flat literal by value: the caller's result slot
 // gets a copy.
 func mirror(p point) point { return point{x: p.y, y: p.x} }
+
+// norm has a value receiver: a literal it is called on is copied in.
+func (p point) norm() int { return p.x*p.x + p.y*p.y }
 
 // dist takes its point by value: the caller's literal is copied in.
 func dist(p point) int { return p.x*p.x + p.y*p.y }

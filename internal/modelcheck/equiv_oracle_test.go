@@ -174,7 +174,7 @@ type indistRow struct {
 	maxStates int
 }
 
-// e6Rows are E6's zoo as cmd/modelcheck builds it ("cmd/…": writes of p
+// e6Rows are E6's zoo as cmd/detobj builds it ("cmd/…": writes of p
 // and q, WRN writes of v0 and v1) and as the benchmark builds it for
 // seed 1 ("bench/…": writes of p.1 and q.1, WRN ops interleaved per
 // index), with WRN_k up to k = 6.

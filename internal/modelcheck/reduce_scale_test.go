@@ -12,7 +12,7 @@ import (
 // followers).  The execution count 910800 was verified once against
 // the exhaustive engine on the same factory (~42s wall clock); the reduced
 // engine reconstructs it from under two thousand concrete runs in
-// tens of milliseconds.  cmd/modelcheck's -stats E4r table prints
+// tens of milliseconds. The e4r row of cmd/detobj prints
 // this configuration and cites this test as the oracle record.
 func TestReducedE4Procs5(t *testing.T) {
 	const wantExecutions = 910800

@@ -29,7 +29,7 @@ type resetCase struct {
 func inv(op string, args ...sim.Value) sim.Invocation { return sim.Invocation{Op: op, Args: args} }
 
 // resetCases lists every object type the engine workloads and
-// cmd/modelcheck build, each with its full operation alphabet.
+// cmd/detobj build, each with its full operation alphabet.
 func resetCases() []resetCase {
 	wrnOps := []sim.Invocation{inv("WRN", 0, "x"), inv("WRN", 1, "y"), inv("WRN", 2, "x"), inv("WRN", 2, "z")}
 	regOps := []sim.Invocation{inv("read"), inv("write", "a"), inv("write", 7)}

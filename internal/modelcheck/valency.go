@@ -80,7 +80,7 @@ func AnalyzeValency(f Factory, limit int) (*ValencyReport, error) {
 // the victim has crashed and restarted), so the table would merge
 // configurations that continue differently, and a named victim breaks
 // process symmetry. With nil wrap the table stays off so that
-// AnalyzeValency remains the count cmd/modelcheck -stats checks it by.
+// AnalyzeValency remains the count `detobj run e11r` checks it by.
 func AnalyzeValencyUnder(f Factory, wrap func(inner sim.Scheduler) sim.Scheduler, limit int) (*ValencyReport, error) {
 	red, err := newReducer(f, Reduced{noDedup: true}, limit)
 	if err != nil {

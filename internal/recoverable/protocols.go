@@ -33,7 +33,7 @@ import (
 // recoverable test-and-set durably records the winner's identity and
 // re-answers 0 to it, and the recoverable WRN_2's journal replays the
 // original ⊥ response instead of re-executing the step. That asymmetry
-// is the consensus-power drop of Ovens 2024, and cmd/modelcheck -exp e20
+// is the consensus-power drop of Ovens 2024, and `detobj run e20`
 // checks all four columns exhaustively.
 
 // twoConsDecisionDurable builds the shared restart-aware protocol shape

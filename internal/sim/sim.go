@@ -27,7 +27,7 @@
 // # Concurrency contract
 //
 // Concurrent calls to Run are safe if and only if the Configs share no
-// mutable state. The -parallel seed sweeps of cmd/wrnsim and cmd/chaos
+// mutable state. The -parallel seed sweeps of cmd/detobj's rows
 // rely on exactly this, so the contract is:
 //
 //   - Objects, Scheduler, Choice and (if the scheduler implements it)

@@ -9,7 +9,9 @@ package snapshot
 
 import (
 	"fmt"
+	"slices"
 
+	"detobj/internal/linearize"
 	"detobj/internal/sim"
 )
 
@@ -45,6 +47,45 @@ func (o *Object) Apply(_ *sim.Env, inv sim.Invocation) sim.Response {
 		return sim.Respond(out)
 	default:
 		panic(fmt.Sprintf("snapshot: unknown operation %q", inv.Op))
+	}
+}
+
+// Spec is the sequential specification of an n-slot snapshot object
+// whose slots start at initial, for checking an implementation's
+// "update"/"scan" history with linearize.Check.
+func Spec(n int, initial sim.Value) linearize.Spec {
+	return linearize.Spec{
+		Init: func() any {
+			s := make([]sim.Value, n)
+			for i := range s {
+				s[i] = initial
+			}
+			return s
+		},
+		Apply: func(state any, name string, args []sim.Value) (any, sim.Value) {
+			cells := state.([]sim.Value)
+			switch name {
+			case "update":
+				next := make([]sim.Value, n)
+				copy(next, cells)
+				next[args[0].(int)] = args[1]
+				return next, nil
+			case "scan":
+				out := make([]sim.Value, n)
+				copy(out, cells)
+				return cells, out
+			default:
+				panic("snapshot: spec applied to op " + name)
+			}
+		},
+		Equal: func(observed, specified sim.Value) bool {
+			if observed == nil && specified == nil {
+				return true
+			}
+			a, aok := observed.([]sim.Value)
+			b, bok := specified.([]sim.Value)
+			return aok && bok && slices.Equal(a, b)
+		},
 	}
 }
 

@@ -8,51 +8,6 @@ import (
 	"detobj/internal/sim"
 )
 
-// spec is the sequential specification of an n-slot snapshot object.
-func spec(n int, initial sim.Value) linearize.Spec {
-	return linearize.Spec{
-		Init: func() any {
-			s := make([]sim.Value, n)
-			for i := range s {
-				s[i] = initial
-			}
-			return s
-		},
-		Apply: func(state any, name string, args []sim.Value) (any, sim.Value) {
-			cells := state.([]sim.Value)
-			switch name {
-			case "update":
-				next := make([]sim.Value, n)
-				copy(next, cells)
-				next[args[0].(int)] = args[1]
-				return next, nil
-			case "scan":
-				out := make([]sim.Value, n)
-				copy(out, cells)
-				return cells, out
-			default:
-				panic("unknown op " + name)
-			}
-		},
-		Equal: func(observed, specified sim.Value) bool {
-			if observed == nil && specified == nil {
-				return true
-			}
-			a, aok := observed.([]sim.Value)
-			b, bok := specified.([]sim.Value)
-			if !aok || !bok || len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					return false
-				}
-			}
-			return true
-		},
-	}
-}
-
 func TestObjectSequential(t *testing.T) {
 	o := NewObject(3, 0)
 	env := &sim.Env{}
@@ -149,7 +104,7 @@ func TestImplLinearizable(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		tr := runImplWorkload(t, 3, 2, seed)
 		ops := linearize.Ops(tr, "SNAP")
-		if res := linearize.Check(spec(3, "⊥"), ops); !res.OK {
+		if res := linearize.Check(Spec(3, "⊥"), ops); !res.OK {
 			t.Fatalf("seed %d: history not linearizable:\n%v", seed, ops)
 		}
 	}

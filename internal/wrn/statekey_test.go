@@ -57,7 +57,7 @@ func reachableStates(init sim.Object, alpha []sim.Invocation) []sim.Object {
 	return states
 }
 
-// e6Alphabets are the WRN_k alphabets of E6: cmd/modelcheck's writes of
+// e6Alphabets are the WRN_k alphabets of E6: cmd/detobj's writes of
 // v0 and v1 (and v2, for a larger domain), and the benchmark's writes
 // of p.S and q.S.
 func e6Alphabets(k int) [][]sim.Invocation {

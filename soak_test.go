@@ -104,7 +104,7 @@ func TestSoakAlg3Campaign(t *testing.T) {
 // failure names the stack and the seed. Each run is a pure function of
 // its seed, so `go test -run TestSoakChaosAdversaries .` reproduces it.
 // The stacks keep their own parameters on purpose: they sweep wider
-// grids than cmd/chaos, whose golden file fixes its own, so the
+// grids than `detobj run chaos`, whose golden file fixes its own, so the
 // driver's runs are not these.
 func TestSoakChaosAdversaries(t *testing.T) {
 	if testing.Short() {
@@ -169,7 +169,7 @@ func TestSoakChaosAdversaries(t *testing.T) {
 // many incarnations re-invoked it. A failure names the stack and the
 // seed, and `go test -run TestSoakCrashRestartRecoverable .` reproduces
 // it. As in TestSoakChaosAdversaries, the stacks keep their own
-// parameters on purpose: they crash at more steps than cmd/chaos's
+// parameters on purpose: they crash at more steps than the chaos row's
 // golden-pinned sweep, which also drives a recoverable register.
 func TestSoakCrashRestartRecoverable(t *testing.T) {
 	if testing.Short() {
