@@ -24,7 +24,7 @@ fmt:
 # "Static analysis"; `go run ./cmd/detlint -list-rules` prints the
 # catalogue), the v5 persistence/recovery rules included; nonzero exit
 # on any unannotated finding. Run a subset with `go run ./cmd/detlint
-# -rules lockorder,nodeterminism ./...`.
+# -rules slotdiscipline,nodeterminism ./...`.
 lint:
 	$(GO) run ./cmd/detlint ./...
 

@@ -65,6 +65,44 @@ func TestREADMERuleTable(t *testing.T) {
 	}
 }
 
+// TestDocsNameOnlyRegisteredRules: every rule that a command in the
+// docs, the Makefile, CI or the verify skill selects with -rules, or
+// that CI's `for rules in …` loop feeds to -rules, is registered, so a
+// retired rule's name cannot linger in a command anyone runs.
+func TestDocsNameOnlyRegisteredRules(t *testing.T) {
+	known := make(map[string]bool)
+	for _, a := range lint.Analyzers() {
+		known[a.Name] = true
+	}
+	// A placeholder (<comma-list>, "$rules") starts with no letter and
+	// names nothing; -list-rules is no selection.
+	selection := regexp.MustCompile("(?:^|[\\s`])-rules[ =]\"?([a-z][a-z,]*)")
+	loop := regexp.MustCompile(`for rules in ([^;\n]*);`)
+	found := 0
+	for _, file := range []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, m := range selection.FindAllStringSubmatch(string(data), -1) {
+			names = append(names, strings.Split(m[1], ",")...)
+		}
+		for _, m := range loop.FindAllStringSubmatch(string(data), -1) {
+			names = append(names, strings.Fields(m[1])...)
+		}
+		for _, name := range names {
+			found++
+			if !known[name] {
+				t.Errorf("%s selects %q, which names no registered rule", file, name)
+			}
+		}
+	}
+	if found == 0 {
+		t.Error("no -rules selection found in any file; the patterns have gone stale")
+	}
+}
+
 // ruleNames lists the analyzers' names in order.
 func ruleNames(as []*lint.Analyzer) []string {
 	names := make([]string, len(as))

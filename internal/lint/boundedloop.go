@@ -14,6 +14,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -27,10 +28,10 @@ import (
 //     counter not reassigned in the body;
 //   - a finite range: over a slice, array, map, string, or integer;
 //   - a helping read: the loop can leave via return or break and its
-//     body (transitively) reads shared state — an atomic, a mutex-held
-//     section, or a simulator object step — so each retry adopts other
-//     processes' progress (the universal construction's helping loop,
-//     the AADGMS double collect);
+//     body (transitively) steps a simulator object (sim.Ctx.Invoke),
+//     the only way sim.Program's contract lets a process read shared
+//     state, so each retry adopts other processes' progress (the
+//     universal construction's helping loop, the AADGMS double collect);
 //   - or a justified //detlint:allow boundedloop with the termination
 //     argument.
 //
@@ -66,6 +67,7 @@ func runBoundedLoop(m *Module) []Diagnostic {
 		}
 	}
 
+	steps := objectSteppers(m, g)
 	witness := g.ReachableWitness(roots, skip)
 	reached := make([]*FuncNode, 0, len(witness))
 	for n := range witness {
@@ -81,7 +83,7 @@ func runBoundedLoop(m *Module) []Diagnostic {
 		for _, body := range FuncBodies(n.Decl) {
 			cfg := BuildCFG(body)
 			for _, loop := range cfg.AllLoops {
-				if why, bad := classifyLoop(m, g, n.Pkg, loop); bad {
+				if why, bad := classifyLoop(m, g, steps, n.Pkg, loop); bad {
 					via := ""
 					if w := witness[n]; w != n {
 						via = fmt.Sprintf(" (reachable from %s)", funcLabel(w))
@@ -109,7 +111,7 @@ func funcLabel(n *FuncNode) string {
 
 // classifyLoop decides whether one loop carries a recognized progress
 // metric; bad loops come back with the reason they fail.
-func classifyLoop(m *Module, g *CallGraph, pkg *Package, loop *Loop) (string, bool) {
+func classifyLoop(m *Module, g *CallGraph, steps map[*FuncNode]bool, pkg *Package, loop *Loop) (string, bool) {
 	switch s := loop.Stmt.(type) {
 	case *ast.RangeStmt:
 		t := pkg.Info.TypeOf(s.X)
@@ -122,7 +124,7 @@ func classifyLoop(m *Module, g *CallGraph, pkg *Package, loop *Loop) (string, bo
 		case *types.Basic:
 			return "", false // string or integer range: finite
 		case *types.Chan:
-			if helpingLoop(m, g, pkg, loop, s.Body) {
+			if helpingLoop(m, g, steps, pkg, loop, s.Body) {
 				return "", false
 			}
 			return "it ranges over a channel (unbounded source)", true
@@ -136,7 +138,7 @@ func classifyLoop(m *Module, g *CallGraph, pkg *Package, loop *Loop) (string, bo
 		if boundedCounterLoop(pkg, s) {
 			return "", false
 		}
-		if helpingLoop(m, g, pkg, loop, s.Body) {
+		if helpingLoop(m, g, steps, pkg, loop, s.Body) {
 			return "", false
 		}
 		switch {
@@ -145,7 +147,7 @@ func classifyLoop(m *Module, g *CallGraph, pkg *Package, loop *Loop) (string, bo
 		case !loop.HasReturn && !loop.HasBreak:
 			return "it spins until shared state changes without adopting another process's result (await, not helping)", true
 		default:
-			return "it retries without a bounded counter and without reading shared state (no helping)", true
+			return "it retries without a bounded counter and without a simulator object step (no helping read)", true
 		}
 	}
 	return "", false
@@ -268,34 +270,57 @@ func mentionsObj(pkg *Package, e ast.Expr, obj types.Object) bool {
 }
 
 // helpingLoop recognizes the helping pattern: the loop can finish its
-// operation from inside the body (return or break), and the body reads
-// shared state each iteration — directly via an atomic, a lock, or a
-// simulator step, or transitively through a module callee with the
-// SharedAccess summary — so each retry folds in other processes'
-// progress rather than burning steps blind.
-func helpingLoop(m *Module, g *CallGraph, pkg *Package, loop *Loop, body *ast.BlockStmt) bool {
+// operation from inside the body (return or break), and the body steps
+// a simulator object each iteration, directly or through a module
+// callee in steps, so each retry folds in other processes' progress
+// rather than burning steps blind.
+func helpingLoop(m *Module, g *CallGraph, steps map[*FuncNode]bool, pkg *Package, loop *Loop, body *ast.BlockStmt) bool {
 	if !loop.HasReturn && !loop.HasBreak {
 		return false
 	}
-	if bodyHasSharedPrimitive(m, pkg, body) {
+	if invokesObject(m, pkg, body) {
 		return true
 	}
-	shared := false
+	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if shared {
-			return false
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			found = slices.ContainsFunc(g.calleesOf(pkg, call), func(c *FuncNode) bool { return steps[c] })
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for _, callee := range g.calleesOf(pkg, call) {
-			if callee.SharedAccess {
-				shared = true
-				break
+		return !found
+	})
+	return found
+}
+
+// objectSteppers runs the helping-read summary to a fixed point: a
+// function steps a simulator object if its body calls sim.Ctx.Invoke or
+// any callee steps one.
+func objectSteppers(m *Module, g *CallGraph) map[*FuncNode]bool {
+	nodes := g.sortedNodes()
+	steps := make(map[*FuncNode]bool, len(nodes))
+	for _, n := range nodes {
+		steps[n] = invokesObject(m, n.Pkg, n.Decl.Body)
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range nodes {
+			if !steps[n] && slices.ContainsFunc(n.Callees, func(c *FuncNode) bool { return steps[c] }) {
+				steps[n] = true
+				changed = true
 			}
 		}
-		return !shared
+	}
+	return steps
+}
+
+// invokesObject reports a simulator step, a sim.Ctx.Invoke call, in the
+// AST subtree.
+func invokesObject(m *Module, pkg *Package, root ast.Node) bool {
+	found := false
+	ast.Inspect(root, func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok && !found {
+			found = isMethod(resolvedFunc(pkg, call), m.Path+"/internal/sim", "Invoke")
+		}
+		return !found
 	})
-	return shared
+	return found
 }

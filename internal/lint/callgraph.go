@@ -31,18 +31,12 @@ type FuncNode struct {
 	// Callees are the module functions this function may call, in
 	// deterministic (position) order, deduplicated.
 	Callees []*FuncNode
-	// SharedAccess reports that the function — directly or through any
-	// callee — performs a recognized shared-memory access: a sync/atomic
-	// method, a sync.Mutex/RWMutex lock, or a simulator object step
-	// (sim.Ctx.Invoke and the register/snapshot wrappers above it).
-	SharedAccess bool
 
 	calleeSet map[*types.Func]bool
 }
 
 // CallGraph is the module's conservative callgraph.
 type CallGraph struct {
-	m *Module
 	// Nodes maps every declared module function to its node.
 	Nodes map[*types.Func]*FuncNode
 	// namedTypes lists every non-interface named type declared in the
@@ -62,10 +56,7 @@ func (m *Module) CallGraph() *CallGraph {
 }
 
 func buildCallGraph(m *Module) *CallGraph {
-	g := &CallGraph{
-		m:     m,
-		Nodes: make(map[*types.Func]*FuncNode),
-	}
+	g := &CallGraph{Nodes: make(map[*types.Func]*FuncNode)}
 	// Pass 1: one node per declared function with a body, plus the
 	// module's named types for interface fan-out.
 	for _, pkg := range m.Pkgs {
@@ -100,9 +91,7 @@ func buildCallGraph(m *Module) *CallGraph {
 		}
 	}
 	// Pass 2: edges.
-	nodes := g.sortedNodes()
-	for _, node := range nodes {
-		n := node
+	for _, n := range g.sortedNodes() {
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 			call, ok := x.(*ast.CallExpr)
 			if !ok {
@@ -120,7 +109,6 @@ func buildCallGraph(m *Module) *CallGraph {
 			return n.Callees[i].Fn.Pos() < n.Callees[j].Fn.Pos()
 		})
 	}
-	g.computeSharedAccess(nodes)
 	return g
 }
 
@@ -232,59 +220,4 @@ func (g *CallGraph) ReachableWitness(roots []*FuncNode, skip func(*Package) bool
 		}
 	}
 	return witness
-}
-
-// computeSharedAccess runs the shared-access dataflow to a fixed point:
-// a function has the property if its body performs a primitive shared
-// access or any callee has it.
-func (g *CallGraph) computeSharedAccess(nodes []*FuncNode) {
-	for _, n := range nodes {
-		n.SharedAccess = bodyHasSharedPrimitive(g.m, n.Pkg, n.Decl.Body)
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			if n.SharedAccess {
-				continue
-			}
-			for _, c := range n.Callees {
-				if c.SharedAccess {
-					n.SharedAccess = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-}
-
-// bodyHasSharedPrimitive reports a direct recognized shared-memory
-// access in the AST subtree: a sync/atomic method call, a
-// sync.Mutex/RWMutex Lock/RLock, or a simulator step (sim.Ctx.Invoke).
-func bodyHasSharedPrimitive(m *Module, pkg *Package, root ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := resolvedFunc(pkg, call)
-		if fn == nil {
-			return true
-		}
-		switch {
-		case isMethod(fn, "sync/atomic",
-			"Load", "Store", "Add", "Swap", "CompareAndSwap", "Or", "And"):
-			found = true
-		case isMethod(fn, "sync", "Lock", "RLock", "TryLock", "TryRLock"):
-			found = true
-		case isMethod(fn, m.Path+"/internal/sim", "Invoke"):
-			found = true
-		}
-		return !found
-	})
-	return found
 }

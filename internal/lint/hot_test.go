@@ -138,7 +138,7 @@ func TestHotBudgetPartialRun(t *testing.T) {
 	)
 	defer restore()
 	// Neither hot rule runs: both stale entries must go unjudged.
-	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerLockOrder()})
+	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerObjectPurity()})
 	for _, d := range unjudged {
 		if strings.Contains(d.Msg, "nowhere.Gone") {
 			t.Errorf("partial run without hot rules judged a budget: %s", d)

@@ -31,8 +31,6 @@
 //   - injectionpurity: chaos injection decisions in internal/chaos
 //     (anything returning sim.Fault) are pure functions of the seed and
 //     the observed run.
-//   - lockorder: the module-wide lock-acquisition-order graph is
-//     acyclic, and no sync mutex is re-acquired while held.
 //   - hotalloc, boxing: no new heap-allocation sites or boxing
 //     interface conversions in loops reachable from the hot
 //     entrypoints, beyond the per-function budgets in .detlint.hot.
@@ -57,10 +55,9 @@
 //     finding; stale annotations are findings themselves.
 //
 // The interprocedural rules ride on a typed load (typeload.go), a
-// per-function control-flow graph (cfg.go), a conservative module
-// callgraph with a shared-access dataflow summary (callgraph.go), and a
-// path-sensitive must-hold lockset (lockset.go). The rules that read
-// _test.go files share one parse of them per load (Module.testFiles).
+// per-function control-flow graph (cfg.go) and a conservative module
+// callgraph (callgraph.go). The rules that read _test.go files share
+// one parse of them per load (Module.testFiles).
 //
 // A finding can be suppressed with an inline escape comment on the same
 // or preceding line:
@@ -113,7 +110,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerScheduleCoverage(),
 		AnalyzerBoundedLoop(),
 		AnalyzerInjectionPurity(),
-		AnalyzerLockOrder(),
 		AnalyzerHotAlloc(),
 		AnalyzerBoxing(),
 		AnalyzerPersistSplit(),

@@ -33,8 +33,6 @@ func loadFixtures(t *testing.T) []Diagnostic {
 			"detobj/internal/lintfixture/boundedok":     "testdata/src/boundedok",
 			"detobj/internal/lintfixture/restartbad":    "testdata/src/restartbad",
 			"detobj/internal/lintfixture/restartok":     "testdata/src/restartok",
-			"detobj/internal/lintfixture/lockbad":       "testdata/src/lockbad",
-			"detobj/internal/lintfixture/lockok":        "testdata/src/lockok",
 			"detobj/internal/lintfixture/auditbad":      "testdata/src/auditbad",
 			"detobj/internal/lintfixture/auditok":       "testdata/src/auditok",
 			"detobj/internal/lintfixture/embedbad":      "testdata/src/embedbad",
@@ -104,6 +102,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"boundedbad", "boundedloop", "spins until shared state changes"},
 		{"boundedbad", "boundedloop", "ranges over a channel"},
 		{"boundedbad", "boundedloop", "retries without a bounded counter"},
+		{"boundedbad", "boundedloop", "loop in boundedbad.(Obj).casRetry (reachable from boundedbad.(Obj).Propose)"},
 		{"boundedbad", "boundedloop", "reachable from boundedbad.(Obj).Propose"},
 		{"restartbad", "injectionpurity", "time.Now"},
 		{"restartbad", "injectionpurity", "rand.Intn"},
@@ -112,8 +111,6 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"restartbad", "injectionpurity", "select statement"},
 		{"restartbad", "injectionpurity", "in restartbad.(Adversary).fromChan"},
 		{"restartbad", "schedulecoverage", "only under the default round-robin schedule"},
-		{"lockbad", "lockorder", "lock-order cycle among"},
-		{"lockbad", "lockorder", "acquired in lockbad.(Cell).Again while already held"},
 		{"auditbad", "allowaudit", "stale detlint:allow (nodeterminism)"},
 		{"embedbad", "boundedloop", "reachable from embedbad.(Obj).Propose"},
 		{"hotallocbad", "hotalloc", "make(map[int]bool) in hot loop"},
@@ -177,7 +174,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "restartok", "lockok", "auditok", "hotallocok", "boxok", "persistok", "recreadok", "journalok", "restartcovok", "slotok"} {
+	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "restartok", "auditok", "hotallocok", "boxok", "persistok", "recreadok", "journalok", "restartcovok", "slotok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}
@@ -206,7 +203,7 @@ func TestPartialRunStaleJudgment(t *testing.T) {
 			t.Errorf("live allow in auditok judged stale: %s", d)
 		}
 	}
-	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerLockOrder(), AnalyzerAllowAudit()})
+	unjudged := Run(fixtureMod, []*Analyzer{AnalyzerObjectPurity(), AnalyzerAllowAudit()})
 	for _, d := range unjudged {
 		if d.Rule == allowAuditName {
 			t.Errorf("subset without nodeterminism judged a mark anyway: %s", d)

@@ -8,12 +8,11 @@ package lint
 // step exists to prevent, and one no test catches unless the crash
 // lands on the right step.
 //
-// The analysis is a must-write-before-read dataflow, the dual of the
-// must-hold lockset (lockset.go): per CFG block, the state is the set
-// of volatile fields written on *every* path from entry; joins
-// intersect; a read of a volatile field outside the set is a finding.
-// There is no kill — within one function a re-derived field stays
-// re-derived. Roots are the module's Recovery methods and every
+// The analysis is a must-write-before-read dataflow: per CFG block, the
+// state is the set of volatile fields written on *every* path from
+// entry; joins intersect; a read of a volatile field outside the set is
+// a finding. There is no kill — within one function a re-derived field
+// stays re-derived. Roots are the module's Recovery methods and every
 // function returning a sim.RecoveryProc; reachability (minus the
 // simulator itself, whose Invoke fans out to every Apply method through
 // the interface) pulls helpers in, with the witness attributing each
@@ -28,6 +27,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // AnalyzerRecoveryReads returns the recoveryreads rule.
@@ -113,8 +113,9 @@ func recoveryReadsInBody(m *Module, info *persistInfo, n *FuncNode, body *ast.Bl
 				work = append(work, s)
 				continue
 			}
-			merged := intersectLocks(in[s], out)
-			if !equalLocks(merged, in[s]) {
+			// The join only shrinks a set, so a change shows in its length.
+			merged := intersectWritten(in[s], out)
+			if len(merged) != len(in[s]) {
 				in[s] = merged
 				work = append(work, s)
 			}
@@ -197,7 +198,7 @@ func recoveryTransfer(pkg *Package, info *persistInfo, b *Block, written []*type
 					return true
 				}
 				pf := info.byField[f]
-				if pf == nil || pf.class != persistVolatile || hasLock(written, f) {
+				if pf == nil || pf.class != persistVolatile || slices.Contains(written, f) {
 					return true
 				}
 				emit(pf, sel)
@@ -205,7 +206,7 @@ func recoveryTransfer(pkg *Package, info *persistInfo, b *Block, written []*type
 			})
 		}
 		for _, f := range writes {
-			written = addLock(written, f)
+			written = addWritten(written, f)
 		}
 	}
 	return written
@@ -226,4 +227,25 @@ func targetSelector(e ast.Expr) ast.Expr {
 			return e
 		}
 	}
+}
+
+// addWritten returns written ∪ {f} without mutating written, which may
+// be another block's in-state.
+func addWritten(written []*types.Var, f *types.Var) []*types.Var {
+	if slices.Contains(written, f) {
+		return written
+	}
+	return append(slices.Clip(written), f)
+}
+
+// intersectWritten returns the fields written on both joined paths, in
+// a's order.
+func intersectWritten(a, b []*types.Var) []*types.Var {
+	var out []*types.Var
+	for _, f := range a {
+		if slices.Contains(b, f) {
+			out = append(out, f)
+		}
+	}
+	return out
 }

@@ -6,13 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
-// loadScratch type-checks a one-file throwaway module, so unit tests can
-// probe the lockset layer and the journal response check without
-// dragging in the fixture module load.
-func loadScratch(t *testing.T, src string) *Package {
+// loadScratchModule type-checks a one-file throwaway module, so unit
+// tests can probe the allow audit and the journal response check
+// without dragging in the fixture module load.
+func loadScratchModule(t *testing.T, src string) *Module {
 	t.Helper()
 	dir := t.TempDir()
 	for name, content := range map[string]string{
@@ -27,7 +28,13 @@ func loadScratch(t *testing.T, src string) *Package {
 	if err != nil {
 		t.Fatalf("loading scratch module: %v", err)
 	}
-	pkg := m.Lookup("scratch")
+	return m
+}
+
+// loadScratch is loadScratchModule's one package.
+func loadScratch(t *testing.T, src string) *Package {
+	t.Helper()
+	pkg := loadScratchModule(t, src).Lookup("scratch")
 	if pkg == nil {
 		t.Fatal("scratch package not loaded")
 	}
@@ -137,122 +144,38 @@ func (j *J) addressed(xs []int) int {
 	}
 }
 
-// guardedSelectors maps every selector expression evaluated in the
-// function — including inside nested function literals — to the
-// must-hold lockset at its statement. A literal body is analyzed with
-// an empty entry set: it may run on another goroutine, so locks held by
-// the enclosing function are not credited to it.
-func guardedSelectors(pkg *Package, fd *ast.FuncDecl) map[*ast.SelectorExpr][]*types.Var {
-	out := make(map[*ast.SelectorExpr][]*types.Var)
-	for _, body := range FuncBodies(fd) {
-		cfg := BuildCFG(body)
-		lf := ComputeLockFacts(pkg, cfg)
-		for _, b := range cfg.Blocks {
-			for _, st := range b.Stmts {
-				held, reached := lf.Before[st]
-				if !reached {
-					continue // unreachable block
-				}
-				inspectShallow(st, func(n ast.Node) bool {
-					if sel, ok := n.(*ast.SelectorExpr); ok {
-						if _, seen := out[sel]; !seen {
-							out[sel] = held
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	return out
-}
+// TestAllowNamingRetiredRule pins what makes retiring a rule safe: a
+// mark naming no analyzer can never suppress, so every run of allowaudit
+// judges it stale, the full suite and a subset alike, while the hot and
+// recovery subsets, which do not run allowaudit, say nothing about it.
+func TestAllowNamingRetiredRule(t *testing.T) {
+	m := loadScratchModule(t, `package scratch
 
-// TestLocksetMustHold pins the lockset transfer semantics through
-// guardedSelectors: a plain Lock/Unlock bracket guards only the span
-// between them, a branch that may release drops the lock at the join
-// (must-hold is the intersection), a deferred unlock does not kill,
-// RLock counts as holding, and TryLock never generates.
-func TestLocksetMustHold(t *testing.T) {
-	pkg := loadScratch(t, `package scratch
-
-import "sync"
-
-type G struct {
-	mu sync.Mutex
-	rw sync.RWMutex
-	n  int
-}
-
-func (g *G) bracket() {
-	g.mu.Lock()
-	g.n = 1
-	g.mu.Unlock()
-	g.n = 2
-}
-
-func (g *G) branchy(c bool) {
-	g.mu.Lock()
-	if c {
-		g.mu.Unlock()
-	}
-	g.n = 3
-}
-
-func (g *G) deferred() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.n = 4
-}
-
-func (g *G) reader() {
-	g.rw.RLock()
-	g.n = 5
-	g.rw.RUnlock()
-}
-
-func (g *G) tentative() {
-	if g.mu.TryLock() {
-		g.n = 6
-	}
-}
+//detlint:allow lockorder the rule this names is gone
+func F() {}
 `)
-
-	// Each write to g.n is tagged by its assigned literal, so the guard
-	// expectations are independent of statement order.
-	wantGuards := map[string]int{"1": 1, "2": 0, "3": 0, "4": 1, "5": 1, "6": 0}
-	for _, c := range []struct{ name, fn string }{
-		{"bracket guards only its span", "bracket"},
-		{"release on a branch drops the lock at the join", "branchy"},
-		{"deferred unlock does not kill", "deferred"},
-		{"RLock counts as holding", "reader"},
-		{"TryLock never generates", "tentative"},
+	const stale = "stale detlint:allow (lockorder)"
+	for _, c := range []struct {
+		name      string
+		analyzers []*Analyzer
+		wantStale bool
+	}{
+		{"full suite", Analyzers(), true},
+		{"nodeterminism and allowaudit", []*Analyzer{AnalyzerNoDeterminism(), AnalyzerAllowAudit()}, true},
+		{"hot", HotAnalyzers(), false},
+		{"recovery", RecoveryAnalyzers(), false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			fd := declOf(t, pkg, c.fn)
-			guards := guardedSelectors(pkg, fd)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				as, ok := n.(*ast.AssignStmt)
-				if !ok || len(as.Lhs) != 1 {
-					return true
+			diags := Run(m, c.analyzers)
+			if !c.wantStale {
+				for _, d := range diags {
+					t.Errorf("unexpected finding: %s", d)
 				}
-				sel, ok := as.Lhs[0].(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "n" {
-					return true
-				}
-				lit, ok := as.Rhs[0].(*ast.BasicLit)
-				if !ok {
-					return true
-				}
-				want, tracked := wantGuards[lit.Value]
-				if !tracked {
-					t.Errorf("%s: untagged write g.n = %s", c.fn, lit.Value)
-					return true
-				}
-				if got := len(guards[sel]); got != want {
-					t.Errorf("%s: write g.n = %s holds %d locks, want %d", c.fn, lit.Value, got, want)
-				}
-				return true
-			})
+				return
+			}
+			if len(diags) != 1 || diags[0].Rule != allowAuditName || !strings.HasPrefix(diags[0].Msg, stale) {
+				t.Errorf("findings %v, want one %s finding %q", diags, allowAuditName, stale)
+			}
 		})
 	}
 }

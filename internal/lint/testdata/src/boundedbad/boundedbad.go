@@ -1,8 +1,8 @@
 // Package boundedbad seeds every loop shape the boundedloop rule must
 // reject on a decision path: the blind spin-await, the loop with no exit
-// at all, the channel range, the self-voided counter, and an unbounded
-// retry hidden in an unexported helper that only the callgraph connects
-// to the Propose root.
+// at all, the channel range, the self-voided counter, a retry that reads
+// only atomics, and an unbounded retry hidden in an unexported helper
+// that only the callgraph connects to the Propose root.
 package boundedbad
 
 import "sync/atomic"
@@ -10,6 +10,7 @@ import "sync/atomic"
 // Obj is a toy decision object; Propose anchors the decision path.
 type Obj struct {
 	flag atomic.Bool
+	cur  atomic.Int64
 	ch   chan int
 }
 
@@ -19,7 +20,7 @@ func (o *Obj) Propose(v int) int {
 	o.drain()
 	o.reassign(v)
 	o.stuck()
-	return o.retry(v)
+	return o.casRetry(v) + o.retry(v)
 }
 
 // await spins until shared state changes but never adopts a result:
@@ -47,6 +48,21 @@ func (o *Obj) stuck() {
 	n := 0
 	for {
 		n++
+	}
+}
+
+// casRetry retries through atomics alone. A simulated process shares
+// state only through objects, so no simulator step means no helping
+// read: the atomics are memory no other process steps.
+func (o *Obj) casRetry(v int) int {
+	for {
+		if o.flag.Load() {
+			return int(o.cur.Load())
+		}
+		if o.cur.CompareAndSwap(0, int64(v)) {
+			o.flag.Store(true)
+			return v
+		}
 	}
 }
 

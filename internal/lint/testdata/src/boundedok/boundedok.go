@@ -5,21 +5,19 @@
 // a method no decision path reaches — the reachability scoping itself.
 package boundedok
 
-import "sync/atomic"
+import "detobj/internal/sim"
 
 // Obj is a toy decision object; Propose anchors the decision path.
 type Obj struct {
-	done  atomic.Bool
-	cur   atomic.Int64
 	names []string
 	seen  map[int]int
 }
 
 // Propose decides a value using only recognized progress metrics.
-func (o *Obj) Propose(v int) int {
+func (o *Obj) Propose(ctx *sim.Ctx, v int) int {
 	o.Spin()
 	t := o.counted(v) + o.ranged()
-	return t + o.helping(v)
+	return t + o.helping(ctx, v)
 }
 
 // counted runs strictly bounded counters, one with a compound condition.
@@ -49,16 +47,15 @@ func (o *Obj) ranged() int {
 	return t
 }
 
-// helping retries until it can adopt a decided value: the body reads
-// shared state (atomics) and can leave via return, so every iteration
-// folds in other processes' progress.
-func (o *Obj) helping(v int) int {
+// helping retries until it can adopt a decided value: the body steps
+// the shared cell through the simulator and can leave via return, so
+// every iteration folds in other processes' progress.
+func (o *Obj) helping(ctx *sim.Ctx, v int) int {
 	for {
-		if o.done.Load() {
-			return int(o.cur.Load())
+		if d, ok := ctx.Invoke("cell", "read").(int); ok {
+			return d
 		}
-		if o.cur.CompareAndSwap(0, int64(v)) {
-			o.done.Store(true)
+		if ctx.Invoke("cell", "cas", 0, v) == true {
 			return v
 		}
 	}
