@@ -31,7 +31,7 @@ lint:
 # Just the persistence & recovery-safety rules — the local mirror of
 # CI's recovery-gate job.
 lint-recovery:
-	$(GO) run ./cmd/detlint -recovery ./...
+	$(GO) run ./cmd/detlint -rules persistsplit,journaldiscipline,restartcoverage ./...
 
 # Same suite, also writing a SARIF 2.1.0 log for code-scanning upload.
 lint-sarif:

@@ -20,18 +20,17 @@
 // no longer suppresses a finding. See README.md "Static analysis" for
 // the rule catalogue; -list-rules prints it.
 //
-// -rules=<comma-list> runs a subset of the suite (allowaudit only
-// judges allows whose rules all ran, so a partial run cannot declare an
-// annotation stale). -hot runs just the hot-path rules (hotalloc,
-// boxing), whose allocation findings are capped by the committed
-// per-function budgets in .detlint.hot — each hot rule judges only its
-// own budget entries, so a run that skips a rule says nothing about
-// that rule's budgets. -recovery runs just the persistence and
-// recovery-safety rules (persistsplit, recoveryreads,
-// journaldiscipline, restartcoverage), the CI recovery gate. -sarif
-// writes a SARIF 2.1.0 log for code-scanning upload; it is byte-stable
-// across runs on an unchanged tree, and every finding carries a stable
-// ID independent of line numbers.
+// -rules=<comma-list> runs a subset of the suite, in registry order
+// (allowaudit only judges allows whose rules all ran, so a partial run
+// cannot declare an annotation stale). CI's alloc gate runs -rules
+// hotalloc,boxing, whose allocation findings are capped by the
+// committed per-function budgets in .detlint.hot — each hot rule judges
+// only its own budget entries, so a run that skips a rule says nothing
+// about that rule's budgets — and its recovery gate runs -rules
+// persistsplit,journaldiscipline,restartcoverage. -sarif writes a SARIF
+// 2.1.0 log for code-scanning upload; it is byte-stable across runs on
+// an unchanged tree, and every finding carries a stable ID independent
+// of line numbers.
 package main
 
 import (
@@ -60,8 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rootFlag := fs.String("root", "", "module root (default: nearest go.mod above the working directory)")
 	listRules := fs.Bool("list-rules", false, "print the available rules (name and one-line doc, byte-stable order) and exit")
 	sarifOut := fs.String("sarif", "", "also write a SARIF 2.1.0 log to the given path")
-	hot := fs.Bool("hot", false, "run only the hot-path rules (hotalloc, boxing)")
-	recovery := fs.Bool("recovery", false, "run only the persistence and recovery-safety rules (persistsplit, recoveryreads, journaldiscipline, restartcoverage)")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
@@ -86,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	analyzers, err := selectAnalyzers(*hot, *recovery, *rules)
+	analyzers, err := selectAnalyzers(*rules)
 	if err != nil {
 		return fail(err)
 	}
@@ -115,18 +112,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// selectAnalyzers returns the rules a run selects: the -hot or the
-// -recovery subset, the -rules list, or else the whole suite. The three
-// selections are mutually exclusive.
-func selectAnalyzers(hot, recovery bool, rules string) ([]*lint.Analyzer, error) {
-	switch {
-	case hot && recovery, (hot || recovery) && rules != "":
-		return nil, fmt.Errorf("detlint: -hot, -recovery and -rules are mutually exclusive")
-	case hot:
-		return lint.HotAnalyzers(), nil
-	case recovery:
-		return lint.RecoveryAnalyzers(), nil
-	case rules == "":
+// selectAnalyzers returns the rules a run selects: the -rules list in
+// registry order, or else the whole suite.
+func selectAnalyzers(rules string) ([]*lint.Analyzer, error) {
+	if rules == "" {
 		return lint.Analyzers(), nil
 	}
 	want := make(map[string]bool)

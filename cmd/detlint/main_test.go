@@ -65,6 +65,10 @@ func TestREADMERuleTable(t *testing.T) {
 	}
 }
 
+// commandFiles are the files whose detlint commands people copy and
+// run: the docs, the Makefile, CI and the verify skill.
+var commandFiles = []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+
 // TestDocsNameOnlyRegisteredRules: every rule that a command in the
 // docs, the Makefile, CI or the verify skill selects with -rules, or
 // that CI's `for rules in …` loop feeds to -rules, is registered, so a
@@ -79,7 +83,7 @@ func TestDocsNameOnlyRegisteredRules(t *testing.T) {
 	selection := regexp.MustCompile("(?:^|[\\s`])-rules[ =]\"?([a-z][a-z,]*)")
 	loop := regexp.MustCompile(`for rules in ([^;\n]*);`)
 	found := 0
-	for _, file := range []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+	for _, file := range commandFiles {
 		data, err := os.ReadFile(filepath.Join("..", "..", file))
 		if err != nil {
 			t.Fatal(err)
@@ -103,6 +107,54 @@ func TestDocsNameOnlyRegisteredRules(t *testing.T) {
 	}
 }
 
+// TestDocsPassOnlyDefinedFlags: every detlint command in the docs, the
+// Makefile, CI, the verify skill or the header of .detlint.hot passes
+// only flags that run's flag set defines, so a retired flag cannot
+// linger in a command anyone copies. Each command's arguments go through
+// run itself behind -list-rules, so the flag package parses them as the
+// binary would, and no module is loaded and no file written.
+func TestDocsPassOnlyDefinedFlags(t *testing.T) {
+	type doc struct{ file, text string }
+	var docs []doc
+	for _, file := range commandFiles {
+		data, err := os.ReadFile(filepath.Join("..", "..", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, doc{file, string(data)})
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", lint.HotBudgetFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header is the comment block above the first budget entry.
+	var header []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			break
+		}
+		header = append(header, line)
+	}
+	docs = append(docs, doc{lint.HotBudgetFileName + " header", strings.Join(header, "\n")})
+	// A command runs from "detlint" (or "./cmd/detlint") to the end of
+	// its line, code span or shell statement.
+	command := regexp.MustCompile("(?:^|[\\s`(/])detlint[ \\t]+([^`;|)\\n]*)")
+	found := 0
+	for _, d := range docs {
+		for _, m := range command.FindAllStringSubmatch(d.text, -1) {
+			found++
+			var stdout, stderr bytes.Buffer
+			if code := run(append([]string{"-list-rules"}, strings.Fields(m[1])...), &stdout, &stderr); code != 0 {
+				msg, _, _ := strings.Cut(stderr.String(), "\n")
+				t.Errorf("%s: detlint %s: exit %d: %s", d.file, strings.TrimSpace(m[1]), code, msg)
+			}
+		}
+	}
+	if found == 0 {
+		t.Error("no detlint command found in any file; the pattern has gone stale")
+	}
+}
+
 // ruleNames lists the analyzers' names in order.
 func ruleNames(as []*lint.Analyzer) []string {
 	names := make([]string, len(as))
@@ -112,36 +164,29 @@ func ruleNames(as []*lint.Analyzer) []string {
 	return names
 }
 
-// TestSelectAnalyzers: -recovery and -hot select exactly the library's
-// recovery and hot-path subsets, -rules the named rules, and no flag the
-// whole suite; combining them is an error.
+// TestSelectAnalyzers: -rules selects the named rules in registry order,
+// so the lists the CI gates name come out as the registry orders them,
+// no -rules selects the whole suite, and an unknown name is an error.
 func TestSelectAnalyzers(t *testing.T) {
 	for _, c := range []struct {
-		name          string
-		hot, recovery bool
-		rules         string
-		want          []*lint.Analyzer
+		rules string
+		want  []*lint.Analyzer
 	}{
-		{"default", false, false, "", lint.Analyzers()},
-		{"-hot", true, false, "", lint.HotAnalyzers()},
-		{"-recovery", false, true, "", lint.RecoveryAnalyzers()},
-		{"-rules", false, false, "boxing, nodeterminism", []*lint.Analyzer{lint.AnalyzerNoDeterminism(), lint.AnalyzerBoxing()}},
+		{"", lint.Analyzers()},
+		{"boxing, nodeterminism", []*lint.Analyzer{lint.AnalyzerNoDeterminism(), lint.AnalyzerBoxing()}},
+		{"boxing,hotalloc", []*lint.Analyzer{lint.AnalyzerHotAlloc(), lint.AnalyzerBoxing()}},
+		{"restartcoverage,journaldiscipline,persistsplit", []*lint.Analyzer{lint.AnalyzerPersistSplit(), lint.AnalyzerJournalDiscipline(), lint.AnalyzerRestartCoverage()}},
 	} {
-		got, err := selectAnalyzers(c.hot, c.recovery, c.rules)
+		got, err := selectAnalyzers(c.rules)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("-rules %q: %v", c.rules, err)
 		}
 		if g, w := strings.Join(ruleNames(got), ","), strings.Join(ruleNames(c.want), ","); g != w {
-			t.Errorf("%s selects %s, want %s", c.name, g, w)
+			t.Errorf("-rules %q selects %s, want %s", c.rules, g, w)
 		}
 	}
-	for _, c := range []struct {
-		hot, recovery bool
-		rules         string
-	}{{true, true, ""}, {true, false, "boxing"}, {false, true, "persistsplit"}, {false, false, "nosuchrule"}} {
-		if _, err := selectAnalyzers(c.hot, c.recovery, c.rules); err == nil {
-			t.Errorf("hot=%v recovery=%v rules=%q: no error", c.hot, c.recovery, c.rules)
-		}
+	if _, err := selectAnalyzers("nosuchrule"); err == nil {
+		t.Error("-rules nosuchrule: no error")
 	}
 }
 
@@ -160,11 +205,12 @@ func TestRunListRules(t *testing.T) {
 	}
 }
 
-// TestRunRetiredFlags: the result cache, the hot report and the JSON
-// report are gone, so their flags are malformed command lines (exit 2)
-// rather than silently ignored.
+// TestRunRetiredFlags: the result cache, the hot report, the JSON report
+// and the -hot and -recovery presets are gone (-rules names the preset
+// lists), so their flags are malformed command lines (exit 2) rather
+// than silently ignored.
 func TestRunRetiredFlags(t *testing.T) {
-	for _, f := range []string{"-no-cache", "-json", "-hotreport"} {
+	for _, f := range []string{"-no-cache", "-json", "-hotreport", "-hot", "-recovery"} {
 		t.Run(f, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run([]string{f, "-list-rules"}, &stdout, &stderr); code != 2 {
@@ -199,8 +245,7 @@ func writeModule(t *testing.T, files map[string]string) string {
 // TestRunModule drives the command end to end over throwaway modules:
 // each run analyzes the tree afresh, a clean tree exits 0 silently, a
 // finding prints as file:line:col: rule: message with a count on stderr
-// and exit 1, -sarif writes the log, and conflicting selections are an
-// error.
+// and exit 1, and -sarif writes the log.
 func TestRunModule(t *testing.T) {
 	const clock = "package clock\n\nimport \"time\"\n\nfunc Now() int64 { return time.Now().UnixNano() }\n"
 	const pure = "package clock\n\nfunc Now() int64 { return 0 }\n"
@@ -243,15 +288,6 @@ func TestRunModule(t *testing.T) {
 		}
 		if !strings.Contains(string(b), `"ruleId": "nodeterminism"`) {
 			t.Errorf("SARIF log carries no nodeterminism result:\n%s", b)
-		}
-	})
-	t.Run("exclusive", func(t *testing.T) {
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-root", t.TempDir(), "-hot", "-recovery"}, &stdout, &stderr); code != 1 {
-			t.Errorf("exit %d, want 1", code)
-		}
-		if !strings.Contains(stderr.String(), "mutually exclusive") {
-			t.Errorf("stderr %q does not name the conflict", stderr.String())
 		}
 	})
 }

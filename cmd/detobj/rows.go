@@ -655,7 +655,9 @@ func expE13(w io.Writer, _ sweep) error {
 		},
 	}
 	inputs := []sim.Value{"a", "b", "c"}
-	const sweep = 60
+	// Simulator 0 crashes after j steps; a crashed simulator blocks at
+	// most one simulated process (BG's t-resilience).
+	const sweep, bound = 60, 1
 	done, maxBlocked := 0, 0
 	for j := 0; j <= sweep; j++ {
 		objects := map[string]sim.Object{}
@@ -683,7 +685,10 @@ func expE13(w io.Writer, _ sweep) error {
 			}
 		}
 	}
-	fmt.Fprintf(w, "%-5d %-6d %-13d %d/%d %14d  %d\n\n", 2, len(inputs), sweep+1, done, sweep+1, maxBlocked, 1)
+	fmt.Fprintf(w, "%-5d %-6d %-13d %d/%d %14d  %d\n\n", 2, len(inputs), sweep+1, done, sweep+1, maxBlocked, bound)
+	if done != sweep+1 || maxBlocked > bound {
+		return fmt.Errorf("survivor finished at %d/%d crash points with up to %d simulated process(es) blocked, bound %d", done, sweep+1, maxBlocked, bound)
+	}
 	return nil
 }
 
@@ -814,15 +819,23 @@ const maxN = 12
 func expE2(w io.Writer, _ sweep) error {
 	fmt.Fprintln(w, "E2  WRN_k sits strictly between registers and 2-consensus")
 	fmt.Fprintln(w, "k   equivalent-task        consensus-number  solves-(k,k-1)  registers-can  implements-2-consensus")
+	wrong := 0
 	for k := 3; k <= 8; k++ {
 		eq := core.WRNEquivalent(k)
+		cons, two := core.WRNConsensusNumber(k), core.Implements(eq.N, eq.K, 2, 1)
 		fmt.Fprintf(w, "%-3d %-22v %-17d %-15v %-14v %v\n",
-			k, eq, core.WRNConsensusNumber(k),
+			k, eq, cons,
 			true,  // Algorithm 2, verified exhaustively in E1
 			false, // k-set consensus is unsolvable from registers (BG/HS/SZ)
-			core.Implements(eq.N, eq.K, 2, 1))
+			two)
+		if cons != 1 || two {
+			wrong++
+		}
 	}
 	fmt.Fprintln(w)
+	if wrong > 0 {
+		return fmt.Errorf("%d WRN_k row(s) not strictly between registers and 2-consensus", wrong)
+	}
 	return nil
 }
 
@@ -857,15 +870,22 @@ func expE8(w io.Writer, _ sweep) error {
 		fmt.Fprintf(w, "k=%-3d ", 3+j)
 	}
 	fmt.Fprintln(w)
+	unordered := 0
 	for i, row := range levels {
 		fmt.Fprintf(w, "k=%-3d ", 3+i)
-		for _, o := range row {
+		for j, o := range row {
 			fmt.Fprintf(w, "%-5s ", symbol(o))
+			if i == j && o != core.Equivalent || i != j && o != core.Stronger && o != core.Weaker {
+				unordered++
+			}
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "  (> = strictly stronger, < = strictly weaker, = = equivalent)")
 	fmt.Fprintln(w)
+	if unordered > 0 {
+		return fmt.Errorf("%d cell(s) of the 1sWRN hierarchy not strictly ordered off the diagonal or equivalent on it", unordered)
+	}
 	return nil
 }
 
@@ -914,14 +934,21 @@ func expE10(w io.Writer, _ sweep) error {
 func expE17(w io.Writer, _ sweep) error {
 	fmt.Fprintln(w, "E17 The wealth quantified: pairwise-inequivalent set-consensus powers")
 	fmt.Fprintln(w, "maxN  objects  power-classes  at-consensus-number-1")
+	merged := 0
 	for _, cap := range []int{6, 10, maxN, 20} {
 		classes := core.Classes(cap)
 		byNum := core.CountByConsensusNumber(cap)
 		objects := cap * (cap - 1) / 2
 		fmt.Fprintf(w, "%-5d %-8d %-14d %d\n", cap, objects, len(classes), byNum[1])
+		if len(classes) != objects {
+			merged++
+		}
 	}
 	fmt.Fprintln(w, "  (every object is its own class: consensus number collapses 'wealth' that task power keeps apart)")
 	fmt.Fprintln(w)
+	if merged > 0 {
+		return fmt.Errorf("%d maxN row(s) where power classes do not equal objects", merged)
+	}
 	return nil
 }
 
@@ -936,6 +963,9 @@ func expHasse(w io.Writer, _ sweep) error {
 		fmt.Fprintf(w, "  %v  >  %v\n", e.A, e.B)
 	}
 	fmt.Fprintf(w, "  (%d covering edges; every object is its own class)\n\n", len(edges))
+	if classes, objects := len(core.Classes(cap)), cap*(cap-1)/2; classes != objects {
+		return fmt.Errorf("%d power classes for %d objects with n <= %d", classes, objects, cap)
+	}
 	return nil
 }
 

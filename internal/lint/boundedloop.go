@@ -15,7 +15,6 @@ import (
 	"go/token"
 	"go/types"
 	"slices"
-	"sort"
 )
 
 // AnalyzerBoundedLoop returns the boundedloop rule. Every loop in a
@@ -57,8 +56,9 @@ func runBoundedLoop(m *Module) []Diagnostic {
 	simPath := m.Path + "/internal/sim"
 	skip := func(p *Package) bool { return p.Path == simPath }
 
+	nodes := g.sortedNodes()
 	var roots []*FuncNode
-	for _, n := range g.sortedNodes() {
+	for _, n := range nodes {
 		if !m.InScope(n.Pkg, "internal") || n.Pkg.Path == simPath {
 			continue
 		}
@@ -69,15 +69,10 @@ func runBoundedLoop(m *Module) []Diagnostic {
 
 	steps := objectSteppers(m, g)
 	witness := g.ReachableWitness(roots, skip)
-	reached := make([]*FuncNode, 0, len(witness))
-	for n := range witness {
-		reached = append(reached, n)
-	}
-	sort.Slice(reached, func(i, j int) bool { return reached[i].Fn.Pos() < reached[j].Fn.Pos() })
-
 	var out []Diagnostic
-	for _, n := range reached {
-		if skip(n.Pkg) {
+	for _, n := range nodes {
+		w, ok := witness[n]
+		if !ok {
 			continue
 		}
 		for _, body := range FuncBodies(n.Decl) {
@@ -85,7 +80,7 @@ func runBoundedLoop(m *Module) []Diagnostic {
 			for _, loop := range cfg.AllLoops {
 				if why, bad := classifyLoop(m, g, steps, n.Pkg, loop); bad {
 					via := ""
-					if w := witness[n]; w != n {
+					if w != n {
 						via = fmt.Sprintf(" (reachable from %s)", funcLabel(w))
 					}
 					out = append(out, Diagnostic{

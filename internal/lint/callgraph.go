@@ -171,34 +171,14 @@ func (g *CallGraph) implementersOf(iface *types.Interface, name string) []*FuncN
 	return out
 }
 
-// Reachable returns the set of nodes reachable from the roots, following
+// ReachableWitness returns the nodes reachable from the roots, following
 // edges except into packages for which skip returns true (the roots
-// themselves are always included). skip may be nil.
-func (g *CallGraph) Reachable(roots []*FuncNode, skip func(*Package) bool) map[*FuncNode]bool {
-	seen := make(map[*FuncNode]bool)
-	stack := append([]*FuncNode(nil), roots...)
-	for _, r := range roots {
-		seen[r] = true
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range n.Callees {
-			if seen[c] || (skip != nil && skip(c.Pkg)) {
-				continue
-			}
-			seen[c] = true
-			stack = append(stack, c)
-		}
-	}
-	return seen
-}
-
-// ReachableWitness is Reachable plus attribution: each reached node maps
-// to the root it was first discovered from (roots map to themselves).
-// The BFS visits roots and callees in deterministic order, so the
-// witness assignment — and every diagnostic built from it — is stable
-// across runs.
+// themselves are always included; skip may be nil). Each reached node
+// maps to the root it was first discovered from (roots map to
+// themselves), so callers test membership in the map and attribute
+// findings through it. The BFS visits roots and callees in
+// deterministic order, so the witness assignment — and every
+// diagnostic built from it — is stable across runs.
 func (g *CallGraph) ReachableWitness(roots []*FuncNode, skip func(*Package) bool) map[*FuncNode]*FuncNode {
 	witness := make(map[*FuncNode]*FuncNode)
 	queue := make([]*FuncNode, 0, len(roots))

@@ -30,10 +30,14 @@ func countRule(diags []Diagnostic, fragment, rule string) int {
 
 // TestStrayHotDirective: a //detlint:hot comment outside a function
 // declaration's doc group marks nothing, so every run reports it,
-// whatever rules it selects; the doc-group directives pass.
+// whatever rules it selects (here the alloc gate's and the recovery
+// gate's lists); the doc-group directives pass.
 func TestStrayHotDirective(t *testing.T) {
 	loadFixtures(t)
-	for _, rules := range [][]*Analyzer{HotAnalyzers(), RecoveryAnalyzers()} {
+	for _, rules := range [][]*Analyzer{
+		{AnalyzerHotAlloc(), AnalyzerBoxing()},
+		{AnalyzerPersistSplit(), AnalyzerJournalDiscipline(), AnalyzerRestartCoverage()},
+	} {
 		var stray []Diagnostic
 		for _, d := range Run(fixtureMod, rules) {
 			if strings.Contains(d.Msg, "this one marks nothing") {

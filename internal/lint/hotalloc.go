@@ -67,8 +67,8 @@ func runHotAlloc(m *Module) []Diagnostic {
 			if kind, ok := classifyAllocSite(n.Pkg, n, e, parents, x); ok {
 				diags = append(diags, Diagnostic{
 					Pos: m.position(x),
-					Msg: fmt.Sprintf("%s in hot loop in %s%s (depth %d, weight %d, %d hot root(s)): hoist it, budget it in %s, or justify an allow",
-						kind, funcLabel(n), via, total, hotWeight(total), h.mult[n], HotBudgetFileName),
+					Msg: fmt.Sprintf("%s in hot loop in %s%s (depth %d, weight %d): hoist it, budget it in %s, or justify an allow",
+						kind, funcLabel(n), via, total, hotWeight(total), HotBudgetFileName),
 				})
 			}
 		})

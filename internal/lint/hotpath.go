@@ -61,11 +61,6 @@ type hotInfo struct {
 	// witness maps each hot-reachable function to the root its minimum
 	// depth was first established from, for diagnostic attribution.
 	witness map[*FuncNode]*FuncNode
-	// mult counts the hot roots that reach each function — the
-	// callgraph-multiplicity factor of the static score.
-	mult map[*FuncNode]int
-	// roots lists the hot roots in declaration order.
-	roots []*FuncNode
 }
 
 // hotPaths returns the module's hot-path analysis, computing it on
@@ -112,11 +107,9 @@ func buildHotInfo(m *Module) *hotInfo {
 		depth:     make(map[*FuncNode]int),
 		recursive: make(map[*FuncNode]bool),
 		witness:   make(map[*FuncNode]*FuncNode),
-		mult:      make(map[*FuncNode]int),
 	}
 	for _, n := range nodes {
 		if hotRoot(m, n) {
-			h.roots = append(h.roots, n)
 			h.depth[n] = 0
 			h.witness[n] = n
 		}
@@ -175,12 +168,6 @@ func buildHotInfo(m *Module) *hotInfo {
 					changed = true
 				}
 			}
-		}
-	}
-	// Multiplicity: how many distinct roots reach each function.
-	for _, r := range h.roots {
-		for n := range g.Reachable([]*FuncNode{r}, nil) {
-			h.mult[n]++
 		}
 	}
 	return h

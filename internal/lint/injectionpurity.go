@@ -17,7 +17,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // AnalyzerInjectionPurity returns the injectionpurity rule for
@@ -34,8 +33,9 @@ func runInjectionPurity(m *Module) []Diagnostic {
 	g := m.CallGraph()
 	faultPath := m.Path + "/internal/sim"
 
+	nodes := g.sortedNodes()
 	var roots []*FuncNode
-	for _, n := range g.sortedNodes() {
+	for _, n := range nodes {
 		if !m.InScope(n.Pkg, "internal/chaos") && !m.isFixture(n.Pkg, "restartok", "restartbad") {
 			continue
 		}
@@ -45,16 +45,14 @@ func runInjectionPurity(m *Module) []Diagnostic {
 	}
 
 	witness := g.ReachableWitness(roots, nil)
-	reached := make([]*FuncNode, 0, len(witness))
-	for n := range witness {
-		reached = append(reached, n)
-	}
-	sort.Slice(reached, func(i, j int) bool { return reached[i].Fn.Pos() < reached[j].Fn.Pos() })
-
 	var out []Diagnostic
-	for _, n := range reached {
+	for _, n := range nodes {
+		w, ok := witness[n]
+		if !ok {
+			continue
+		}
 		via := ""
-		if w := witness[n]; w != n {
+		if w != n {
 			via = fmt.Sprintf(" (reachable from decision %s)", funcLabel(w))
 		}
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {

@@ -38,9 +38,6 @@
 //     declared //detlint:durable or //detlint:volatile, and OnCrash
 //     wipes exactly the volatile set — a wiped durable field is
 //     amnesia, an untouched volatile field is ghost state.
-//   - recoveryreads: code reachable from a RecoveryProc or Recovery
-//     method re-derives volatile fields before reading them
-//     (must-write-before-read on the CFG).
 //   - journaldiscipline: on methods of //detlint:journaled types,
 //     durable writes flow through the journal append before the
 //     response, and the response derives from the journal.
@@ -113,31 +110,10 @@ func Analyzers() []*Analyzer {
 		AnalyzerHotAlloc(),
 		AnalyzerBoxing(),
 		AnalyzerPersistSplit(),
-		AnalyzerRecoveryReads(),
 		AnalyzerJournalDiscipline(),
 		AnalyzerRestartCoverage(),
 		AnalyzerSlotDiscipline(),
 		AnalyzerAllowAudit(),
-	}
-}
-
-// RecoveryAnalyzers returns the persistence/recovery-safety rule subset
-// behind the CI recovery-gate job.
-func RecoveryAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		AnalyzerPersistSplit(),
-		AnalyzerRecoveryReads(),
-		AnalyzerJournalDiscipline(),
-		AnalyzerRestartCoverage(),
-	}
-}
-
-// HotAnalyzers returns the escape/hot-path rule subset behind
-// `cmd/detlint -hot` and the CI alloc-gate.
-func HotAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		AnalyzerHotAlloc(),
-		AnalyzerBoxing(),
 	}
 }
 

@@ -42,8 +42,6 @@ func loadFixtures(t *testing.T) []Diagnostic {
 			"detobj/internal/lintfixture/boxok":         "testdata/src/boxok",
 			"detobj/internal/lintfixture/persistbad":    "testdata/src/persistbad",
 			"detobj/internal/lintfixture/persistok":     "testdata/src/persistok",
-			"detobj/internal/lintfixture/recreadbad":    "testdata/src/recreadbad",
-			"detobj/internal/lintfixture/recreadok":     "testdata/src/recreadok",
 			"detobj/internal/lintfixture/journalbad":    "testdata/src/journalbad",
 			"detobj/internal/lintfixture/journalok":     "testdata/src/journalok",
 			"detobj/internal/lintfixture/restartcovbad": "testdata/src/restartcovbad",
@@ -135,9 +133,6 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 		{"persistbad", "persistsplit", "OnCrash never wipes field tmp of persistbad.Cell, which is annotated //detlint:volatile — ghost state"},
 		{"persistbad", "persistsplit", "//detlint:volatile on field tmp of persistbad.Cell must carry an inline justification"},
 		{"persistbad", "persistsplit", "//detlint:durable attaches to no field or type of a sim.Recoverable implementor"},
-		{"recreadbad", "recoveryreads", "reads volatile field table of recreadbad.Cache before re-deriving it"},
-		{"recreadbad", "recoveryreads", "reads volatile field hits of recreadbad.Cache"},
-		{"recreadbad", "recoveryreads", "recovery code reachable from"},
 		{"journalbad", "journaldiscipline", "durable write to field count of journalbad.Log"},
 		{"journalbad", "journaldiscipline", "response of journalbad.(Log).Aside does not derive from the journal"},
 		{"journalbad", "journaldiscipline", "response of journalbad.(Log).Rebind does not derive from the journal"},
@@ -174,7 +169,7 @@ func TestFixturesFlagSeededViolations(t *testing.T) {
 
 func TestFixturesAcceptSafeIdioms(t *testing.T) {
 	diags := loadFixtures(t)
-	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "restartok", "auditok", "hotallocok", "boxok", "persistok", "recreadok", "journalok", "restartcovok", "slotok"} {
+	for _, clean := range []string{"nodetok", "purityok", "hangok", "schedok", "boundedok", "restartok", "auditok", "hotallocok", "boxok", "persistok", "journalok", "restartcovok", "slotok"} {
 		for _, d := range inFile(diags, clean) {
 			t.Errorf("unexpected finding in clean fixture %s: %s", clean, d)
 		}

@@ -102,14 +102,14 @@ func TestRealTreeClassification(t *testing.T) {
 }
 
 // TestRecoveryRulesPartialRun pins the -rules contract for the
-// recovery-safety subset: running only the four persistence rules still
-// produces the seeded persistbad/recreadbad/journalbad/restartcovbad
-// findings, and allowaudit stays silent about allows naming rules that
-// did not run (the wrn negative-control allow names restartcoverage, so
-// a run without it must not judge that mark).
+// recovery-safety subset: running only the three persistence rules still
+// produces the seeded persistbad/journalbad/restartcovbad findings, and
+// allowaudit stays silent about allows naming rules that did not run
+// (the wrn negative-control allow names restartcoverage, so a run
+// without it must not judge that mark).
 func TestRecoveryRulesPartialRun(t *testing.T) {
 	loadFixtures(t)
-	subset := append(RecoveryAnalyzers(), AnalyzerAllowAudit())
+	subset := []*Analyzer{AnalyzerPersistSplit(), AnalyzerJournalDiscipline(), AnalyzerRestartCoverage(), AnalyzerAllowAudit()}
 	diags := Run(fixtureMod, subset)
 	wantRules := map[string]bool{}
 	for _, d := range diags {
@@ -121,7 +121,7 @@ func TestRecoveryRulesPartialRun(t *testing.T) {
 			t.Errorf("recovery-subset finding in the real tree: %s", d)
 		}
 	}
-	for _, rule := range []string{"persistsplit", "recoveryreads", "journaldiscipline", "restartcoverage"} {
+	for _, rule := range []string{"persistsplit", "journaldiscipline", "restartcoverage"} {
 		if !wantRules[rule] {
 			t.Errorf("recovery-subset run produced no %s findings; the bad fixtures seed some", rule)
 		}

@@ -146,8 +146,9 @@ func (j *J) addressed(xs []int) int {
 
 // TestAllowNamingRetiredRule pins what makes retiring a rule safe: a
 // mark naming no analyzer can never suppress, so every run of allowaudit
-// judges it stale, the full suite and a subset alike, while the hot and
-// recovery subsets, which do not run allowaudit, say nothing about it.
+// judges it stale, the full suite and a subset alike, while the alloc
+// and recovery gates' rule lists, which do not run allowaudit, say
+// nothing about it.
 func TestAllowNamingRetiredRule(t *testing.T) {
 	m := loadScratchModule(t, `package scratch
 
@@ -162,8 +163,8 @@ func F() {}
 	}{
 		{"full suite", Analyzers(), true},
 		{"nodeterminism and allowaudit", []*Analyzer{AnalyzerNoDeterminism(), AnalyzerAllowAudit()}, true},
-		{"hot", HotAnalyzers(), false},
-		{"recovery", RecoveryAnalyzers(), false},
+		{"hot", []*Analyzer{AnalyzerHotAlloc(), AnalyzerBoxing()}, false},
+		{"recovery", []*Analyzer{AnalyzerPersistSplit(), AnalyzerJournalDiscipline(), AnalyzerRestartCoverage()}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			diags := Run(m, c.analyzers)

@@ -253,33 +253,6 @@ func fieldTarget(pkg *Package, e ast.Expr) (f *types.Var, direct bool) {
 	}
 }
 
-// ownerTypeName renders the declaring struct type of a field as
-// pkgname.Type (best effort: the field's parent scope is the struct).
-func ownerTypeName(f *types.Var) string {
-	if f.Pkg() == nil {
-		return "?"
-	}
-	// Walk the package scope for the named type whose underlying struct
-	// contains exactly this field object.
-	scope := f.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == f {
-				return f.Pkg().Name() + "." + name
-			}
-		}
-	}
-	return f.Pkg().Name() + ".?"
-}
-
 // lookupConcreteMethod finds the concrete method named name on t (or
 // *t), or nil.
 func lookupConcreteMethod(t types.Type, name string) *types.Func {
